@@ -9,10 +9,21 @@ coordinate points.  Models are normalized so h is strictly decreasing, which
 makes o the attracting point of lambda(t) as t -> infinity and chart
 coordinates quasi-homogeneous of positive degrees d_i = (h_0 - h_i)/2.
 
+Normal form.  With the weights sorted and distinct, [h, e] = 2e lets e_ij be
+nonzero only where h_j = h_i - 2, so each row and each column of e holds at
+most one nonzero entry and rank e is the number of nonzero entries.  Rank n
+needs a partner for every row but the last; the partner map i -> j is
+injective and order-preserving with j > i, hence j = i + 1.  So every
+validated model has weights h_0, h_0 - 2, ..., h_0 - 2n and e is the
+superdiagonal with nonzero entries a_0, ..., a_{n-1} (a_t = e[t][t+1]).
+
 The fixed-point curve has one component per fixed point: the closure of
-v |-> phi(1/v) . zeta_j.  After clearing the minimal power of v the j-th
-component has homogeneous coordinates that are exact monomials, and its chart
-coordinates (ratios against the o-coordinate) are c_ij v^{d_i}.
+v |-> phi(1/v) . zeta_j.  In the normal form exp(s e)_{iJ} =
+s^{J-i} a_i...a_{J-1} / (J-i)! for i <= J, so after clearing v^J the J-th
+column (J = j - 1) has homogeneous coordinates (a_i...a_{J-1} / (J-i)!) v^i,
+exact monomials, and its chart coordinates (ratios against the constant
+o-coordinate) are c_ij v^{d_i} with d_i = i.  exp_e computes the flow
+directly and is kept as the independent oracle for this closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, rref, to_fraction
+from .exactalg import Poly, to_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -71,7 +82,9 @@ def validate(model: ActionModel) -> ActionModel:
     """Check regularity and normalize coordinate order.
 
     Verifies [h, e] = 2e and dim ker e = 1 (single Jordan block), and reorders
-    coordinates so h is strictly decreasing.  Idempotent.
+    coordinates so h is strictly decreasing.  Idempotent.  Once the
+    commutation check passes, e has at most one nonzero entry per row and per
+    column, so its rank is its number of nonzero entries.
     """
     n = int(model.n)
     if n < 0:
@@ -95,7 +108,7 @@ def validate(model: ActionModel) -> ActionModel:
         for j in range(r):
             if e_sorted[i][j] != 0 and h_sorted[i] - h_sorted[j] != 2:
                 raise InputError("commutation failure: [h, e] != 2e")
-    rank = len(rref([list(row) for row in e_sorted])[0])
+    rank = sum(1 for row in e_sorted for x in row if x != 0)
     if rank != n:
         raise InputError(f"not regular: dim ker e = {r - rank}, expected 1")
     return ActionModel(n, h_sorted, e_sorted)
@@ -184,35 +197,25 @@ def big_cell_degrees(model: ActionModel) -> list[int]:
 def component_parametrization(model: ActionModel, j: int) -> CurveComponent:
     """Exact parametrization of the curve component over the j-th fixed point.
 
-    Computes phi(1/v) . zeta_j in homogeneous coordinates, clears denominators
-    by the minimal power of v (the o-coordinate then being a nonzero constant,
-    so the component lies in the big cell for v != 0), and dehomogenizes.  Each
-    chart coordinate is verified to be a monomial of the expected degree.
+    phi(1/v) . zeta_j is the j-th column of exp(e/v).  In the normal form of a
+    validated model (module docstring) that column, cleared by v^J with
+    J = j - 1, is homog_i = (a_i...a_{J-1} / (J-i)!) v^i for i <= J and 0
+    for i > J.  The o-coordinate homog_0 = a_0...a_{J-1} / J! is a nonzero
+    constant, so the component lies in the big cell for v != 0, and each chart
+    coordinate homog_i / homog_0 is a monomial of degree d_i = i.
     """
     r = model.n + 1
     if not 1 <= j <= r:
         raise InputError(f"component index must lie in 1..{r}")
-    degrees = big_cell_degrees(model)
-    column = [exp_row[j - 1] for exp_row in exp_e(model, Poly.variable())]
-    cleared_power = max(p.degree for p in column)
-    # homog_i(v) = v^cleared_power * column_i(1/v)
-    homog = [Poly(tuple(p.coeff(cleared_power - m) for m in range(cleared_power + 1)))
-             for p in column]
-    origin = homog[0].as_monomial()
-    if origin is None or origin[1] != 0:
-        raise InternalError("o-coordinate of the cleared parametrization is not a "
-                            "nonzero constant; e is not a single Jordan block")
-    c0 = origin[0]
-    charts = []
-    for i in range(1, r):
-        q = homog[i] * (1 / c0)
-        if not q.is_zero():
-            mono = q.as_monomial()
-            if mono is None or mono[1] != degrees[i - 1]:
-                raise InternalError("chart coordinate is not a monomial of the "
-                                    "expected quasi-homogeneous degree")
-        charts.append(q)
-    return CurveComponent(j, tuple(charts), tuple(degrees), tuple(homog))
+    J = j - 1
+    e = model.e_matrix
+    coeffs = [Fraction(0)] * r
+    coeffs[J] = Fraction(1)
+    for i in range(J - 1, -1, -1):  # coeffs[i] = a_i...a_{J-1} / (J-i)!
+        coeffs[i] = coeffs[i + 1] * e[i][i + 1] / (J - i)
+    homog = tuple(Poly.monomial(coeffs[i], i) for i in range(r))
+    charts = tuple(Poly.monomial(coeffs[i] / coeffs[0], i) for i in range(1, r))
+    return CurveComponent(j, charts, tuple(big_cell_degrees(model)), homog)
 
 
 def check_fixed_point_return(model: ActionModel, j: int, v0) -> bool:
@@ -220,15 +223,19 @@ def check_fixed_point_return(model: ActionModel, j: int, v0) -> bool:
 
     This is the defining membership test for points of the curve at nonzero
     parameters: the inverse unipotent flow must land exactly on a torus-fixed
-    coordinate point.
+    coordinate point.  The flow is applied to the one point as the finite
+    series sum_k (s e)^k / k! . x with s = -1/v0, without building exp(s e).
     """
     v0 = to_fraction(v0)
     if v0 == 0:
         raise InputError("parameter must be nonzero")
     comp = component_parametrization(model, j)
-    point = tuple(p(v0) for p in comp.homog_coords)
-    flow = exp_e(model, Fraction(-1) / v0)
-    image = _mat_vec(flow, point)
+    term = tuple(p(v0) for p in comp.homog_coords)
+    image = list(term)
+    s = Fraction(-1) / v0
+    for k in range(1, model.n + 1):
+        term = tuple(s / k * x for x in _mat_vec(model.e_matrix, term))
+        image = [a + b for a, b in zip(image, term)]
     nonzero = [i for i, val in enumerate(image) if val != 0]
     return len(nonzero) == 1 and nonzero[0] == j - 1
 

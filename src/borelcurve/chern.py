@@ -6,11 +6,16 @@ the fibre.  On the curve the relevant endomorphism at parameter v is the one
 induced by s(v) = v W - 2 N (W = diag(1,-1), N the nilpotent generator), so on
 the component over the j-th fixed point the class is the exact monomial
 
-    e_k(fibre weights at j) * v^k,
+    e_k(fibre weights at j) * v^k.
 
-because N acts nilpotently and cannot change the characteristic polynomial.
 A bundle is described per fixed point either by its weight multiset (split
-case) or by the pair of matrices representing (W, N) on the fibre.
+case) or by the pair of matrices (rho_w, rho_v) representing (W, N) on the
+fibre.  For a matrix fibre, [rho_w, rho_v] = 2 rho_v makes rho_v map each
+generalized lambda-eigenspace of rho_w into the (lambda + 2)-eigenspace.  In a
+basis adapted to those eigenspaces, ordered by eigenvalue, v rho_w - 2 rho_v
+is block triangular with diagonal blocks v rho_w|_lambda, so it has the
+characteristic polynomial of v rho_w, and its k-th exterior trace is
+v^k times the exterior trace of rho_w, a number computed over Q.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .action import _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra, HomTuple, Poly, to_fraction
+from .errors import InputError
+from .exactalg import GradedSubalgebra, HomTuple, to_fraction
 from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
 
 Matrix = tuple[tuple, ...]
@@ -57,19 +63,6 @@ class BundleData:
     fibres: dict[int, SplitFibre | MatrixFibre]
 
 
-def _square(rows, size: int) -> Matrix:
-    m = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-    if len(m) != size or any(len(row) != size for row in m):
-        raise InputError(f"expected a {size}x{size} matrix")
-    return m
-
-
-def _mat_mul(a, b):
-    k = len(b)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), start=Fraction(0))
-                       for j in range(len(b[0]))) for i in range(len(a)))
-
-
 def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> BundleData:
     """Validate fibre data: common rank, commutation relation, nilpotency."""
     rank = int(rank)
@@ -85,8 +78,8 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
         if fibre.rank != rank:
             raise InputError(f"fibre at {label} has rank {fibre.rank}, expected {rank}")
         if isinstance(fibre, MatrixFibre):
-            w = _square(fibre.rho_w, rank)
-            v = _square(fibre.rho_v, rank)
+            w = _as_matrix(fibre.rho_w, rank)
+            v = _as_matrix(fibre.rho_v, rank)
             for i in range(rank):
                 for j in range(rank):
                     lhs = sum(w[i][t] * v[t][j] - v[i][t] * w[t][j] for t in range(rank))
@@ -110,9 +103,16 @@ def bundle_from_json(data: dict) -> BundleData:
         raw = data["fibres"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad bundle spec: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError("bad bundle spec: fibres must be an object keyed by fixed-point label")
     fibres: dict[int, SplitFibre | MatrixFibre] = {}
     for key, val in raw.items():
-        label = int(key)
+        try:
+            label = int(key)
+        except ValueError:
+            raise InputError(f"fibre key {key!r} is not an integer fixed-point label") from None
+        if not isinstance(val, dict):
+            raise InputError(f"fibre {key} must be an object with weights or rho_W/rho_V")
         if "weights" in val:
             ws = []
             for w in val["weights"]:
@@ -153,11 +153,10 @@ def elementary_symmetric(values: Sequence, k: int) -> Fraction:
 
 
 def exterior_trace(matrix, k: int):
-    """Trace on the k-th exterior power: e_k of the eigenvalues.
+    """Trace on the k-th exterior power: e_k of the eigenvalues, over Q.
 
     Computed as the signed coefficient of the characteristic polynomial via
-    the Faddeev-LeVerrier recurrence, whose only divisions are by integers, so
-    it is exact over Q and over Q[v] alike.  Entries may be rationals or Poly.
+    the Faddeev-LeVerrier recurrence, whose only divisions are by integers.
     """
     n = len(matrix)
     rows = [list(row) for row in matrix]
@@ -165,15 +164,9 @@ def exterior_trace(matrix, k: int):
         raise InputError("matrix must be square")
     if not 0 <= k <= n:
         raise InputError(f"k must lie in 0..{n}")
-    has_poly = any(isinstance(x, Poly) for row in rows for x in row)
-    if has_poly:
-        m = [[x if isinstance(x, Poly) else Poly.const(x) for x in row] for row in rows]
-        one = Poly.const(1)
-    else:
-        m = [[to_fraction(x) for x in row] for row in rows]
-        one = Fraction(1)
+    m = [[to_fraction(x) for x in row] for row in rows]
     if k == 0:
-        return one
+        return Fraction(1)
     # char poly t^n + c_1 t^(n-1) + ... ; e_k = (-1)^k c_k
     cs = []
     current = m
@@ -192,9 +185,9 @@ def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:
     """The degree-k tuple of the k-th equivariant Chern class over the
     bundle's fixed points (sorted by label).
 
-    Matrix fibres go through the exterior trace of v*rho_w - 2*rho_v, which
-    must come out as a pure monomial of degree k; split fibres use e_k of the
-    weights directly.
+    Split fibres use e_k of the weights directly.  A matrix fibre contributes
+    the exterior trace of rho_w: that of v*rho_w - 2*rho_v is v^k times it
+    (module docstring).
     """
     labels = sorted(bundle.fibres)
     if labels[0] < 1 or labels[-1] > cr.r:
@@ -207,19 +200,7 @@ def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:
         if isinstance(fibre, SplitFibre):
             coeffs.append(elementary_symmetric(fibre.weights, k))
             continue
-        rank = fibre.rank
-        section = [[Poly.monomial(fibre.rho_w[i][j], 1) - 2 * fibre.rho_v[i][j]
-                    for j in range(rank)] for i in range(rank)]
-        tr = exterior_trace(section, k)
-        if tr.is_zero():
-            coeffs.append(Fraction(0))
-            continue
-        mono = tr.as_monomial()
-        if mono is None or mono[1] != k:
-            raise InternalError("exterior trace is not a pure monomial of degree k; "
-                                "the fibre data does not satisfy the commutation "
-                                "precondition")
-        coeffs.append(mono[0])
+        coeffs.append(exterior_trace(fibre.rho_w, k))
     return HomTuple(k, tuple(coeffs))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcurve.action import (ActionModel, big_cell_degrees,
+from borelcurve.action import (ActionModel, CurveComponent, big_cell_degrees,
                                check_fixed_point_return,
                                component_parametrization, exp_e, fixed_points,
                                model_from_json, principal_model,
@@ -148,15 +148,45 @@ nonzero_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12
     lambda q: q != 0)
 
 
-@given(st.integers(1, 4), st.data())
+@st.composite
+def regular_models(draw, max_n=4):
+    """Validated regular models beyond the principal one: shifted weights,
+    permuted coordinates and a random nonzero rational superdiagonal."""
+    n = draw(st.integers(1, max_n))
+    r = n + 1
+    shift = draw(st.integers(-5, 5))
+    order = draw(st.permutations(range(r)))
+    entries = draw(st.lists(nonzero_rationals, min_size=n, max_size=n))
+    h = [0] * r
+    e = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        h[order[i]] = n - 2 * i + shift
+    for i in range(n):
+        e[order[i]][order[i + 1]] = entries[i]
+    return validate(ActionModel(n, tuple(h), tuple(tuple(row) for row in e)))
+
+
+def component_from_flow(model, j):
+    """The component as the flow computes it: the j-th column of exp(v e),
+    reversed in v to clear the powers of 1/v, over its o-coordinate."""
+    column = [row[j - 1] for row in exp_e(model, Poly.variable())]
+    top = max(p.degree for p in column)
+    homog = tuple(Poly(tuple(p.coeff(top - m) for m in range(top + 1))) for p in column)
+    assert homog[0].degree == 0
+    charts = tuple(p * (1 / homog[0].coeff(0)) for p in homog[1:])
+    return CurveComponent(j, charts, tuple(big_cell_degrees(model)), homog)
+
+
+@given(regular_models(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_parametrization_against_direct_flow(n, data):
-    """Oracle: evaluate the chart polynomials at a rational parameter and compare
-    with phi(1/v0) applied to the fixed point, dehomogenized directly."""
-    model = principal_model(n)
-    j = data.draw(st.integers(1, n + 1))
+def test_parametrization_against_direct_flow(model, data):
+    """Oracle: the closed form equals the component built from exp(v e), and
+    its charts at a rational parameter equal phi(1/v0) applied to the fixed
+    point, dehomogenized directly."""
+    j = data.draw(st.integers(1, model.n + 1))
     v0 = data.draw(nonzero_rationals)
     comp = component_parametrization(model, j)
+    assert comp == component_from_flow(model, j)
     column = [row[j - 1] for row in exp_e(model, 1 / v0)]
     assert column[0] != 0
     direct = [c / column[0] for c in column[1:]]
@@ -174,11 +204,10 @@ def test_fixed_point_return_examples(plane_model):
         check_fixed_point_return(plane_model, 2, 0)
 
 
-@given(st.integers(1, 4), st.data())
+@given(regular_models(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_fixed_point_return_random(n, data):
-    model = principal_model(n)
-    j = data.draw(st.integers(1, n + 1))
+def test_fixed_point_return_random(model, data):
+    j = data.draw(st.integers(1, model.n + 1))
     v0 = data.draw(nonzero_rationals)
     assert check_fixed_point_return(model, j, v0)
 

@@ -11,7 +11,7 @@ from borelcurve.chern import (MatrixFibre, SplitFibre, bundle_from_json,
                               make_bundle, tangent_bundle)
 from borelcurve.curve import build_curve_ring
 from borelcurve.errors import InputError
-from borelcurve.exactalg import HomTuple, Poly
+from borelcurve.exactalg import HomTuple
 from borelcurve.gkm import GKMGraph
 
 
@@ -31,10 +31,26 @@ def test_exterior_trace_diagonal():
 
 
 def test_exterior_trace_polynomial_entries():
-    v = Poly.variable()
-    m = ((v, Poly.const(-2)), (Poly(), -v))  # v*diag(1,-1) - 2*nilpotent
-    assert exterior_trace(m, 1).is_zero()
-    assert exterior_trace(m, 2) == -(v**2)
+    """The section v*W - 2*N, sampled at rational v0, has the exterior traces of
+    v0*W: a nilpotent N with [W, N] = 2N leaves the characteristic polynomial
+    unchanged, which is what lets matrix fibres skip the polynomial entries."""
+    pairs = [
+        (frac_matrix([[1, 0], [0, -1]]), frac_matrix([[0, 1], [0, 0]])),
+        (frac_matrix([[2, 0, 0], [0, 0, 0], [0, 0, -2]]),
+         frac_matrix([[0, 3, 0], [0, 0, Fraction(-1, 2)], [0, 0, 0]])),
+        # the same pair conjugated by the shear I + 2 E_13
+        (frac_matrix([[2, 0, -8], [0, 0, 0], [0, 0, -2]]),
+         frac_matrix([[0, 3, 0], [0, 0, Fraction(-1, 2)], [0, 0, 0]])),
+        (frac_matrix([[4, 0, 0], [0, 3, 0], [0, 0, 2]]),
+         frac_matrix([[0, 0, 5], [0, 0, 0], [0, 0, 0]])),
+    ]
+    for w, n in pairs:
+        size = len(w)
+        for v0 in (Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(-5, 4)):
+            section = tuple(tuple(v0 * w[i][j] - 2 * n[i][j] for j in range(size))
+                            for i in range(size))
+            for k in range(size + 1):
+                assert exterior_trace(section, k) == v0**k * exterior_trace(w, k)
 
 
 def test_exterior_trace_range_errors():
@@ -80,6 +96,12 @@ def test_bundle_from_json():
     assert isinstance(bundle_m.fibres[1], MatrixFibre)
     with pytest.raises(InputError):
         bundle_from_json({"rank": 1, "fibres": {"1": {}}})
+    with pytest.raises(InputError, match="fibre 1 must be an object"):
+        bundle_from_json({"rank": 1, "fibres": {"1": 5}})
+    with pytest.raises(InputError, match="fibres must be an object"):
+        bundle_from_json({"rank": 1, "fibres": [{"weights": [1]}]})
+    with pytest.raises(InputError, match="not an integer"):
+        bundle_from_json({"rank": 1, "fibres": {"1": {"weights": [1]}, "x": {"weights": [2]}}})
 
 
 def test_tangent_bundle_weights(plane_model):
@@ -103,12 +125,35 @@ def test_plane_tangent_chern_tuples(plane_ring):
     assert c0 == HomTuple(0, (1, 1, 1))
 
 
+def _matrix_tangent(model):
+    """Tangent bundle in matrix-fibre form: rho_w is the diagonal of the sorted
+    tangent weights and rho_v has a nonzero entry just above the diagonal
+    wherever neighbouring weights differ by 2."""
+    split = tangent_bundle(model)
+    fibres = {}
+    for label, fibre in split.fibres.items():
+        ws = sorted(fibre.weights, reverse=True)
+        k = len(ws)
+        w = frac_matrix([[ws[a] if a == b else 0 for b in range(k)] for a in range(k)])
+        n = frac_matrix([[Fraction(a + 1, label) if b == a + 1 and ws[a] - ws[b] == 2 else 0
+                          for b in range(k)] for a in range(k)])
+        fibres[label] = MatrixFibre(w, n)
+    return make_bundle(split.rank, fibres)
+
+
 def test_matrix_fibres_give_same_tuple_as_weights(plane_ring):
     w = frac_matrix([[1, 0], [0, -1]])
     n = frac_matrix([[0, 1], [0, 0]])
     bundle = make_bundle(2, {1: MatrixFibre(w, n), 2: SplitFibre((1, -1))})
     t = chern_tuple(bundle, 2, plane_ring)
     assert t == HomTuple(2, (-1, -1))
+    for size in range(1, 6):
+        cr = build_curve_ring(principal_model(size))
+        split, matrix = tangent_bundle(cr.model), _matrix_tangent(cr.model)
+        assert size == 1 or any(any(x != 0 for row in f.rho_v for x in row)
+                                for f in matrix.fibres.values())
+        for k in range(size + 1):
+            assert chern_tuple(matrix, k, cr) == chern_tuple(split, k, cr)
 
 
 def test_chern_membership(plane_ring):
