@@ -41,8 +41,8 @@ def main() -> None:
     print("ordinary Betti numbers of Y:", gkm_ordinary_betti(graph))
     verdict = principal_verdict(ring, graph)
     print(f"principality: {verdict.status}, witness degree {verdict.witness}")
-    print(f"  restriction image Hilbert: {list(verdict.image_hilbert[:5])} ...")
-    print(f"  congruence ring Hilbert:   {list(verdict.gkm_hilbert[:5])} ...")
+    print(f"  restriction image Hilbert: {list(verdict.image_hilbert)}")
+    print(f"  congruence ring Hilbert:   {list(verdict.gkm_hilbert)}")
 
     bundle = tangent_bundle(model)
     c1 = chern_tuple(bundle, 1, ring)

@@ -22,7 +22,7 @@ from .errors import InputError, InternalError
 from .exactalg import (GradedSubalgebra, HomTuple, Poly, format_fraction,
                        to_fraction)
 from .gkm import (GKMGraph, GKMRing, PrincipalityVerdict, gkm_ordinary_betti,
-                  gkm_ring, principal_verdict)
+                  principal_verdict)
 from .rootsystems import (PoincarePoly, RootSystem, heights, km_poincare,
                           poincare_from_degrees, positive_roots,
                           weyl_length_genfun, weyl_order)

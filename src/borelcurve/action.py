@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, to_fraction
+from .exactalg import Poly, to_fraction, to_int
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -71,8 +71,14 @@ def _mat_vec(a, x):
     return tuple(sum((row[j] * x[j] for j in range(len(x))), start=Fraction(0)) for row in a)
 
 
+def _as_list(x):
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"expected a list, got {x!r}")
+    return x
+
+
 def _as_matrix(rows, size: int) -> Matrix:
-    m = tuple(tuple(to_fraction(x) for x in row) for row in rows)
+    m = tuple(tuple(to_fraction(x) for x in _as_list(row)) for row in _as_list(rows))
     if len(m) != size or any(len(row) != size for row in m):
         raise InputError(f"expected a {size}x{size} matrix")
     return m
@@ -86,16 +92,13 @@ def validate(model: ActionModel) -> ActionModel:
     commutation check passes, e has at most one nonzero entry per row and per
     column, so its rank is its number of nonzero entries.
     """
-    n = int(model.n)
+    n = to_int(model.n)
     if n < 0:
         raise InputError("dimension n must be non-negative")
     r = n + 1
-    h = list(model.h_weights)
+    h = [to_int(w) for w in model.h_weights]
     if len(h) != r:
         raise InputError(f"h_weights must have length n+1 = {r}")
-    for w in h:
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise InputError("h_weights must be integers")
     if len(set(h)) != r:
         raise InputError("repeated h-weights: torus fixed points are not isolated")
     e = _as_matrix(model.e_matrix, r)
@@ -127,8 +130,8 @@ def principal_model(n: int) -> ActionModel:
 def model_from_json(data: dict) -> ActionModel:
     """Parse {"n":, "h_weights":, "e_matrix":} (e_matrix may be "principal")."""
     try:
-        n = int(data["n"])
-        h = tuple(int(w) for w in data["h_weights"])
+        n = to_int(data["n"])
+        h = tuple(data["h_weights"])
         e_spec = data["e_matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action spec: {exc}") from exc

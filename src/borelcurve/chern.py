@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .action import _as_matrix, _mat_mul
+from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import GradedSubalgebra, HomTuple, to_fraction
+from .exactalg import GradedSubalgebra, HomTuple, to_fraction, to_int
 from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
 
 Matrix = tuple[tuple, ...]
@@ -99,9 +99,9 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
 def bundle_from_json(data: dict) -> BundleData:
     """Parse {"rank":, "fibres": {"j": {"weights":[...]} | {"rho_W":, "rho_V":}}}."""
     try:
-        rank = int(data["rank"])
+        rank = to_int(data["rank"])
         raw = data["fibres"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad bundle spec: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("bad bundle spec: fibres must be an object keyed by fixed-point label")
@@ -114,17 +114,10 @@ def bundle_from_json(data: dict) -> BundleData:
         if not isinstance(val, dict):
             raise InputError(f"fibre {key} must be an object with weights or rho_W/rho_V")
         if "weights" in val:
-            ws = []
-            for w in val["weights"]:
-                if not isinstance(w, int) or isinstance(w, bool):
-                    raise InputError("fibre weights must be integers")
-                ws.append(w)
-            fibres[label] = SplitFibre(tuple(ws))
+            fibres[label] = SplitFibre(tuple(to_int(w) for w in _as_list(val["weights"])))
         elif "rho_W" in val and "rho_V" in val:
-            fibres[label] = MatrixFibre(
-                tuple(tuple(to_fraction(x) for x in row) for row in val["rho_W"]),
-                tuple(tuple(to_fraction(x) for x in row) for row in val["rho_V"]),
-            )
+            fibres[label] = MatrixFibre(_as_matrix(val["rho_W"], rank),
+                                        _as_matrix(val["rho_V"], rank))
         else:
             raise InputError(f"fibre {key} needs either weights or rho_W/rho_V")
     return make_bundle(rank, fibres)
@@ -222,7 +215,9 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
     Each generator must satisfy the graph congruences, otherwise it could not
     be a class on the modeled subvariety at all.  Equality of Hilbert
     functions up to the bound means the classes generate; a strict deficit is
-    reported with its witness degree.
+    reported with its witness degree.  The default bound is the congruence
+    ring's stabilization degree, which certifies the verdict (see
+    PrincipalityVerdict).
     """
     ring = GKMRing(graph)
     r = len(graph.vertices)
@@ -234,10 +229,7 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
             raise InputError(f"generator {t.to_json()} violates the graph congruences")
         gens.append(t)
     algebra = GradedSubalgebra(r, gens + [HomTuple.ones(r, 1)])
-    if max_degree is None:
-        bound = max(algebra.default_degree_bound, ring.stabilization_degree + 1)
-    else:
-        bound = int(max_degree)
+    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
     image = algebra.hilbert_function(bound)
     model_side = ring.hilbert(bound)
     notes = ("comparison of the subalgebra generated by the given classes against "

@@ -35,8 +35,18 @@ class CurveRing:
 
 
 def default_degree_bound(cr: CurveRing) -> int:
-    """Truncation degree 2 * r * max(d_i), reported alongside every answer."""
-    return cr.algebra.default_degree_bound
+    """First degree D with V_D = Q^r; degrees 0..D decide every answer.
+
+    v is a generator, so the slices form a chain and stay full from D on.  A
+    generic linear form in the charts separates the r curve points at v = 1,
+    so its powers span Q^r by degree (r - 1) * max d_i (Vandermonde), where
+    the scan stops.  For every validated model D = n.
+    """
+    cap = (cr.r - 1) * max(g.degree for g in cr.algebra.generators)
+    for d in range(cap + 1):
+        if cr.algebra.hilbert_function(d)[-1] == cr.r:
+            return d
+    raise InternalError(f"curve ring did not reach full rank by degree {cap}")
 
 
 def build_curve_ring(model: ActionModel) -> CurveRing:
@@ -52,10 +62,7 @@ def build_curve_ring(model: ActionModel) -> CurveRing:
             coeffs.append(Fraction(0) if q.is_zero() else q.coeff(d))
         gens.append(HomTuple(d, tuple(coeffs)))
     cr = CurveRing(model, comps, GradedSubalgebra(r, gens))
-    bound = default_degree_bound(cr)
-    if cr.algebra.hilbert_function(bound)[-1] != r:
-        raise InternalError("curve ring did not reach full rank within the default "
-                            "degree bound")
+    default_degree_bound(cr)  # raises InternalError if full rank is never reached
     return cr
 
 
@@ -105,7 +112,7 @@ def ideal_hilbert(cr: CurveRing, subset: Iterable[int],
     """Dimensions of the ideal of the sub-curve over the subset, per degree.
 
     The dimensions are non-decreasing and stabilize at r - |subset|, the rank
-    of the ideal over Q[v].
+    of the ideal over Q[v], by the default degree, where V_d = Q^r.
     """
     labels = _positions(cr, subset)
     bound = default_degree_bound(cr) if max_degree is None else int(max_degree)

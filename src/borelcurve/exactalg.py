@@ -48,6 +48,13 @@ def to_fraction(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as a rational number")
 
 
+def to_int(x) -> int:
+    """Accept a genuine int only; bools, floats and strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
+
+
 def format_fraction(q: Fraction) -> str:
     """Render as 'p' or 'p/q' (the serialization used in all JSON output)."""
     if q.denominator == 1:
@@ -431,7 +438,7 @@ class HomTuple:
     @classmethod
     def from_json(cls, data: dict) -> "HomTuple":
         try:
-            return cls(int(data["degree"]), tuple(to_fraction(c) for c in data["coeffs"]))
+            return cls(to_int(data["degree"]), tuple(to_fraction(c) for c in data["coeffs"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad tuple serialization: {data!r}") from exc
 
@@ -446,11 +453,12 @@ class GradedSubalgebra:
         V_d = span( g o w : g generator of degree e <= d, w in V_{d-e} )
 
     (o = Hadamard product), seeded by V_0, then saturated under multiplication
-    by degree-0 generators.  All slices are cached as canonical RREF bases.
+    by degree-0 generators.  Slices are built bottom-up and cached as
+    canonical RREF bases.
 
     When the all-ones degree-1 tuple (the element v) belongs to the algebra,
-    the slices form a chain V_0 <= V_1 <= ... whose dimensions stabilize at a
-    value <= r.
+    the slices form a chain V_0 <= V_1 <= ..., so once some V_D is all of Q^r
+    every later slice is too, and degrees 0..D decide every slice question.
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = (), contains_unit: bool = True):
@@ -463,7 +471,7 @@ class GradedSubalgebra:
                 raise InputError("component-count mismatch between generators")
         self.generators = gens
         self.contains_unit = bool(contains_unit)
-        self._slices: dict[int, RowSpace] = {}
+        self._slices: list[RowSpace] = []
 
     # -- slice construction --------------------------------------------------
 
@@ -480,27 +488,23 @@ class GradedSubalgebra:
                         changed = True
 
     def _slice(self, d: int) -> RowSpace:
+        """The degree-d slice; missing degrees are built bottom-up."""
         if d < 0:
             raise InputError("degree must be non-negative")
-        cached = self._slices.get(d)
-        if cached is not None:
-            return cached
-        space = RowSpace(self.r)
-        if d == 0:
-            if self.contains_unit:
+        while len(self._slices) <= d:
+            k = len(self._slices)
+            space = RowSpace(self.r)
+            if k == 0 and self.contains_unit:
                 space.add((Fraction(1),) * self.r)
-        else:
             for g in self.generators:
-                if 1 <= g.degree < d:
-                    lower = self._slice(d - g.degree)
-                    for row in lower.rows:
+                if 1 <= g.degree < k:
+                    for row in self._slices[k - g.degree].rows:
                         space.add(_hadamard(g.coeffs, row))
-        for g in self.generators:
-            if g.degree == d:
-                space.add(g.coeffs)
-        self._saturate_degree_zero(space)
-        self._slices[d] = space
-        return space
+                elif g.degree == k:
+                    space.add(g.coeffs)
+            self._saturate_degree_zero(space)
+            self._slices.append(space)
+        return self._slices[d]
 
     # -- the public operations -------------------------------------------------
 
@@ -567,16 +571,6 @@ class GradedSubalgebra:
                     vec = [x + a * y for x, y in zip(vec, row)]
             space.add(vec)
         return [HomTuple(d, v) for v in space.basis_vectors()]
-
-    @property
-    def default_degree_bound(self) -> int:
-        """Truncation degree used when the caller does not supply one.
-
-        No a priori stabilization bound is proved here, so every
-        truncation-dependent answer reports the bound it used.
-        """
-        maxdeg = max((g.degree for g in self.generators), default=1)
-        return 2 * max(maxdeg, 1) * self.r
 
     def generator_support(self) -> set[int]:
         """1-based labels of components touched by some generator."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import HomTuple, nullspace
+from .exactalg import HomTuple, nullspace, to_int
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"
@@ -38,7 +38,7 @@ class GKMGraph:
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        verts = sorted(set(int(x) for x in self.vertices))
+        verts = sorted(set(to_int(x) for x in self.vertices))
         if not verts:
             raise InputError("graph needs at least one vertex")
         if verts[0] < 1:
@@ -47,9 +47,9 @@ class GKMGraph:
         edges = []
         for edge in self.edges:
             if len(edge) == 2:
-                i, j, m = int(edge[0]), int(edge[1]), 1
+                i, j, m = to_int(edge[0]), to_int(edge[1]), 1
             else:
-                i, j, m = (int(x) for x in edge)
+                i, j, m = (to_int(x) for x in edge)
             if i == j:
                 raise InputError("self-loops are not allowed")
             if i not in vset or j not in vset:
@@ -87,7 +87,7 @@ class GKMGraph:
     def from_json(cls, data: dict) -> "GKMGraph":
         try:
             return cls(tuple(data["vertices"]), tuple(tuple(e) for e in data.get("edges", [])))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph spec: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -145,10 +145,6 @@ class GKMRing:
         return top
 
 
-def gkm_ring(graph: GKMGraph) -> GKMRing:
-    return GKMRing(graph)
-
-
 def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
@@ -175,9 +171,12 @@ def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[i
 class PrincipalityVerdict:
     """Outcome of comparing the restriction image against the congruence ring.
 
-    NotPrincipal always carries a witness degree where the image is strictly
-    smaller; enlarging the bound can only resolve InconclusiveAtBound, never
-    flip Principal and NotPrincipal.
+    NotPrincipal carries a witness degree where the image is strictly
+    smaller.  The default bound, the congruence ring's stabilization degree
+    s, certifies the verdict: the ring is all of Q^k from s on and the image,
+    containing v, only grows.  InconclusiveAtBound then means inconsistent
+    congruence data; under a user bound below s it may instead name that
+    cap, which raising can resolve but never flip Principal and NotPrincipal.
     """
 
     status: str
@@ -232,10 +231,7 @@ def principal_verdict(cr: CurveRing, graph: GKMGraph,
                          f"labels in 1..{r}")
     restricted = restrict(cr, graph.vertices)
     ring = GKMRing(graph)
-    if max_degree is None:
-        bound = max(restricted.default_degree_bound, ring.stabilization_degree + 1)
-    else:
-        bound = int(max_degree)
+    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
     notes: tuple[str, ...] = ()
     if 1 not in graph.vertices:
         notes = ("label 1 (the unipotent fixed point o) is not among the vertices; a "

@@ -63,6 +63,13 @@ def test_validate_allows_shifted_weights_and_rescaled_e():
 def test_model_from_json_principal_shorthand():
     m = model_from_json({"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal"})
     assert m == principal_model(2)
+    for n, h in ((2.9, [2, 0, -2]), (True, [1, -1]), ("2", [2, 0, -2]),
+                 (2, [2.4, 0, -2.2]), (2, [2, False, -2]), (2, [2, "0", -2])):
+        with pytest.raises(InputError, match="expected an integer"):
+            model_from_json({"n": n, "h_weights": h, "e_matrix": "principal"})
+    for e in (5, [5, 6]):
+        with pytest.raises(InputError, match="expected a list"):
+            model_from_json({"n": 1, "h_weights": [1, -1], "e_matrix": e})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple
 from borelcurve.gkm import GKMGraph
 
+from test_action import regular_models
+
 
 def frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -102,6 +104,12 @@ def test_bundle_from_json():
         bundle_from_json({"rank": 1, "fibres": [{"weights": [1]}]})
     with pytest.raises(InputError, match="not an integer"):
         bundle_from_json({"rank": 1, "fibres": {"1": {"weights": [1]}, "x": {"weights": [2]}}})
+    with pytest.raises(InputError, match="expected a list"):
+        bundle_from_json({"rank": 1, "fibres": {"1": {"weights": 5}}})
+    with pytest.raises(InputError, match="expected a list"):
+        bundle_from_json({"rank": 2, "fibres": {"1": {"rho_W": 5, "rho_V": 5}}})
+    with pytest.raises(InputError, match="expected an integer"):
+        bundle_from_json({"rank": 1.5, "fibres": {"1": {"weights": [1]}}})
 
 
 def test_tangent_bundle_weights(plane_model):
@@ -279,3 +287,24 @@ def test_unit_generates_point():
 def test_verdict_rejects_congruence_violation(curves_union_graph):
     with pytest.raises(InputError, match="congruence"):
         chern_subalgebra_verdict([HomTuple(0, (1, 0, 0))], curves_union_graph)
+
+
+@given(regular_models(max_n=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_default_chern_verdict_matches_former_truncation(model, data):
+    """Oracle: tangent Chern classes on a multiplicity-1 star graph at o get
+    the same verdict at the stabilization degree as at the former default
+    bound max(2 n k, s + 1)."""
+    cr = build_curve_ring(model)
+    others = data.draw(st.lists(st.integers(2, model.n + 1), unique=True))
+    vertices = sorted([1] + others)
+    graph = GKMGraph(tuple(vertices), tuple((1, j, 1) for j in others))
+    bundle = tangent_bundle(model)
+    gens = [chern_tuple(bundle, k, cr).project([v - 1 for v in vertices])
+            for k in range(1, model.n + 1)]
+    s = 1 if others else 0
+    default = chern_subalgebra_verdict(gens, graph)
+    far = chern_subalgebra_verdict(gens, graph, max(2 * model.n * len(vertices), s + 1))
+    assert default.bound == s
+    assert (default.status, default.witness) == (far.status, far.witness)
+    assert default.image_hilbert == far.image_hilbert[:s + 1]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from borelcurve.action import principal_model
 from borelcurve.curve import (betti_numbers, build_curve_ring,
@@ -8,6 +9,8 @@ from borelcurve.curve import (betti_numbers, build_curve_ring,
 from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple
 from borelcurve.rootsystems import poincare_from_degrees
+
+from test_action import regular_models
 
 
 def _subsets(r):
@@ -38,6 +41,17 @@ def test_principal_ring_rank_reached_at_degree_n(n):
     cr = build_curve_ring(principal_model(n))
     assert cr.algebra.hilbert_function(n)[-1] == n + 1
     assert cr.algebra.hilbert_function(n - 1)[-1] < n + 1
+
+
+@given(regular_models(max_n=8))
+@settings(max_examples=25, deadline=None)
+def test_default_degree_bound_is_n(model):
+    """Certificate: the curve ring first fills Q^r in degree n, one new class
+    per degree before that."""
+    cr = build_curve_ring(model)
+    assert default_degree_bound(cr) == model.n
+    assert cr.algebra.hilbert_function(model.n) == [min(d + 1, model.n + 1)
+                                                     for d in range(model.n + 1)]
 
 
 def test_betti_numbers(plane_ring, line_model):

@@ -104,6 +104,8 @@ def test_homtuple_json_roundtrip():
     assert HomTuple.from_json(blob) == t
     with pytest.raises(InputError):
         HomTuple.from_json({"coeffs": ["1"]})
+    with pytest.raises(InputError, match="expected an integer"):
+        HomTuple.from_json({"degree": 2.7, "coeffs": ["1"]})
 
 
 def test_homtuple_product_and_errors():
@@ -170,6 +172,12 @@ def test_member_examples():
     assert GradedSubalgebra(1, []).member(HomTuple(5, (0,)))  # zero is everywhere
     with pytest.raises(InputError):
         alg.member(tup(1, 1, 0))
+
+
+def test_member_at_high_degree_on_fresh_algebra():
+    # slices are built bottom-up, so no recursion depth grows with the degree
+    assert make_plane_algebra().member(tup(5000, 1, 1, 1))
+    assert not GradedSubalgebra(2, [tup(2, 1, 1)]).member(tup(5001, 1, 0))
 
 
 def test_quotient_by_v_dims():

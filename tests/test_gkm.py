@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelcurve.curve import build_curve_ring, restrict
 from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple
-from borelcurve.gkm import (GKMGraph, gkm_ordinary_betti, gkm_ring,
+from borelcurve.gkm import (GKMGraph, GKMRing, gkm_ordinary_betti,
                             principal_verdict)
+
+from test_action import regular_models
 
 
 def test_graph_validation():
@@ -26,22 +30,22 @@ def test_connectivity(curves_union_graph):
 
 
 def test_gkm_ring_hilbert_examples(curves_union_graph):
-    ring = gkm_ring(curves_union_graph)
+    ring = GKMRing(curves_union_graph)
     assert ring.hilbert(3) == [1, 3, 3, 3]
-    single = gkm_ring(GKMGraph((1,)))
+    single = GKMRing(GKMGraph((1,)))
     assert single.hilbert(3) == [1, 1, 1, 1]
-    two_isolated = gkm_ring(GKMGraph((1, 2)))
+    two_isolated = GKMRing(GKMGraph((1, 2)))
     assert two_isolated.dim(0) == 2
 
 
 def test_gkm_ring_higher_multiplicity():
-    ring = gkm_ring(GKMGraph((1, 2), ((1, 2, 2),)))
+    ring = GKMRing(GKMGraph((1, 2), ((1, 2, 2),)))
     assert ring.hilbert(3) == [1, 1, 2, 2]
     assert ring.stabilization_degree == 2
 
 
 def test_gkm_ring_contains(curves_union_graph):
-    ring = gkm_ring(curves_union_graph)
+    ring = GKMRing(curves_union_graph)
     assert ring.contains(HomTuple(1, (1, -1, -1)))
     assert ring.contains(HomTuple(0, (2, 2, 2)))
     assert not ring.contains(HomTuple(0, (1, 0, 0)))
@@ -50,7 +54,7 @@ def test_gkm_ring_contains(curves_union_graph):
 
 
 def test_gkm_dims_monotone_and_stabilize(curves_union_graph):
-    ring = gkm_ring(curves_union_graph)
+    ring = GKMRing(curves_union_graph)
     dims = ring.hilbert(5)
     assert dims == sorted(dims)
     assert all(d == 3 for d in dims[curves_union_graph.max_multiplicity:])
@@ -112,7 +116,7 @@ def test_verdict_stability_under_larger_bounds(plane_ring, curves_union_graph):
 def test_image_bounded_by_gkm_for_curve_consistent_graphs(plane_ring, curves_union_graph):
     """The restriction image satisfies the equal-constant-term congruence, so its
     Hilbert function never exceeds the congruence ring's for multiplicity-1 data."""
-    ring = gkm_ring(curves_union_graph)
+    ring = GKMRing(curves_union_graph)
     restricted = restrict(plane_ring, curves_union_graph.vertices)
     image = restricted.hilbert_function(8)
     model_side = ring.hilbert(8)
@@ -120,6 +124,33 @@ def test_image_bounded_by_gkm_for_curve_consistent_graphs(plane_ring, curves_uni
     for d in range(4):
         for t in restricted.graded_basis(d):
             assert ring.contains(t)
+
+
+@st.composite
+def models_and_graphs(draw):
+    """A regular model with n <= 4 and a random congruence graph on a subset
+    of its fixed points, multiplicities 1..4."""
+    model = draw(regular_models(max_n=4))
+    vertices = draw(st.lists(st.integers(1, model.n + 1), min_size=1, unique=True))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 4)),
+                          unique_by=lambda e: e[0])) if pairs else []
+    return model, GKMGraph(tuple(vertices), tuple((i, j, m) for (i, j), m in edges))
+
+
+@given(models_and_graphs())
+@settings(max_examples=100, deadline=None)
+def test_default_verdict_matches_former_truncation(case):
+    """Oracle: stopping at the stabilization degree s decides the same verdict
+    as the former default bound max(2 n k, s + 1)."""
+    model, graph = case
+    cr = build_curve_ring(model)
+    s = GKMRing(graph).stabilization_degree
+    default = principal_verdict(cr, graph)
+    far = principal_verdict(cr, graph, max(2 * model.n * len(graph.vertices), s + 1))
+    assert default.bound == s
+    assert (default.status, default.witness) == (far.status, far.witness)
+    assert default.image_hilbert == far.image_hilbert[:s + 1]
 
 
 def test_inconsistent_congruences_flagged(plane_ring):
@@ -143,3 +174,8 @@ def test_verdict_json_shape(plane_ring, curves_union_graph):
 def test_graph_json_roundtrip(curves_union_graph):
     blob = curves_union_graph.to_json()
     assert GKMGraph.from_json(blob) == curves_union_graph
+    for bad in ({"vertices": [1, 2.7, 3]}, {"vertices": [1, True]},
+                {"vertices": [1, 2], "edges": [[1, 2, 1.5]]},
+                {"vertices": [1, 2], "edges": [[1, "2"]]}):
+        with pytest.raises(InputError, match="expected an integer"):
+            GKMGraph.from_json(bad)
