@@ -28,17 +28,15 @@ directly and is kept as the independent oracle for this closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, to_fraction, to_int
+from .exactalg import Poly, Record, to_fraction, to_int
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class ActionModel:
+class ActionModel(Record):
     """Raw model data; run validate() to check regularity and normalize."""
 
     n: int
@@ -46,8 +44,7 @@ class ActionModel:
     e_matrix: Matrix
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(Record):
     """Exact parametrization of one component of the fixed-point curve.
 
     chart_coords[i-1] is the i-th big-cell coordinate of phi(1/v) . zeta_index,
@@ -300,12 +297,6 @@ class _Laurent:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)

@@ -20,21 +20,19 @@ v^k times the exterior trace of rho_w, a number computed over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .action import _as_list, _as_matrix, _mat_mul
+from .action import _as_list, _as_matrix
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import GradedSubalgebra, HomTuple, to_fraction, to_int
+from .exactalg import GradedSubalgebra, HomTuple, Record, to_fraction, to_int
 from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
 
 Matrix = tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class SplitFibre:
+class SplitFibre(Record):
     """Fibre given by its integer weight multiset (the split/diagonal case)."""
 
     weights: tuple[int, ...]
@@ -44,10 +42,9 @@ class SplitFibre:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class MatrixFibre:
+class MatrixFibre(Record):
     """Fibre given by the representing matrices of the diagonal and nilpotent
-    generators; must satisfy [rho_w, rho_v] = 2 rho_v with rho_v nilpotent."""
+    generators; must satisfy [rho_w, rho_v] = 2 rho_v."""
 
     rho_w: Matrix
     rho_v: Matrix
@@ -57,14 +54,17 @@ class MatrixFibre:
         return len(self.rho_w)
 
 
-@dataclass
-class BundleData:
+class BundleData(Record, frozen=False):
     rank: int
     fibres: dict[int, SplitFibre | MatrixFibre]
 
 
 def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> BundleData:
-    """Validate fibre data: common rank, commutation relation, nilpotency."""
+    """Validate fibre data: common rank and [rho_w, rho_v] = 2 rho_v.
+
+    That relation makes rho_v nilpotent: [rho_w, rho_v^m] = 2m rho_v^m, so
+    tr(rho_v^m) = 0 for all m >= 1, which over Q forces every eigenvalue to 0.
+    """
     rank = int(rank)
     if rank < 0:
         raise InputError("bundle rank must be non-negative")
@@ -86,11 +86,6 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
                     if lhs != 2 * v[i][j]:
                         raise InputError(f"fibre at {label} violates [rho_w, rho_v] = "
                                          "2 rho_v")
-            power = v
-            for _ in range(rank - 1):
-                power = _mat_mul(power, v)
-            if any(any(x != 0 for x in row) for row in power):
-                raise InputError(f"rho_v at {label} is not nilpotent")
             fibre = MatrixFibre(w, v)
         checked[label] = fibre
     return BundleData(rank, checked)
@@ -149,21 +144,21 @@ def exterior_trace(matrix, k: int):
     """Trace on the k-th exterior power: e_k of the eigenvalues, over Q.
 
     Computed as the signed coefficient of the characteristic polynomial via
-    the Faddeev-LeVerrier recurrence, whose only divisions are by integers.
+    the Faddeev-LeVerrier recurrence, whose only divisions are by integers;
+    step i yields c_i from c_1..c_(i-1) alone, so the loop stops at step k.
     """
     n = len(matrix)
-    rows = [list(row) for row in matrix]
-    if any(len(row) != n for row in rows):
+    m = [[to_fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in m):
         raise InputError("matrix must be square")
     if not 0 <= k <= n:
         raise InputError(f"k must lie in 0..{n}")
-    m = [[to_fraction(x) for x in row] for row in rows]
     if k == 0:
         return Fraction(1)
     # char poly t^n + c_1 t^(n-1) + ... ; e_k = (-1)^k c_k
     cs = []
     current = m
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         if i > 1:
             shifted = [[current[a][b] + (cs[-1] if a == b else 0)
                         for b in range(n)] for a in range(n)]

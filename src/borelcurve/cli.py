@@ -13,9 +13,7 @@ import hashlib
 import json
 import sys
 
-from . import action, chern, curve, gkm, rootsystems
 from .errors import InputError, InternalError
-from .exactalg import Poly, format_fraction
 
 
 def _sha256(path: str) -> str:
@@ -33,16 +31,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _poly_json(p: Poly) -> list[str]:
-    return [format_fraction(c) for c in p.coeffs]
-
-
 def _component_json(comp) -> dict:
+    from .exactalg import format_fraction
     return {
         "index": comp.index,
         "degrees": list(comp.degrees),
-        "chart_coords": [_poly_json(p) for p in comp.chart_coords],
-        "homogeneous_coords": [_poly_json(p) for p in comp.homog_coords],
+        "chart_coords": [[format_fraction(c) for c in p.coeffs] for p in comp.chart_coords],
+        "homogeneous_coords": [[format_fraction(c) for c in p.coeffs]
+                               for p in comp.homog_coords],
     }
 
 
@@ -67,10 +63,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the modules it uses, so a run loads only those
 
 
 def cmd_poincare(args) -> dict:
+    from . import rootsystems
     if args.degrees is not None and args.family is not None:
         raise InputError("choose either --family/--rank or --degrees, not both")
     if args.degrees is not None:
@@ -91,6 +88,7 @@ def cmd_poincare(args) -> dict:
 
 
 def cmd_action(args) -> dict:
+    from . import action
     model = action.model_from_json(_load_json(args.spec))
     inputs = {"spec": args.spec}
     options = {"what": args.what}
@@ -108,6 +106,7 @@ def cmd_action(args) -> dict:
 
 
 def cmd_curve(args) -> dict:
+    from . import action, curve
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     bound = args.max_degree if args.max_degree is not None else curve.default_degree_bound(ring)
@@ -148,6 +147,7 @@ def cmd_curve(args) -> dict:
 
 
 def cmd_principal(args) -> dict:
+    from . import action, curve, gkm
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
@@ -161,6 +161,7 @@ def cmd_principal(args) -> dict:
 
 
 def cmd_chern(args) -> dict:
+    from . import action, chern, curve, gkm
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     inputs = {"spec": args.spec}

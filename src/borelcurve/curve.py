@@ -14,17 +14,14 @@ sub-curve over S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .action import ActionModel, CurveComponent, big_cell_degrees, component_parametrization
 from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra, HomTuple
+from .exactalg import GradedSubalgebra, HomTuple, Record
 
 
-@dataclass
-class CurveRing:
+class CurveRing(Record, frozen=False):
     model: ActionModel
     components: tuple[CurveComponent, ...]
     algebra: GradedSubalgebra
@@ -56,11 +53,7 @@ def build_curve_ring(model: ActionModel) -> CurveRing:
     degrees = big_cell_degrees(model)
     gens = [HomTuple.ones(r, 1)]
     for i, d in enumerate(degrees):
-        coeffs = []
-        for comp in comps:
-            q = comp.chart_coords[i]
-            coeffs.append(Fraction(0) if q.is_zero() else q.coeff(d))
-        gens.append(HomTuple(d, tuple(coeffs)))
+        gens.append(HomTuple(d, tuple(comp.chart_coords[i].coeff(d) for comp in comps)))
     cr = CurveRing(model, comps, GradedSubalgebra(r, gens))
     default_degree_bound(cr)  # raises InternalError if full rank is never reached
     return cr

@@ -18,20 +18,18 @@ functions decides whether restriction is surjective ("principal").
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import HomTuple, nullspace, to_int
+from .exactalg import HomTuple, Record, nullspace, to_int
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"
 INCONCLUSIVE = "InconclusiveAtBound"
 
 
-@dataclass(frozen=True)
-class GKMGraph:
+class GKMGraph(Record):
     """Vertices are 1-based fixed-point labels; edges are (i, j, multiplicity)."""
 
     vertices: tuple[int, ...]
@@ -167,8 +165,7 @@ def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[i
     return out
 
 
-@dataclass(frozen=True)
-class PrincipalityVerdict:
+class PrincipalityVerdict(Record):
     """Outcome of comparing the restriction image against the congruence ring.
 
     NotPrincipal carries a witness degree where the image is strictly
@@ -184,7 +181,7 @@ class PrincipalityVerdict:
     bound: int
     image_hilbert: tuple[int, ...]
     gkm_hilbert: tuple[int, ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {

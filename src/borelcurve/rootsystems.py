@@ -18,27 +18,24 @@ vector, and serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, solve_linear_system
+from .exactalg import Record, solve_linear_system
 
 MAX_RANK = 8
 WEYL_ENUMERATION_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     family: str
     rank: int
     simple_roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PoincarePoly:
+class PoincarePoly(Record):
     """Polynomial with non-negative integer coefficients, palindromic, constant term 1."""
 
     coeffs: tuple[int, ...]
@@ -199,20 +196,21 @@ def _product_formula(degrees: list[int]) -> list[int]:
 
     The full numerator is multiplied out first; when the total quotient is a
     polynomial every intermediate division below is then exact as well.
+    Dividing by 1 - t^d is the integer recurrence q[k] = num[k] + q[k-d],
+    exact when the last d terms of q vanish.
     """
-    num = Poly.const(1)
+    num = [1]
     for d in degrees:
-        num = num * Poly(tuple([1] + [0] * d + [-1]))
+        num = num + [0] * (d + 1)
+        for k in range(len(num) - 1, d, -1):
+            num[k] -= num[k - d - 1]
     for d in degrees:
-        num, rem = divmod(num, Poly(tuple([1] + [0] * (d - 1) + [-1])))
-        if not rem.is_zero():
+        for k in range(d, len(num)):
+            num[k] += num[k - d]
+        if any(num[-d:]):
             raise ArithmeticError("product formula has a nonzero remainder")
-    out = []
-    for c in num.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("product formula has a non-integer coefficient")
-        out.append(int(c))
-    return out
+        del num[-d:]
+    return num
 
 
 def km_poincare(rs: RootSystem) -> PoincarePoly:

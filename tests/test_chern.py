@@ -55,6 +55,48 @@ def test_exterior_trace_polynomial_entries():
                 assert exterior_trace(section, k) == v0**k * exterior_trace(w, k)
 
 
+def _char_poly(m):
+    """Coefficients (constant first) of det(t*I - m), by Laplace expansion along
+    the first row with polynomial entries; independent of exterior_trace."""
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def add(a, b):
+        a, b = a + [Fraction(0)] * (len(b) - len(a)), b + [Fraction(0)] * (len(a) - len(b))
+        return [x + y for x, y in zip(a, b)]
+
+    def det(rows):
+        if not rows:
+            return [Fraction(1)]
+        total = [Fraction(0)]
+        for j, entry in enumerate(rows[0]):
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            term = mul(entry, det(minor))
+            total = add(total, term if j % 2 == 0 else [-x for x in term])
+        return total
+
+    n = len(m)
+    return det([[[-m[i][j], Fraction(int(i == j))] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_exterior_trace_matches_characteristic_polynomial(rows):
+    """e_k of the eigenvalues is (-1)^k times the t^(n-k) coefficient of
+    det(t*I - m), for every k, on random rational matrices."""
+    m = frac_matrix(rows)
+    n = len(m)
+    coeffs = _char_poly(m)
+    for k in range(n + 1):
+        assert exterior_trace(m, k) == (-1) ** k * coeffs[n - k]
+
+
 def test_exterior_trace_range_errors():
     m = frac_matrix([[1, 0], [0, 1]])
     with pytest.raises(InputError):

@@ -1,8 +1,16 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borelcurve
 from borelcurve.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PLANE_SPEC = {"n": 2, "h_weights": [2, 0, -2],
               "e_matrix": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]}
@@ -166,3 +174,68 @@ def test_table_renderer(capsys, specs):
     assert code == 0
     assert "result.betti = 1 1 1" in out
     assert "exact_arithmetic = True" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: what a CLI process loads
+
+EXPORTS = {
+    "action": ["ActionModel", "CurveComponent", "big_cell_degrees", "check_fixed_point_return",
+               "component_parametrization", "exp_e", "fixed_points", "model_from_json",
+               "principal_model", "sl2_family_checks", "validate"],
+    "chern": ["BundleData", "MatrixFibre", "SplitFibre", "bundle_from_json", "chern_membership",
+              "chern_subalgebra_verdict", "chern_tuple", "elementary_symmetric",
+              "exterior_trace", "make_bundle", "tangent_bundle"],
+    "curve": ["CurveRing", "betti_numbers", "build_curve_ring", "default_degree_bound",
+              "ideal_hilbert", "restrict"],
+    "errors": ["InputError", "InternalError"],
+    "exactalg": ["GradedSubalgebra", "HomTuple", "Poly", "format_fraction", "to_fraction"],
+    "gkm": ["GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
+            "principal_verdict"],
+    "rootsystems": ["PoincarePoly", "RootSystem", "heights", "km_poincare",
+                    "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
+                    "weyl_order"],
+}
+
+
+def loaded_by(code: str) -> list[str]:
+    """Modules a fresh interpreter loads while running `code`, beyond its start-up."""
+    probe = ("import json, sys; _before = set(sys.modules)\n" + code +
+             "\nprint(json.dumps(sorted(set(sys.modules) - _before)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_math_module():
+    loaded = loaded_by("import borelcurve.cli")
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert [m for m in loaded if m.startswith("borelcurve")] == [
+        "borelcurve", "borelcurve.cli", "borelcurve.errors"]
+
+
+def test_poincare_run_loads_only_root_systems():
+    loaded = loaded_by("from borelcurve.cli import main\n"
+                       "main(['poincare', '--family', 'A', '--rank', '2'])")
+    assert [m for m in loaded if m.startswith("borelcurve")] == [
+        "borelcurve", "borelcurve.cli", "borelcurve.errors", "borelcurve.exactalg",
+        "borelcurve.rootsystems"]
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
+                                         for n in names])
+def test_exported_names_resolve_lazily(module, name):
+    target = getattr(importlib.import_module(f"borelcurve.{module}"), name)
+    assert getattr(borelcurve, name) is target
+    namespace: dict = {}
+    exec(f"from borelcurve import {name}", namespace)
+    assert namespace[name] is target
+
+
+def test_export_list_is_pinned():
+    exported = {n for names in EXPORTS.values() for n in names}
+    assert set(borelcurve.__all__) == exported | set(EXPORTS)
+    assert exported <= set(dir(borelcurve))
+    assert borelcurve.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        borelcurve.no_such_name

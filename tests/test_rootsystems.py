@@ -54,6 +54,22 @@ def test_km_equals_enumeration(family, rank):
     assert km_poincare(positive_roots(family, rank)) == weyl_length_genfun(family, rank)
 
 
+UP_TO_RANK_5 = ([("A", k) for k in range(1, 6)] + [("B", k) for k in range(1, 6)]
+                + [("C", k) for k in range(1, 6)] + [("D", k) for k in range(2, 6)]
+                + [("G2", 2), ("F4", 4)])
+
+
+@pytest.mark.parametrize("family,rank", UP_TO_RANK_5)
+def test_km_equals_enumeration_every_family_to_rank_5(family, rank):
+    assert km_poincare(positive_roots(family, rank)) == weyl_length_genfun(family, rank)
+
+
+@pytest.mark.parametrize("degrees", [[2], [3], [1, 3], [2, 2], [1, 1, 4], [5, 1]])
+def test_poincare_from_degrees_rejects_non_polynomial_products(degrees):
+    with pytest.raises(InputError, match="do not come from a regular action"):
+        poincare_from_degrees(degrees)
+
+
 @pytest.mark.parametrize("family,rank", SMALL_SYSTEMS)
 def test_prodform_from_heights_matches_km(family, rank):
     rs = positive_roots(family, rank)
