@@ -31,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, Record, to_fraction, to_int
+from .exactalg import Poly, to_fraction, to_int
+from .record import Record
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -132,9 +133,9 @@ def model_from_json(data: dict) -> ActionModel:
         e_spec = data["e_matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action spec: {exc}") from exc
-    if e_spec == "principal":
-        e = tuple(tuple(Fraction(1) if j == i + 1 else Fraction(0) for j in range(n + 1))
-                  for i in range(n + 1))
+    if e_spec == "principal":  # sized by h, so a huge n cannot allocate
+        e = tuple(tuple(Fraction(1) if j == i + 1 else Fraction(0) for j in range(len(h)))
+                  for i in range(len(h)))
     else:
         e = _as_matrix(e_spec, n + 1)
     return validate(ActionModel(n, h, e))

@@ -21,13 +21,15 @@ v^k times the exterior trace of rho_w, a number computed over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .action import _as_list, _as_matrix
 from .curve import CurveRing, restrict
-from .errors import InputError
-from .exactalg import GradedSubalgebra, HomTuple, Record, to_fraction, to_int
+from .errors import InputError, InternalError
+from .exactalg import GradedSubalgebra, HomTuple, to_fraction, to_int
 from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
+from .record import Record
 
 Matrix = tuple[tuple, ...]
 
@@ -128,68 +130,90 @@ def tangent_bundle(model) -> BundleData:
     return make_bundle(model.n, fibres)
 
 
-def elementary_symmetric(values: Sequence, k: int) -> Fraction:
-    """e_k of a multiset, by iterated convolution."""
-    if k < 0 or k > len(values):
-        raise InputError("k out of range")
+def _elementary_all(values: Sequence) -> list[Fraction]:
+    """[e_0, ..., e_n] of a multiset, by iterated convolution."""
     coeffs = [Fraction(1)] + [Fraction(0)] * len(values)
     for val in values:
         v = to_fraction(val)
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
-    return coeffs[k]
+    return coeffs
 
 
-def exterior_trace(matrix, k: int):
-    """Trace on the k-th exterior power: e_k of the eigenvalues, over Q.
+def elementary_symmetric(values: Sequence, k: int) -> Fraction:
+    """e_k of a multiset."""
+    if k < 0 or k > len(values):
+        raise InputError("k out of range")
+    return _elementary_all(values)[k]
 
-    Computed as the signed coefficient of the characteristic polynomial via
-    the Faddeev-LeVerrier recurrence, whose only divisions are by integers;
-    step i yields c_i from c_1..c_(i-1) alone, so the loop stops at step k.
+
+def _exterior_traces(m: Matrix) -> list[Fraction]:
+    """[e_0, ..., e_n] of the eigenvalues of a square rational matrix.
+
+    With D the lcm of the entry denominators, A = D m is an integer matrix
+    whose characteristic polynomial t^n + c_1 t^(n-1) + ... has the integer
+    coefficients c_i = D^i c_i(m).  One Faddeev-LeVerrier run over int gives
+    them all: A_1 = A, A_i = A (A_(i-1) + c_(i-1) I), c_i = -tr(A_i) / i,
+    each division exact; then e_i = (-1)^i c_i / D^i.
     """
-    n = len(matrix)
-    m = [[to_fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    d = 1
+    for q in {x.denominator for row in m for x in row}:
+        d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    out = [Fraction(1)]
+    current, c = [row[:] for row in a], 0
+    for i in range(1, n + 1):
+        if i > 1:
+            for t in range(n):
+                current[t][t] += c
+            cols = list(zip(*current))
+            current = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        c, rem = divmod(-sum(current[t][t] for t in range(n)), i)
+        if rem:
+            raise InternalError(f"Faddeev-LeVerrier step {i} left a remainder")
+        out.append(Fraction((-1) ** i * c, d**i))
+    return out
+
+
+def exterior_trace(matrix, k: int) -> Fraction:
+    """Trace on the k-th exterior power: e_k of the eigenvalues, over Q."""
+    m = tuple(tuple(to_fraction(x) for x in row) for row in matrix)
+    n = len(m)
     if any(len(row) != n for row in m):
         raise InputError("matrix must be square")
     if not 0 <= k <= n:
         raise InputError(f"k must lie in 0..{n}")
-    if k == 0:
-        return Fraction(1)
-    # char poly t^n + c_1 t^(n-1) + ... ; e_k = (-1)^k c_k
-    cs = []
-    current = m
-    for i in range(1, k + 1):
-        if i > 1:
-            shifted = [[current[a][b] + (cs[-1] if a == b else 0)
-                        for b in range(n)] for a in range(n)]
-            current = [[sum((m[a][t] * shifted[t][b] for t in range(n)),
-                            start=Fraction(0)) for b in range(n)] for a in range(n)]
-        tr = sum((current[a][a] for a in range(n)), start=Fraction(0))
-        cs.append(tr * Fraction(-1, i))
-    return cs[k - 1] * Fraction(-1) ** k
+    return _exterior_traces(m)[k]
 
 
-def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:
-    """The degree-k tuple of the k-th equivariant Chern class over the
-    bundle's fixed points (sorted by label).
+def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
+    """The tuples of c_0, ..., c_rank over the bundle's fixed points (sorted
+    by label), from one trace run per fibre.
 
-    Split fibres use e_k of the weights directly.  A matrix fibre contributes
-    the exterior trace of rho_w: that of v*rho_w - 2*rho_v is v^k times it
-    (module docstring).
+    Split fibres use the elementary symmetric functions of the weights.  A
+    matrix fibre contributes the exterior traces of rho_w: those of
+    v*rho_w - 2*rho_v are v^k times them (module docstring).
     """
     labels = sorted(bundle.fibres)
     if labels[0] < 1 or labels[-1] > cr.r:
         raise InputError(f"bundle fixed points must be component labels in 1..{cr.r}")
-    if not 0 <= k <= bundle.rank:
-        raise InputError(f"k must lie in 0..{bundle.rank}")
-    coeffs = []
+    columns = []
     for label in labels:
         fibre = bundle.fibres[label]
         if isinstance(fibre, SplitFibre):
-            coeffs.append(elementary_symmetric(fibre.weights, k))
-            continue
-        coeffs.append(exterior_trace(fibre.rho_w, k))
-    return HomTuple(k, tuple(coeffs))
+            columns.append(_elementary_all(fibre.weights))
+        else:
+            columns.append(_exterior_traces(fibre.rho_w))
+    return [HomTuple(k, coeffs) for k, coeffs in enumerate(zip(*columns))]
+
+
+def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:
+    """The degree-k tuple of the k-th equivariant Chern class (chern_tuples)."""
+    tuples = chern_tuples(bundle, cr)
+    if not 0 <= k < len(tuples):
+        raise InputError(f"k must lie in 0..{bundle.rank}")
+    return tuples[k]
 
 
 def chern_membership(bundle: BundleData, k: int, cr: CurveRing) -> bool:

@@ -9,7 +9,6 @@ runs on identical inputs produce identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -17,6 +16,7 @@ from .errors import InputError, InternalError
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # only runs that read input files need it
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -27,7 +27,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, int digits, nesting depth
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -60,6 +60,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc
+
+
+def _max_degree(args) -> int | None:
+    from .exactalg import MAX_DEGREE
+    if args.max_degree is not None and args.max_degree > MAX_DEGREE:
+        raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
+    return args.max_degree
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,9 @@ def cmd_curve(args) -> dict:
     from . import action, curve
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
-    bound = args.max_degree if args.max_degree is not None else curve.default_degree_bound(ring)
+    bound = _max_degree(args)
+    if bound is None:
+        bound = curve.default_degree_bound(ring)
     inputs = {"spec": args.spec}
     options = {"what": args.what, "components": args.components}
     if args.what == "ring":
@@ -151,7 +160,7 @@ def cmd_principal(args) -> dict:
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
-    verdict = gkm.principal_verdict(ring, graph, args.max_degree)
+    verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
     result = {
         "verdict": verdict.to_json(),
         "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph),
@@ -191,9 +200,8 @@ def cmd_chern(args) -> dict:
             if set(bundle.fibres) != set(graph.vertices):
                 raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
                                  f"do not match graph vertices {list(graph.vertices)}")
-            for k in range(1, bundle.rank + 1):
-                generators.append(chern.chern_tuple(bundle, k, ring))
-        verdict = chern.chern_subalgebra_verdict(generators, graph, args.max_degree)
+            generators.extend(chern.chern_tuples(bundle, ring)[1:])
+        verdict = chern.chern_subalgebra_verdict(generators, graph, _max_degree(args))
         result["subalgebra_verdict"] = verdict.to_json()
         bound = verdict.bound
     return _report("chern", {"k": args.k, "test_membership": args.test_membership,

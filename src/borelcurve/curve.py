@@ -18,7 +18,8 @@ from typing import Iterable
 
 from .action import ActionModel, CurveComponent, big_cell_degrees, component_parametrization
 from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra, HomTuple, Record
+from .exactalg import GradedSubalgebra, HomTuple
+from .record import Record
 
 
 class CurveRing(Record, frozen=False):

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import HomTuple, Record, nullspace, to_int
+from .exactalg import MAX_DEGREE, HomTuple, nullspace, to_int
+from .record import Record
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"
@@ -54,6 +55,8 @@ class GKMGraph(Record):
                 raise InputError(f"edge ({i},{j}) mentions an unknown vertex")
             if m < 1:
                 raise InputError("edge multiplicity must be >= 1")
+            if m > MAX_DEGREE:
+                raise InputError(f"edge multiplicity must be <= {MAX_DEGREE}")
             edges.append((min(i, j), max(i, j), m))
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
@@ -135,12 +138,9 @@ class GKMRing:
 
     @property
     def stabilization_degree(self) -> int:
-        """Smallest degree from which the slices are all of Q^r."""
-        top = self.graph.max_multiplicity
-        for d in range(top + 1):
-            if self.dim(d) == self.r:
-                return d
-        return top
+        """Smallest degree from which the slices are all of Q^r: the largest
+        multiplicity, since every edge active at degree d cuts the slice."""
+        return self.graph.max_multiplicity
 
 
 def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[int]:

@@ -2,9 +2,11 @@
 
 Positive roots are kept as integer vectors in a standard orthogonal
 realization (F4 is scaled by 2 to stay integral; scaling does not change
-reflections or simple-root coefficients).  Heights are computed as the sum of
-the coefficients over the simple-root basis, which is integer-exact and
-independent of the realization.
+reflections or simple-root coefficients).  The height of a root is the sum of
+its coefficients over the simple roots.  Every positive root is reached from a
+simple root by adding simple roots one at a time with every partial sum a
+root, so a breadth-first walk over the table that carries integer coefficient
+vectors along finds every height without solving a linear system.
 
 km_poincare evaluates the Kostant-Macdonald product over positive-root
 heights,
@@ -13,16 +15,16 @@ heights,
 
 with exact polynomial division.  weyl_length_genfun recomputes the same
 polynomial by breadth-first enumeration of the Weyl group acting on a regular
-vector, and serves as an independent oracle.
+vector, and serves as an independent oracle.  Everything here is integer
+arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .errors import InputError, InternalError
-from .exactalg import Record, solve_linear_system
+from .record import Record
 
 MAX_RANK = 8
 WEYL_ENUMERATION_GUARD = 10**6
@@ -162,18 +164,41 @@ def positive_roots(family: str, rank: int) -> RootSystem:
 
 
 def heights(rs: RootSystem) -> list[int]:
-    """Height of each positive root: sum of its simple-root coefficients."""
-    cols = rs.simple_roots
-    dim = len(cols[0])
-    matrix = [[Fraction(cols[k][i]) for k in range(len(cols))] for i in range(dim)]
+    """Height of each positive root: sum of its simple-root coefficients.
+
+    Breadth-first from the simple roots (unit coefficient vectors): adding
+    simple root k to a reached root that sums to a listed root reaches that
+    root with coefficient k raised by one.  A root never reached, or reached
+    with two different expansions, breaks the table.
+    """
+    simple = rs.simple_roots
+    listed = set(rs.positive_roots)
+    expansion = {root: tuple(int(i == k) for i in range(len(simple)))
+                 for k, root in enumerate(simple)}
+    frontier = list(expansion)
+    while frontier:
+        reached = []
+        for root in frontier:
+            coeffs = expansion[root]
+            for k, s in enumerate(simple):
+                total = _add(root, s)
+                if total not in listed:
+                    continue
+                raised = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
+                known = expansion.get(total)
+                if known is None:
+                    expansion[total] = raised
+                    reached.append(total)
+                elif known != raised:
+                    raise InternalError(f"root {total} has two simple-root expansions "
+                                        f"{known} and {raised}")
+        frontier = reached
     out = []
     for root in rs.positive_roots:
-        coeffs = solve_linear_system(matrix, [Fraction(c) for c in root])
-        for c in coeffs:
-            if c.denominator != 1 or c < 0:
-                raise InternalError(f"root {root} is not a non-negative integer "
-                                    "combination of simple roots")
-        out.append(int(sum(coeffs)))
+        if root not in expansion:
+            raise InternalError(f"root {root} is not a non-negative integer "
+                                "combination of simple roots")
+        out.append(sum(expansion[root]))
     return out
 
 
@@ -264,10 +289,9 @@ def weyl_length_genfun(family: str, rank: int) -> PoincarePoly:
     if order > WEYL_ENUMERATION_GUARD:
         raise InputError(f"Weyl group of order {order} exceeds the enumeration "
                          f"guard {WEYL_ENUMERATION_GUARD}")
-    simples = [tuple(Fraction(c) for c in s) for s in rs.simple_roots]
+    simples = rs.simple_roots
     norms = [sum(c * c for c in s) for s in simples]
-    start = tuple(sum(Fraction(root[i]) for root in rs.positive_roots)
-                  for i in range(len(simples[0])))
+    start = tuple(sum(root[i] for root in rs.positive_roots) for i in range(len(simples[0])))
     seen = {start}
     frontier = [start]
     counts = [1]
@@ -275,7 +299,10 @@ def weyl_length_genfun(family: str, rank: int) -> PoincarePoly:
         nxt = []
         for x in frontier:
             for s, ns in zip(simples, norms):
-                c = 2 * sum(a * b for a, b in zip(x, s)) / ns
+                c, rem = divmod(2 * sum(a * b for a, b in zip(x, s)), ns)
+                if rem:
+                    raise InternalError(f"2(x, s)/(s, s) is not an integer for x = {x}, "
+                                        f"s = {s}")
                 y = tuple(a - c * b for a, b in zip(x, s))
                 if y not in seen:
                     seen.add(y)

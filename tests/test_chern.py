@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from borelcurve.action import principal_model
 from borelcurve.chern import (MatrixFibre, SplitFibre, bundle_from_json,
                               chern_membership, chern_subalgebra_verdict,
-                              chern_tuple, elementary_symmetric, exterior_trace,
-                              make_bundle, tangent_bundle)
+                              chern_tuple, chern_tuples, elementary_symmetric,
+                              exterior_trace, make_bundle, tangent_bundle)
 from borelcurve.curve import build_curve_ring
 from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple
@@ -204,6 +204,17 @@ def test_matrix_fibres_give_same_tuple_as_weights(plane_ring):
                                 for f in matrix.fibres.values())
         for k in range(size + 1):
             assert chern_tuple(matrix, k, cr) == chern_tuple(split, k, cr)
+
+
+def test_chern_tuples_give_every_class_at_once():
+    """One trace run per fibre yields c_0..c_rank, as the split weights do."""
+    for size in range(1, 6):
+        cr = build_curve_ring(principal_model(size))
+        split, matrix = tangent_bundle(cr.model), _matrix_tangent(cr.model)
+        expected = [chern_tuple(split, k, cr) for k in range(size + 1)]
+        assert chern_tuples(matrix, cr) == chern_tuples(split, cr) == expected
+    with pytest.raises(InputError, match="component labels"):
+        chern_tuples(make_bundle(1, {9: SplitFibre((1,))}), cr)
 
 
 def test_chern_membership(plane_ring):

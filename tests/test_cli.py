@@ -161,6 +161,50 @@ def test_chern_subalgebra_verdict_via_cli(capsys, specs):
     assert verdict["witness"] == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": ' + "1" * 5000 + "}",     # past the interpreter's int-digit limit
+    b"\xff\xfe{}",                  # not UTF-8
+    "[" * 100000 + "]" * 100000,      # nested past the recursion limit
+])
+def test_undecodable_json_exits_2(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
+    code, out, err = run(capsys, ["action", "validate", "--spec", str(bad)])
+    assert (code, out) == (2, "")
+    assert "is not valid JSON" in json.loads(err)["error"]
+
+
+def test_principal_shorthand_with_huge_n_exits_2(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 10**18, "h_weights": [2, 0, -2],
+                                "e_matrix": "principal"}))
+    code, _, err = run(capsys, ["action", "validate", "--spec", str(spec)])
+    assert code == 2
+    assert "h_weights must have length n+1" in err
+
+
+def test_degree_limits_exit_2(capsys, tmp_path, specs):
+    graph = tmp_path / "heavy_edge.json"
+    graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2, 10**12]]}))
+    code, _, err = run(capsys, ["principal", "--spec", specs["plane"], "--gkm", str(graph)])
+    assert code == 2
+    assert "multiplicity must be <= 1000" in err
+    for argv in (["curve", "ideal", "--spec", specs["plane"], "--components", "2"],
+                 ["principal", "--spec", specs["plane"], "--gkm", specs["graph"]],
+                 ["chern", "--spec", specs["plane"], "--bundle", "tangent",
+                  "--gkm", specs["graph"]]):
+        code, _, err = run(capsys, argv + ["--max-degree", "1001"])
+        assert code == 2
+        assert "--max-degree must be <= 1000" in err
+    code, out, _ = run(capsys, ["curve", "ring", "--spec", specs["plane"],
+                                "--max-degree", "1000"])
+    assert code == 0
+    assert len(json.loads(out)["result"]["hilbert"]) == 1001
+
+
 def test_deterministic_output(capsys, specs):
     _, first, _ = run(capsys, ["principal", "--spec", specs["plane"],
                                "--gkm", specs["graph"]])
@@ -218,8 +262,9 @@ def test_poincare_run_loads_only_root_systems():
     loaded = loaded_by("from borelcurve.cli import main\n"
                        "main(['poincare', '--family', 'A', '--rank', '2'])")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
-        "borelcurve", "borelcurve.cli", "borelcurve.errors", "borelcurve.exactalg",
+        "borelcurve", "borelcurve.cli", "borelcurve.errors", "borelcurve.record",
         "borelcurve.rootsystems"]
+    assert not {"fractions", "decimal", "hashlib"} & set(loaded)
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()

@@ -44,6 +44,17 @@ def test_poly_basics():
     assert (v + 1).as_monomial() is None
 
 
+@pytest.mark.parametrize("c", [0, 1, -3, Fraction(2, 7), "5/4", "0"])
+@pytest.mark.parametrize("k", [0, 1, 6])
+def test_monomial_equals_dense_construction(c, k):
+    mono = Poly.monomial(c, k)
+    dense = Poly((0,) * k + (c,))
+    assert mono == dense and hash(mono) == hash(dense)
+    assert all(type(x) is Fraction for x in mono.coeffs)
+    with pytest.raises(InputError):
+        Poly.monomial(c, -1)
+
+
 def test_poly_divmod_exact():
     v = Poly.variable()
     num = (1 - v**3) * (1 - v**2)

@@ -153,6 +153,22 @@ def test_default_verdict_matches_former_truncation(case):
     assert default.image_hilbert == far.image_hilbert[:s + 1]
 
 
+@given(models_and_graphs())
+@settings(max_examples=100, deadline=None)
+def test_stabilization_degree_is_first_full_degree(case):
+    """Oracle: scanning the slice dimensions finds the largest multiplicity."""
+    _, graph = case
+    ring = GKMRing(graph)
+    first_full = next(d for d in range(graph.max_multiplicity + 2) if ring.dim(d) == ring.r)
+    assert ring.stabilization_degree == first_full
+
+
+def test_multiplicity_limit():
+    assert GKMGraph((1, 2), ((1, 2, 1000),)).max_multiplicity == 1000
+    with pytest.raises(InputError, match="<= 1000"):
+        GKMGraph((1, 2), ((1, 2, 1001),))
+
+
 def test_inconsistent_congruences_flagged(plane_ring):
     """Congruence data the curve does not satisfy cannot certify a verdict: the
     image then exceeds the modeled ring and the verdict carries a diagnostic."""

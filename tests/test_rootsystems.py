@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from borelcurve.errors import InputError
-from borelcurve.rootsystems import (PoincarePoly, heights, km_poincare,
+from borelcurve.errors import InputError, InternalError
+from borelcurve.exactalg import solve_linear_system
+from borelcurve.rootsystems import (MAX_RANK, PoincarePoly, RootSystem, heights, km_poincare,
                                     poincare_from_degrees, positive_roots,
                                     weyl_length_genfun, weyl_order)
 
@@ -24,6 +25,60 @@ def test_height_multisets():
     assert Counter(heights(positive_roots("B", 2))) == Counter({1: 2, 2: 1, 3: 1})
     assert heights(positive_roots("A", 1)) == [1]
     assert Counter(heights(positive_roots("G2", 2))) == Counter([1, 1, 2, 3, 4, 5])
+
+
+EVERY_SYSTEM = ([(f, k) for f in "ABC" for k in range(1, MAX_RANK + 1)]
+                + [("D", k) for k in range(2, MAX_RANK + 1)] + [("G2", 2), ("F4", 4)])
+
+
+@pytest.mark.parametrize("family,rank", EVERY_SYSTEM)
+def test_heights_match_linear_solve(family, rank):
+    """The integer walk agrees with solving for simple-root coefficients over Q."""
+    rs = positive_roots(family, rank)
+    matrix = [[s[i] for s in rs.simple_roots] for i in range(len(rs.simple_roots[0]))]
+    expected = []
+    for root in rs.positive_roots:
+        coeffs = solve_linear_system(matrix, root)
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        expected.append(int(sum(coeffs)))
+    assert heights(rs) == expected
+
+
+def _with_roots(rs, roots):
+    return RootSystem(rs.family, rs.rank, rs.simple_roots, tuple(roots))
+
+
+@pytest.mark.parametrize("family,rank,bad", [
+    ("A", 3, (1, 0, 0, 0)),      # outside the span of the simple roots
+    ("A", 3, (-1, 1, 0, 0)),     # a negative root
+    ("B", 2, (1, -2)),           # e1 - 2 e2 = a1 - a2, mixed signs
+    ("G2", 2, (-1, 1, 0)),       # negative of a simple root
+])
+def test_heights_reject_a_non_root_vector(family, rank, bad):
+    rs = positive_roots(family, rank)
+    with pytest.raises(InternalError, match="not a non-negative integer combination"):
+        heights(_with_roots(rs, rs.positive_roots + (bad,)))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("G2", 2)])
+def test_heights_reject_a_table_missing_an_intermediate_root(family, rank):
+    """Rank 2 has one height-2 root, the only way up to height 3."""
+    rs = positive_roots(family, rank)
+    hs = heights(rs)
+    (gone,) = [root for root, h in zip(rs.positive_roots, hs) if h == 2]
+    assert 3 in hs
+    kept = [root for root in rs.positive_roots if root != gone]
+    with pytest.raises(InternalError, match="not a non-negative integer combination"):
+        heights(_with_roots(rs, kept))
+
+
+def test_heights_reject_dependent_simple_roots():
+    rs = positive_roots("A", 2)
+    a, b = rs.simple_roots
+    doubled = RootSystem("A", 2, (a, b, tuple(x + y for x, y in zip(a, b))),
+                         rs.positive_roots)
+    with pytest.raises(InternalError, match="two simple-root expansions"):
+        heights(doubled)
 
 
 def test_unsupported_inputs():
