@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .exactalg import Poly, to_fraction, to_int
+from .rational import Poly, format_fraction, to_fraction, to_int
 from .record import Record
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -142,7 +142,6 @@ def model_from_json(data: dict) -> ActionModel:
 
 
 def model_to_json(model: ActionModel) -> dict:
-    from .exactalg import format_fraction
     return {
         "n": model.n,
         "h_weights": list(model.h_weights),

@@ -27,8 +27,9 @@ from typing import Iterable, Sequence
 from .action import _as_list, _as_matrix
 from .curve import CurveRing, restrict
 from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra, HomTuple, to_fraction, to_int
+from .exactalg import GradedSubalgebra
 from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
+from .rational import HomTuple, to_fraction, to_int
 from .record import Record
 
 Matrix = tuple[tuple, ...]
@@ -131,13 +132,15 @@ def tangent_bundle(model) -> BundleData:
 
 
 def _elementary_all(values: Sequence) -> list[Fraction]:
-    """[e_0, ..., e_n] of a multiset, by iterated convolution."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * len(values)
+    """[e_0, ..., e_n] of a multiset, by iterated convolution (over int while
+    the values are integers, as the weights of split fibres are)."""
+    coeffs = [1] + [0] * len(values)
     for val in values:
         v = to_fraction(val)
+        v = v.numerator if v.denominator == 1 else v
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
-    return coeffs
+    return [Fraction(c) for c in coeffs]
 
 
 def elementary_symmetric(values: Sequence, k: int) -> Fraction:

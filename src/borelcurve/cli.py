@@ -32,7 +32,7 @@ def _load_json(path: str) -> dict:
 
 
 def _component_json(comp) -> dict:
-    from .exactalg import format_fraction
+    from .rational import format_fraction
     return {
         "index": comp.index,
         "degrees": list(comp.degrees),
@@ -63,9 +63,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _max_degree(args) -> int | None:
-    from .exactalg import MAX_DEGREE
-    if args.max_degree is not None and args.max_degree > MAX_DEGREE:
-        raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
+    from .rational import MAX_DEGREE
+    if args.max_degree is not None:
+        if args.max_degree < 0:
+            raise InputError("degree bound must be non-negative")
+        if args.max_degree > MAX_DEGREE:
+            raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
     return args.max_degree
 
 
@@ -183,6 +186,7 @@ def cmd_chern(args) -> dict:
             inputs[f"bundle{idx}"] = spec
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
+    max_degree = _max_degree(args)
     per_bundle = []
     for name, bundle in bundles:
         entry = {"bundle": name, "k": args.k,
@@ -201,7 +205,7 @@ def cmd_chern(args) -> dict:
                 raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
                                  f"do not match graph vertices {list(graph.vertices)}")
             generators.extend(chern.chern_tuples(bundle, ring)[1:])
-        verdict = chern.chern_subalgebra_verdict(generators, graph, _max_degree(args))
+        verdict = chern.chern_subalgebra_verdict(generators, graph, max_degree)
         result["subalgebra_verdict"] = verdict.to_json()
         bound = verdict.bound
     return _report("chern", {"k": args.k, "test_membership": args.test_membership,
@@ -234,12 +238,20 @@ def _render(report: dict, table: bool) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other bad input: one JSON
+    error line on stderr and exit code 2 (help still prints and exits 0)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borelcurve",
         description="Exact equivariant cohomology of regular Borel actions on "
                     "projective space, via the fixed-point curve.")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--table", action="store_true",
                         help="flat key = value output instead of JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -287,9 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

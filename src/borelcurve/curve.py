@@ -5,7 +5,9 @@ Restriction to the r components identifies the ring with the subalgebra of
 (+) Q[v] generated by the all-ones degree-1 tuple (the image of v, from the
 Q[v]-module structure given by the projection to the parameter line) together
 with one degree-d_i tuple per chart coordinate, whose j-th entry is the
-monomial coefficient of that coordinate on component j.
+monomial coefficient of that coordinate on component j.  The normal form of
+a validated action makes this ring the polynomials in one variable on the
+nodes 0..n, so every slice question has a closed-form answer (NodeAlgebra).
 
 A torus-invariant subvariety enters only through its fixed-point subset S:
 all the quantities computed here depend on the subvariety only through the
@@ -14,18 +16,91 @@ sub-curve over S.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .action import ActionModel, CurveComponent, big_cell_degrees, component_parametrization
 from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra, HomTuple
+from .rational import HomTuple
 from .record import Record
+
+
+class NodeAlgebra:
+    """The curve ring in closed form: polynomials in one variable on integer nodes.
+
+    For a validated model the degree-1 chart generator is x = c (0, 1, ..., n)
+    with c != 0, and the chart generator of degree i is a polynomial of degree
+    i in x (action module docstring: its entry at node J is the falling
+    factorial J (J-1) ... (J-i+1) over a_0 ... a_(i-1)).  With v = (1, ..., 1)
+    the degree-d slice V_d is therefore the space of polynomials of degree
+    <= d evaluated at the nodes, here the 0-based positions of the components,
+    and the restriction to a subset S is the same space on the nodes of S.
+    So dim V_d = min(d + 1, r), the canonical RREF rows of V_d are the
+    Lagrange basis polynomials on the first d + 1 nodes (on the nodes 0..n
+    the integers delta_ij for j <= d and (-1)^(d-i) C(j, i) C(j-i-1, d-i) for
+    j > d), and a tuple lies in V_d exactly when its divided differences of
+    order > d vanish.  No slice is ever built.
+
+    The interface is that of GradedSubalgebra, which stays the oracle.
+    """
+
+    def __init__(self, nodes: Iterable[int], generators: Iterable[HomTuple]):
+        self.nodes = tuple(nodes)
+        self.r = len(self.nodes)
+        self.generators = tuple(generators)
+
+    def hilbert_function(self, max_degree: int) -> list[int]:
+        """[dim V_0, ..., dim V_max_degree]."""
+        if max_degree < 0:
+            raise InputError("degree bound must be non-negative")
+        return [min(d + 1, self.r) for d in range(max_degree + 1)]
+
+    def graded_basis(self, d: int) -> list[HomTuple]:
+        """Canonical row-reduced basis of V_d: the Lagrange rows on nodes[:d+1]."""
+        if d < 0:
+            raise InputError("degree must be non-negative")
+        pivots = self.nodes[:d + 1]
+
+        def lagrange(s, x):  # the Lagrange polynomial of pivot node s, at x
+            num = den = 1
+            for t in pivots:
+                if t != s:
+                    num, den = num * (x - t), den * (s - t)
+            return Fraction(num, den)
+
+        return [HomTuple(d, [lagrange(s, x) for x in self.nodes]) for s in pivots]
+
+    def _newton(self, coeffs) -> list[Fraction]:
+        """Divided differences f[x_0], f[x_0, x_1], ..., f[x_0..x_(r-1)]."""
+        nodes, table = self.nodes, list(coeffs)
+        for k in range(1, self.r):
+            for j in range(self.r - 1, k - 1, -1):
+                table[j] = (table[j] - table[j - 1]) / (nodes[j] - nodes[j - k])
+        return table
+
+    def member(self, t: HomTuple) -> bool:
+        """Exact membership: the divided differences of order > deg t vanish."""
+        if t.r != self.r:
+            raise InputError("component-count mismatch")
+        return t.degree + 1 >= self.r or not any(self._newton(t.coeffs)[t.degree + 1:])
+
+    def coordinates(self, t: HomTuple) -> list[Fraction] | None:
+        """Coefficients of t over graded_basis(t.degree), or None if not a member:
+        its entries at the pivot nodes."""
+        if not self.member(t):
+            return None
+        return list(t.coeffs[:t.degree + 1])
+
+    def quotient_by_v_dims(self, max_degree: int) -> list[int]:
+        """Dimensions of the quotient by (v): 1 in degrees 0..r-1, then 0."""
+        h = self.hilbert_function(max_degree)
+        return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
 
 
 class CurveRing(Record, frozen=False):
     model: ActionModel
     components: tuple[CurveComponent, ...]
-    algebra: GradedSubalgebra
+    algebra: NodeAlgebra
 
     @property
     def r(self) -> int:
@@ -35,29 +110,31 @@ class CurveRing(Record, frozen=False):
 def default_degree_bound(cr: CurveRing) -> int:
     """First degree D with V_D = Q^r; degrees 0..D decide every answer.
 
-    v is a generator, so the slices form a chain and stay full from D on.  A
-    generic linear form in the charts separates the r curve points at v = 1,
-    so its powers span Q^r by degree (r - 1) * max d_i (Vandermonde), where
-    the scan stops.  For every validated model D = n.
+    v is in the ring, so the slices form a chain and stay full from D on;
+    dim V_d = min(d + 1, r) (NodeAlgebra), so D = n.
     """
-    cap = (cr.r - 1) * max(g.degree for g in cr.algebra.generators)
-    for d in range(cap + 1):
-        if cr.algebra.hilbert_function(d)[-1] == cr.r:
-            return d
-    raise InternalError(f"curve ring did not reach full rank by degree {cap}")
+    return cr.r - 1
 
 
 def build_curve_ring(model: ActionModel) -> CurveRing:
-    """Assemble the curve ring of a validated model from its parametrizations."""
+    """Assemble the curve ring of a validated model from its parametrizations.
+
+    Checks in O(r) the normal-form facts the closed form rests on: the chart
+    degrees are 1..n and the degree-1 chart generator is c (0, 1, ..., n).
+    """
     r = model.n + 1
     comps = tuple(component_parametrization(model, j) for j in range(1, r + 1))
     degrees = big_cell_degrees(model)
     gens = [HomTuple.ones(r, 1)]
     for i, d in enumerate(degrees):
         gens.append(HomTuple(d, tuple(comp.chart_coords[i].coeff(d) for comp in comps)))
-    cr = CurveRing(model, comps, GradedSubalgebra(r, gens))
-    default_degree_bound(cr)  # raises InternalError if full rank is never reached
-    return cr
+    if degrees != list(range(1, r)):
+        raise InternalError(f"chart degrees {degrees} are not 1..{r - 1}")
+    if r > 1:
+        x = gens[1].coeffs
+        if x[1] == 0 or any(x[j] != j * x[1] for j in range(r)):
+            raise InternalError("degree-1 chart generator is not c * (0, 1, ..., n)")
+    return CurveRing(model, comps, NodeAlgebra(range(r), gens))
 
 
 def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
@@ -89,25 +166,26 @@ def _positions(cr: CurveRing, subset: Iterable[int]) -> list[int]:
     return labels
 
 
-def restrict(cr: CurveRing, subset: Iterable[int]) -> GradedSubalgebra:
+def restrict(cr: CurveRing, subset: Iterable[int]) -> NodeAlgebra:
     """Coordinate ring of the sub-curve over the given fixed-point labels.
 
     Projecting the generators of the ambient ring generates the whole
-    restricted ring, because the sub-curve is closed in the ambient chart.
+    restricted ring, because the sub-curve is closed in the ambient chart:
+    the polynomials on the nodes of the subset.
     """
-    labels = _positions(cr, subset)
-    pos = [lab - 1 for lab in labels]
+    pos = [lab - 1 for lab in _positions(cr, subset)]
     gens = [g.project(pos) for g in cr.algebra.generators]
-    return GradedSubalgebra(len(labels), gens)
+    return NodeAlgebra((cr.algebra.nodes[p] for p in pos), gens)
 
 
 def ideal_hilbert(cr: CurveRing, subset: Iterable[int],
                   max_degree: int | None = None) -> list[int]:
     """Dimensions of the ideal of the sub-curve over the subset, per degree.
 
-    The dimensions are non-decreasing and stabilize at r - |subset|, the rank
-    of the ideal over Q[v], by the default degree, where V_d = Q^r.
+    Restriction maps V_d onto the slice of the sub-curve, so the ideal has
+    dimension min(d + 1, r) - min(d + 1, |subset|): non-decreasing, and
+    r - |subset|, the rank of the ideal over Q[v], from the default degree on.
     """
-    labels = _positions(cr, subset)
+    size = len(_positions(cr, subset))
     bound = default_degree_bound(cr) if max_degree is None else int(max_degree)
-    return [len(cr.algebra.kernel_basis(labels, d)) for d in range(bound + 1)]
+    return [dim - min(d + 1, size) for d, dim in enumerate(cr.algebra.hilbert_function(bound))]

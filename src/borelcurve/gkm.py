@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import MAX_DEGREE, HomTuple, nullspace, to_int
+from .exactalg import nullspace
+from .rational import MAX_DEGREE, HomTuple, to_int
 from .record import Record
 
 PRINCIPAL = "Principal"

@@ -29,6 +29,12 @@ from .record import Record
 MAX_RANK = 8
 WEYL_ENUMERATION_GUARD = 10**6
 
+# Largest total degree sum(d) accepted by poincare_from_degrees.  The product
+# formula works on lists of sum(d + 1) integers in O(len(d) * sum(d)) steps,
+# so the cap bounds both before anything is allocated; the root systems up to
+# MAX_RANK need at most 372 (B8, C8).
+MAX_DEGREE_SUM = 1000
+
 
 class RootSystem(Record):
     family: str
@@ -260,13 +266,16 @@ def poincare_from_degrees(degrees) -> PoincarePoly:
 
     Degrees are the half-weights of the attracting-cell coordinates (deg v = 1
     convention).  Not every degree list yields a polynomial; a remainder means
-    the degrees do not come from a regular projective model.
+    the degrees do not come from a regular projective model.  The degrees may
+    sum to at most MAX_DEGREE_SUM.
     """
     ds = []
     for d in degrees:
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InputError("degrees must be positive integers")
         ds.append(d)
+    if sum(ds) > MAX_DEGREE_SUM:
+        raise InputError(f"degrees must sum to at most {MAX_DEGREE_SUM}")
     try:
         coeffs = _product_formula(ds)
     except ArithmeticError as exc:

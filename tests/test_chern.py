@@ -110,6 +110,8 @@ def test_elementary_symmetric():
     assert elementary_symmetric((2, 4), 2) == 8
     assert elementary_symmetric((1, 2, 3), 2) == 11
     assert elementary_symmetric((), 0) == 1
+    assert elementary_symmetric(("1/2", 3, "-2/3"), 2) == Fraction(3, 2) - Fraction(1, 3) - 2
+    assert isinstance(elementary_symmetric((2, 4), 1), Fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,49 @@ def test_degree_limits_exit_2(capsys, tmp_path, specs):
     assert len(json.loads(out)["result"]["hilbert"]) == 1001
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "ring"], ["curve", "betti"], ["curve", "restrict", "--components", "2"],
+    ["curve", "ideal", "--components", "1"], ["principal", "--gkm", "{graph}"],
+    ["chern", "--bundle", "tangent"], ["chern", "--bundle", "tangent", "--gkm", "{graph}"]])
+def test_negative_max_degree_exits_2(capsys, specs, argv):
+    argv = [a.format(graph=specs["graph"]) for a in argv] + ["--spec", specs["plane"]]
+    code, out, err = run(capsys, argv + ["--max-degree", "-2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "degree bound must be non-negative"}
+    if argv[0] == "chern":  # checked even where no verdict reads it
+        code, _, err = run(capsys, argv + ["--max-degree", "1001"])
+        assert code == 2 and "--max-degree must be <= 1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["curve"], ["curve", "ring"], ["curve", "ring", "--spec", "x", "--k", "1"],
+    ["chern", "--spec", "x", "--k", "one"],
+    ["curve", "ring", "--spec", "x", "--max-degree", "1.5"],
+    ["poincare", "--family", "E8", "--rank", "8"], ["poincare", "--rank", "2x"]])
+def test_malformed_command_line_exits_2_with_one_json_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert list(json.loads(err)) == ["error"]
+
+
+@pytest.mark.parametrize("entry", ["1e999999999", "0.5", "1_0", "\u0663"])
+def test_non_integer_rational_strings_exit_2(capsys, tmp_path, entry):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 1, "h_weights": [1, -1],
+                                "e_matrix": [["0", entry], ["0", "0"]]}))
+    code, out, err = run(capsys, ["action", "validate", "--spec", str(spec)])
+    assert (code, out) == (2, "")
+    assert "cannot parse rational" in err
+
+
+def test_poincare_degree_sum_is_capped(capsys):
+    from borelcurve.rootsystems import MAX_DEGREE_SUM
+    for degrees in (str(MAX_DEGREE_SUM + 1), ",".join(["1"] * (MAX_DEGREE_SUM + 1))):
+        code, out, err = run(capsys, ["poincare", "--degrees", degrees])
+        assert (code, out) == (2, "")
+        assert f"degrees must sum to at most {MAX_DEGREE_SUM}" in err
+
+
 def test_deterministic_output(capsys, specs):
     _, first, _ = run(capsys, ["principal", "--spec", specs["plane"],
                                "--gkm", specs["graph"]])
@@ -265,6 +308,26 @@ def test_poincare_run_loads_only_root_systems():
         "borelcurve", "borelcurve.cli", "borelcurve.errors", "borelcurve.record",
         "borelcurve.rootsystems"]
     assert not {"fractions", "decimal", "hashlib"} & set(loaded)
+
+
+def test_ambient_runs_load_no_linear_algebra(tmp_path):
+    """action and curve runs read the curve ring in closed form: no exactalg,
+    gkm or chern; principal needs gkm but not chern."""
+    paths = {}
+    for name, blob in (("spec", PLANE_SPEC), ("graph", CURVES_GRAPH)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(blob))
+    runs = {"action": ["action", "curve", "--spec", paths["spec"]],
+            "curve": ["curve", "ideal", "--spec", paths["spec"], "--components", "2"],
+            "principal": ["principal", "--spec", paths["spec"], "--gkm", paths["graph"]]}
+    for subcommand, argv in runs.items():
+        loaded = set(loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
+                               "with contextlib.redirect_stdout(io.StringIO()):\n"
+                               f"    assert main({[str(a) for a in argv]!r}) == 0"))
+        forbidden = {"borelcurve.chern"}
+        if subcommand != "principal":
+            forbidden |= {"borelcurve.exactalg", "borelcurve.gkm"}
+        assert not forbidden & loaded, (subcommand, forbidden & loaded)
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()

@@ -33,6 +33,15 @@ def test_to_fraction_parses_and_rejects_floats():
         to_fraction("not-a-number")
 
 
+def test_to_fraction_accepts_only_integers_and_p_over_q():
+    assert [to_fraction(s) for s in ("7", " -2/6 ", "+3", "0/5", "-0")] == [
+        7, Fraction(-1, 3), 3, 0, 0]
+    for text in ("0.5", ".5", "5.", "1e3", "1E-2", "1e999999999", "1_000", "1/2_0",
+                 "\u0663", "1 / 2", "1/-2", "1/0", "inf", "nan", "0x10", "", "9" * 5000):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            to_fraction(text)
+
+
 def test_poly_basics():
     v = Poly.variable()
     p = 2 * v**2 + v + 1
@@ -76,6 +85,20 @@ def test_rref_and_nullspace():
     x = ns[0]
     for row in rows:
         assert sum(a * b for a, b in zip(row, x)) == 0
+
+
+@given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, "1/2"]), min_size=4, max_size=4),
+                max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_rref_is_the_canonical_basis(rows):
+    """rref and RowSpace both give the unique reduced echelon basis; sparse
+    rows exercise the zero entries that rref skips."""
+    space = RowSpace(4)
+    for row in rows:
+        space.add(row)
+    red, pivots = rref(rows)
+    assert [tuple(row) for row in red] == space.basis_vectors()
+    assert pivots == space.pivots
 
 
 def test_rowspace_is_canonical_under_insertion_order():

@@ -1,12 +1,13 @@
-"""Arbitrary JSON input files never crash the CLI.
+"""Arbitrary JSON input files and option strings never crash the CLI.
 
 Every subcommand that reads files is run through `cli.main` with one of its
 files replaced by a generated JSON blob, the others kept valid.  Blobs are
 either arbitrary JSON or objects with the right keys holding plausible or
-arbitrary values, so the parsers are exercised past their first check.  The
-run must exit with 0 or with 2 and one JSON error line: never an uncaught
-exception (exit 1) or a broken internal invariant (exit 3).  `poincare` reads
-no files and is not run here.
+arbitrary values, so the parsers are exercised past their first check.  A
+second test keeps the files valid (regular models on P^1 to P^3) and fills
+`--degrees`, `--components`, `--k` and `--max-degree` with generated strings.
+Each run must exit with 0 or with 2 and one JSON error line: never an
+uncaught exception (exit 1) or a broken internal invariant (exit 3).
 """
 
 import contextlib
@@ -96,6 +97,73 @@ def test_any_json_file_exits_0_or_2(data):
             with open(paths[name], "w", encoding="utf-8") as handle:
                 json.dump(blob if name == slot else VALID[name], handle)
         code, out, err = _run([arg.format(**paths) for arg in command])
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert list(json.loads(err)) == ["error"]
+
+
+# argv with {spec} and {graph} for file paths and {degrees}, {components},
+# {k}, {max_degree} for generated option strings (given as --opt=value, so a
+# value starting with "-" is not read as an option)
+ARGV_COMMANDS = (
+    ("poincare", "--degrees={degrees}"),
+    ("curve", "ring", "--spec", "{spec}", "--max-degree={max_degree}"),
+    ("curve", "betti", "--spec", "{spec}", "--max-degree={max_degree}"),
+    ("curve", "restrict", "--spec", "{spec}", "--components={components}",
+     "--max-degree={max_degree}"),
+    ("curve", "ideal", "--spec", "{spec}", "--components={components}"),
+    ("principal", "--spec", "{spec}", "--gkm", "{graph}", "--max-degree={max_degree}"),
+    ("chern", "--spec", "{spec}", "--bundle", "tangent", "--k={k}", "--test-membership"),
+    ("chern", "--spec", "{spec}", "--bundle", "tangent", "--k={k}", "--gkm", "{graph}",
+     "--max-degree={max_degree}"),
+)
+
+words = st.text(max_size=8)
+
+
+def int_lists(elements):
+    return st.lists(elements, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+
+
+OPTION_STRINGS = {
+    "degrees": int_lists(st.integers(-1, 12) | st.integers()) | words,
+    "components": int_lists(st.integers(-1, 5) | st.integers()) | words,
+    "k": st.integers(-2, 5).map(str) | st.integers().map(str) | words,
+    "max_degree": st.integers(-3, 30).map(str) | st.integers().map(str) | words,
+}
+
+
+@st.composite
+def small_specs(draw):
+    """A regular model on P^1..P^3: step-2 weights, shifted, in a drawn order,
+    and a drawn signed superdiagonal."""
+    n = draw(st.integers(1, 3))
+    shift = 2 * draw(st.integers(-3, 3))
+    order = draw(st.permutations(range(n + 1)))
+    h = [0] * (n + 1)
+    e = [["0"] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        h[order[i]] = n - 2 * i + shift
+    for i in range(n):
+        e[order[i]][order[i + 1]] = draw(st.sampled_from(["1", "-2", "1/2", "-3/4", "5/3"]))
+    return {"n": n, "h_weights": h, "e_matrix": e}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_option_string_exits_0_or_2(data):
+    command = data.draw(st.sampled_from(ARGV_COMMANDS))
+    spec = data.draw(small_specs())
+    r = spec["n"] + 1
+    graph = {"vertices": list(range(1, r + 1)), "edges": [[1, j, 1] for j in range(2, r + 1)]}
+    values = {name: data.draw(strategy) for name, strategy in OPTION_STRINGS.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in (("spec", spec), ("graph", graph)):
+            values[name] = os.path.join(tmp, f"{name}.json")
+            with open(values[name], "w", encoding="utf-8") as handle:
+                json.dump(blob, handle)
+        code, out, err = _run([arg.format(**values) for arg in command])
     assert code in (0, 2), (code, err)
     if code == 2:
         assert out == ""

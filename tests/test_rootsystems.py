@@ -4,8 +4,8 @@ import pytest
 
 from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import solve_linear_system
-from borelcurve.rootsystems import (MAX_RANK, PoincarePoly, RootSystem, heights, km_poincare,
-                                    poincare_from_degrees, positive_roots,
+from borelcurve.rootsystems import (MAX_DEGREE_SUM, MAX_RANK, PoincarePoly, RootSystem,
+                                    heights, km_poincare, poincare_from_degrees, positive_roots,
                                     weyl_length_genfun, weyl_order)
 
 SMALL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -137,6 +137,19 @@ def test_poincare_from_degrees_examples():
         assert poincare_from_degrees(list(range(1, n + 1))).coeffs == (1,) * (n + 1)
     assert poincare_from_degrees([1]).coeffs == (1, 1)
     assert poincare_from_degrees([]).coeffs == (1,)
+
+
+def test_poincare_degree_sum_cap():
+    """Totals past MAX_DEGREE_SUM are refused before the product formula
+    allocates; the cap itself is accepted, as is every supported root system."""
+    at_cap = list(range(1, 45)) + [1] * 10  # 990 + 10
+    assert sum(at_cap) == MAX_DEGREE_SUM
+    assert poincare_from_degrees(at_cap).value_at_one == 45 * 2**10
+    for degrees in ([MAX_DEGREE_SUM + 1], at_cap + [1], [1] * (MAX_DEGREE_SUM + 1),
+                    [10**18, 1]):
+        with pytest.raises(InputError, match=f"sum to at most {MAX_DEGREE_SUM}"):
+            poincare_from_degrees(degrees)
+    assert max(sum(heights(positive_roots(f, k))) for f, k in EVERY_SYSTEM) <= MAX_DEGREE_SUM
 
 
 def test_poincare_from_degrees_rejects_bad_input():
