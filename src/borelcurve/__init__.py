@@ -3,9 +3,9 @@
 The library models an action of the upper-triangular Borel of SL2 on P^n with
 a single unipotent fixed point, builds the coordinate ring of the associated
 fixed-point curve (one rational component per torus-fixed point), and decides
-by exact linear algebra whether invariant subvarieties have surjective
-restriction maps, comparing against user-modeled congruence rings and
-Chern-class-generated subalgebras.  All arithmetic is exact.
+whether invariant subvarieties have surjective restriction maps, comparing
+against user-modeled congruence rings and Chern-class-generated subalgebras.
+All arithmetic is exact.
 
 Importing the package loads no submodule; each name in _EXPORTS is imported
 from its submodule on first access (PEP 562).

@@ -187,12 +187,13 @@ def cmd_chern(args) -> dict:
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
     max_degree = _max_degree(args)
-    per_bundle = []
+    per_bundle, tuples = [], []  # tuples: c_0..c_rank of each bundle, computed once
     for name, bundle in bundles:
-        entry = {"bundle": name, "k": args.k,
-                 "tuple": chern.chern_tuple(bundle, args.k, ring).to_json()}
+        tuples.append(chern.chern_tuples(bundle, ring))
+        t = chern.chern_class(tuples[-1], args.k)
+        entry = {"bundle": name, "k": args.k, "tuple": t.to_json()}
         if args.test_membership:
-            entry["membership"] = chern.chern_membership(bundle, args.k, ring)
+            entry["membership"] = chern.regular_on_curve(bundle, t, ring)
         per_bundle.append(entry)
     result: dict = {"bundles": per_bundle}
     bound = None
@@ -200,11 +201,11 @@ def cmd_chern(args) -> dict:
         graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
         inputs["gkm"] = args.gkm
         generators = []
-        for name, bundle in bundles:
+        for (name, bundle), classes in zip(bundles, tuples):
             if set(bundle.fibres) != set(graph.vertices):
                 raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
                                  f"do not match graph vertices {list(graph.vertices)}")
-            generators.extend(chern.chern_tuples(bundle, ring)[1:])
+            generators.extend(classes[1:])
         verdict = chern.chern_subalgebra_verdict(generators, graph, max_degree)
         result["subalgebra_verdict"] = verdict.to_json()
         bound = verdict.bound

@@ -4,10 +4,11 @@ A graph has the fixed-point labels of an invariant subvariety as vertices and
 one edge per invariant curve, with a multiplicity m >= 1: the edge imposes
 f_i = f_j mod v^m on tuples of polynomials.  On a homogeneous tuple
 (c_i v^d) the congruence is active exactly when d < m, so the degree-d slice
-of the congruence ring is cut out by the equalities c_i = c_j over the edges
-with multiplicity
-exceeding d.  For the ordinary multiplicity-1 case the degree-0 slice is the
-locally constant vectors and every higher slice is everything.
+of the congruence ring is the tuples constant on each connected component of
+the graph on the edges of multiplicity > d: the component indicators are a
+basis, and the dimension is a component count.  For the ordinary
+multiplicity-1 case the degree-0 slice is the locally constant vectors and
+every higher slice is everything.
 
 The congruence ring is the user's model of the equivariant cohomology of the
 subvariety (valid when odd cohomology vanishes); the restriction image of the
@@ -18,11 +19,9 @@ functions decides whether restriction is surjective ("principal").
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .curve import CurveRing, restrict
 from .errors import InputError
-from .exactalg import nullspace
 from .rational import MAX_DEGREE, HomTuple, to_int
 from .record import Record
 
@@ -62,7 +61,8 @@ class GKMGraph(Record):
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
-    def connected_components(self) -> list[tuple[int, ...]]:
+    def connected_components(self, threshold: int = 0) -> list[tuple[int, ...]]:
+        """Sorted components of the graph on the edges of multiplicity > threshold."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -71,8 +71,9 @@ class GKMGraph(Record):
                 x = parent[x]
             return x
 
-        for i, j, _ in self.edges:
-            parent[find(i)] = find(j)
+        for i, j, m in self.edges:
+            if m > threshold:
+                parent[find(i)] = find(j)
         groups: dict[int, list[int]] = {}
         for v in self.vertices:
             groups.setdefault(find(v), []).append(v)
@@ -103,27 +104,17 @@ class GKMRing:
         self.graph = graph
         self.r = len(graph.vertices)
         self._pos = {v: i for i, v in enumerate(graph.vertices)}
-        self._bases: dict[int, list[HomTuple]] = {}
 
     def basis(self, d: int) -> list[HomTuple]:
-        if d < 0:
-            raise InputError("degree must be non-negative")
-        cached = self._bases.get(d)
-        if cached is not None:
-            return cached
-        rows = []
-        for i, j, m in self.graph.edges:
-            if d < m:
-                row = [Fraction(0)] * self.r
-                row[self._pos[i]] = Fraction(1)
-                row[self._pos[j]] = Fraction(-1)
-                rows.append(row)
-        out = [HomTuple(d, vec) for vec in nullspace(rows, self.r)]
-        self._bases[d] = out
-        return out
+        """Indicators of the components at degree d, in the order of their last vertex
+        (HomTuple rejects d < 0)."""
+        comps = sorted(self.graph.connected_components(d), key=lambda c: c[-1])
+        return [HomTuple(d, [int(v in comp) for v in self.graph.vertices]) for comp in comps]
 
     def dim(self, d: int) -> int:
-        return len(self.basis(d))
+        if d < 0:
+            raise InputError("degree must be non-negative")
+        return len(self.graph.connected_components(d))
 
     def hilbert(self, max_degree: int) -> list[int]:
         return [self.dim(d) for d in range(max_degree + 1)]
@@ -148,7 +139,8 @@ def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[i
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
     Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
-    applies per component and a warning is emitted.
+    applies per component and a warning is emitted.  None is negative: a
+    higher degree drops edges, so components only split.
     """
     ring = GKMRing(graph)
     if not graph.is_connected():
@@ -160,10 +152,7 @@ def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[i
     else:
         bound = int(max_degree)
     h = ring.hilbert(bound)
-    out = [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
-    if any(x < 0 for x in out):
-        raise InputError("non-formal congruence data: negative Betti number")
-    return out
+    return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
 
 
 class PrincipalityVerdict(Record):

@@ -161,6 +161,67 @@ def test_chern_subalgebra_verdict_via_cli(capsys, specs):
     assert verdict["witness"] == 1
 
 
+def test_chern_tuples_run_once_per_bundle(capsys, specs, monkeypatch):
+    """tuple, membership and the --gkm generators share one chern_tuples run."""
+    from borelcurve import chern
+    calls = []
+    original = chern.chern_tuples
+    monkeypatch.setattr(chern, "chern_tuples", lambda *a: calls.append(a) or original(*a))
+    argv = ["chern", "--spec", specs["plane"], "--bundle", "tangent",
+            "--bundle", specs["bundle_b"], "--test-membership", "--gkm", specs["graph"]]
+    code, out, _ = run(capsys, argv + ["--k", "1"])
+    assert code == 0
+    assert [e["membership"] for e in json.loads(out)["result"]["bundles"]] == [True, True]
+    assert len(calls) == 2
+    code, _, err = run(capsys, argv + ["--k", "3"])
+    assert code == 2
+    assert json.loads(err) == {"error": "k must lie in 0..2"}
+    assert len(calls) == 3
+
+
+P8_SPEC = {"n": 8, "h_weights": [8 - 2 * i for i in range(9)], "e_matrix": "principal"}
+
+
+def test_multiplicity_1000_path_is_a_component_count(capsys, tmp_path):
+    """Every edge of the P^8 path graph has multiplicity 1000, so below degree
+    1000 the graph is one component and from 1000 on it is nine."""
+    spec, graph = tmp_path / "p8.json", tmp_path / "path.json"
+    spec.write_text(json.dumps(P8_SPEC))
+    graph.write_text(json.dumps({"vertices": list(range(1, 10)),
+                                 "edges": [[i, i + 1, 1000] for i in range(1, 9)]}))
+    code, out, _ = run(capsys, ["principal", "--spec", str(spec), "--gkm", str(graph)])
+    assert code == 0
+    result = json.loads(out)["result"]
+    verdict = result["verdict"]
+    assert verdict["gkm_hilbert"] == [1 if d < 1000 else 9 for d in range(1001)]
+    assert verdict["image_hilbert"] == [min(d + 1, 9) for d in range(1001)]
+    assert (verdict["status"], verdict["bound"]) == ("InconclusiveAtBound", 1000)
+    assert any("inconsistent" in note for note in verdict["notes"])
+    assert result["gkm_ordinary_betti"] == [1] + [0] * 999 + [8, 0]
+
+
+def test_chern_verdict_builds_no_slice_past_full_rank(capsys, tmp_path, monkeypatch):
+    """The generated slices form a chain, so from the first full degree on the
+    verdict reads r without building the slice."""
+    from borelcurve.exactalg import GradedSubalgebra
+    spec, graph = tmp_path / "p8.json", tmp_path / "star.json"
+    spec.write_text(json.dumps(P8_SPEC))
+    graph.write_text(json.dumps({"vertices": list(range(1, 10)),
+                                 "edges": [[1, j, 1] for j in range(2, 10)]}))
+    asked = []
+    original = GradedSubalgebra.graded_basis
+    monkeypatch.setattr(GradedSubalgebra, "graded_basis",
+                        lambda self, d: asked.append(d) or original(self, d))
+    code, out, _ = run(capsys, ["chern", "--spec", str(spec), "--bundle", "tangent",
+                                "--gkm", str(graph), "--max-degree", "1000"])
+    assert code == 0
+    image = json.loads(out)["result"]["subalgebra_verdict"]["image_hilbert"]
+    assert len(image) == 1001
+    full = image.index(9)
+    assert image[full:] == [9] * (1001 - full)
+    assert asked == list(range(full + 1))
+
+
 @pytest.mark.parametrize("text", [
     '{"n": ' + "1" * 5000 + "}",     # past the interpreter's int-digit limit
     b"\xff\xfe{}",                  # not UTF-8
@@ -312,7 +373,9 @@ def test_poincare_run_loads_only_root_systems():
 
 def test_ambient_runs_load_no_linear_algebra(tmp_path):
     """action and curve runs read the curve ring in closed form: no exactalg,
-    gkm or chern; principal needs gkm but not chern."""
+    gkm or chern.  principal needs gkm, whose congruence ring is a component
+    count, so it loads no exactalg either; chern is the only subcommand that
+    does."""
     paths = {}
     for name, blob in (("spec", PLANE_SPEC), ("graph", CURVES_GRAPH)):
         paths[name] = tmp_path / f"{name}.json"
@@ -324,9 +387,9 @@ def test_ambient_runs_load_no_linear_algebra(tmp_path):
         loaded = set(loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
                                "with contextlib.redirect_stdout(io.StringIO()):\n"
                                f"    assert main({[str(a) for a in argv]!r}) == 0"))
-        forbidden = {"borelcurve.chern"}
+        forbidden = {"borelcurve.chern", "borelcurve.exactalg"}
         if subcommand != "principal":
-            forbidden |= {"borelcurve.exactalg", "borelcurve.gkm"}
+            forbidden.add("borelcurve.gkm")
         assert not forbidden & loaded, (subcommand, forbidden & loaded)
 
 

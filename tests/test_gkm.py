@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from borelcurve.curve import build_curve_ring, restrict
 from borelcurve.errors import InputError
-from borelcurve.exactalg import HomTuple
+from borelcurve.exactalg import HomTuple, nullspace
 from borelcurve.gkm import (GKMGraph, GKMRing, gkm_ordinary_betti,
                             principal_verdict)
 
@@ -161,6 +161,46 @@ def test_stabilization_degree_is_first_full_degree(case):
     ring = GKMRing(graph)
     first_full = next(d for d in range(graph.max_multiplicity + 2) if ring.dim(d) == ring.r)
     assert ring.stabilization_degree == first_full
+
+
+@st.composite
+def graphs(draw):
+    """A congruence graph on a subset of 1..12, multiplicities 1..6."""
+    vertices = draw(st.lists(st.integers(1, 12), min_size=1, unique=True))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 6)),
+                          unique_by=lambda e: e[0])) if pairs else []
+    return GKMGraph(tuple(vertices), tuple((i, j, m) for (i, j), m in edges))
+
+
+@given(graphs(), st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_gkm_slice_matches_nullspace_oracle(graph, d):
+    """Oracle: the component indicators are the canonical nullspace basis of
+    the edge-difference rows active at degree d, in the same order."""
+    ring = GKMRing(graph)
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    rows = []
+    for i, j, m in graph.edges:
+        if d < m:
+            row = [0] * ring.r
+            row[pos[i]], row[pos[j]] = 1, -1
+            rows.append(row)
+    expected = [HomTuple(d, vec) for vec in nullspace(rows, ring.r)]
+    assert ring.basis(d) == expected
+    assert ring.dim(d) == ring.hilbert(d)[d] == len(expected)
+    assert ring.dim(d) <= ring.dim(d + 1)  # so gkm_ordinary_betti is never negative
+    assert all(ring.contains(t) for t in expected)
+    by_hand = GKMGraph(graph.vertices, tuple(e for e in graph.edges if e[2] > d))
+    assert graph.connected_components(d) == by_hand.connected_components()
+    assert graph.connected_components() == graph.connected_components(0)
+
+
+def test_gkm_slice_rejects_negative_degree(curves_union_graph):
+    ring = GKMRing(curves_union_graph)
+    for method in (ring.basis, ring.dim):
+        with pytest.raises(InputError, match="non-negative"):
+            method(-1)
 
 
 def test_multiplicity_limit():
