@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .action import _as_list, _as_matrix
 from .curve import CurveRing, restrict
 from .errors import InputError, InternalError
-from .exactalg import GradedSubalgebra
-from .gkm import GKMGraph, GKMRing, PrincipalityVerdict, compare_hilberts
 from .rational import HomTuple, to_fraction, to_int
 from .record import Record
+
+if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
+    from .gkm import GKMGraph, PrincipalityVerdict
 
 Matrix = tuple[tuple, ...]
 
@@ -67,6 +68,8 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
 
     That relation makes rho_v nilpotent: [rho_w, rho_v^m] = 2m rho_v^m, so
     tr(rho_v^m) = 0 for all m >= 1, which over Q forces every eigenvalue to 0.
+    It is checked over int: with W = D_w rho_w and V = D_v rho_v integer
+    (D the lcm of the entry denominators), it reads WV - VW = 2 D_w V.
     """
     rank = int(rank)
     if rank < 0:
@@ -83,10 +86,14 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
         if isinstance(fibre, MatrixFibre):
             w = _as_matrix(fibre.rho_w, rank)
             v = _as_matrix(fibre.rho_v, rank)
+            dw, dv = _lcm_denominator(w), _lcm_denominator(v)
+            W = [[x.numerator * (dw // x.denominator) for x in row] for row in w]
+            V = [[x.numerator * (dv // x.denominator) for x in row] for row in v]
+            w_cols, v_cols = list(zip(*W)), list(zip(*V))
             for i in range(rank):
                 for j in range(rank):
-                    lhs = sum(w[i][t] * v[t][j] - v[i][t] * w[t][j] for t in range(rank))
-                    if lhs != 2 * v[i][j]:
+                    if (sum(map(mul, W[i], v_cols[j])) - sum(map(mul, V[i], w_cols[j]))
+                            != 2 * dw * V[i][j]):
                         raise InputError(f"fibre at {label} violates [rho_w, rho_v] = "
                                          "2 rho_v")
             fibre = MatrixFibre(w, v)
@@ -150,6 +157,14 @@ def elementary_symmetric(values: Sequence, k: int) -> Fraction:
     return _elementary_all(values)[k]
 
 
+def _lcm_denominator(m: Matrix) -> int:
+    """The lcm of the denominators of a rational matrix's entries (1 if empty)."""
+    d = 1
+    for q in {x.denominator for row in m for x in row}:
+        d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
+    return d
+
+
 def _exterior_traces(m: Matrix) -> list[Fraction]:
     """[e_0, ..., e_n] of the eigenvalues of a square rational matrix.
 
@@ -160,9 +175,7 @@ def _exterior_traces(m: Matrix) -> list[Fraction]:
     each division exact; then e_i = (-1)^i c_i / D^i.
     """
     n = len(m)
-    d = 1
-    for q in {x.denominator for row in m for x in row}:
-        d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
+    d = _lcm_denominator(m)
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
     out = [Fraction(1)]
     current, c = [row[:] for row in a], 0
@@ -248,6 +261,8 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
     ring's stabilization degree, which certifies the verdict (see
     PrincipalityVerdict); v is adjoined, so once a slice is Q^r no later one is built.
     """
+    from .exactalg import GradedSubalgebra
+    from .gkm import GKMRing, compare_hilberts
     ring = GKMRing(graph)
     r = len(graph.vertices)
     gens = []

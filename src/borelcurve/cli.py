@@ -16,9 +16,17 @@ from .errors import InputError, InternalError
 
 
 def _sha256(path: str) -> str:
-    import hashlib  # only runs that read input files need it
+    # Only runs that read input files need it.  The builtin module costs a
+    # tenth of `hashlib`, which loads OpenSSL's `_hashlib` first.
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python >= 3.12
+        except ImportError:
+            from hashlib import sha256
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        return sha256(handle.read()).hexdigest()
 
 
 def _load_json(path: str) -> dict:
@@ -163,17 +171,18 @@ def cmd_principal(args) -> dict:
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
-    verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
+    congruences = gkm.GKMRing(graph)  # its component counts serve both answers
+    verdict = gkm.principal_verdict(ring, graph, _max_degree(args), congruences)
     result = {
         "verdict": verdict.to_json(),
-        "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph),
+        "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph, ring=congruences),
     }
     return _report("principal", {"max_degree": args.max_degree},
                    {"spec": args.spec, "gkm": args.gkm}, result, verdict.bound)
 
 
 def cmd_chern(args) -> dict:
-    from . import action, chern, curve, gkm
+    from . import action, chern, curve
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     inputs = {"spec": args.spec}
@@ -198,6 +207,7 @@ def cmd_chern(args) -> dict:
     result: dict = {"bundles": per_bundle}
     bound = None
     if args.gkm is not None:
+        from . import gkm
         graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
         inputs["gkm"] = args.gkm
         generators = []

@@ -104,6 +104,7 @@ class GKMRing:
         self.graph = graph
         self.r = len(graph.vertices)
         self._pos = {v: i for i, v in enumerate(graph.vertices)}
+        self._dims: dict[int, int] = {}  # component counts, per degree asked
 
     def basis(self, d: int) -> list[HomTuple]:
         """Indicators of the components at degree d, in the order of their last vertex
@@ -114,10 +115,20 @@ class GKMRing:
     def dim(self, d: int) -> int:
         if d < 0:
             raise InputError("degree must be non-negative")
-        return len(self.graph.connected_components(d))
+        if d not in self._dims:
+            self._dims[d] = len(self.graph.connected_components(d))
+        return self._dims[d]
 
     def hilbert(self, max_degree: int) -> list[int]:
-        return [self.dim(d) for d in range(max_degree + 1)]
+        """dim(0..max_degree): the count changes only at the edge multiplicities,
+        so one count per multiplicity fills the run of degrees up to the next."""
+        cuts = sorted({0, *(m for _, _, m in self.graph.edges)})
+        out: list[int] = []
+        for start, stop in zip(cuts, cuts[1:] + [max_degree + 1]):
+            if start > max_degree:
+                break
+            out += [self.dim(start)] * (min(stop, max_degree + 1) - start)
+        return out
 
     def contains(self, t: HomTuple) -> bool:
         """Direct congruence check (no linear algebra needed)."""
@@ -135,14 +146,16 @@ class GKMRing:
         return self.graph.max_multiplicity
 
 
-def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[int]:
+def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None,
+                       ring: GKMRing | None = None) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
     Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
     applies per component and a warning is emitted.  None is negative: a
-    higher degree drops edges, so components only split.
+    higher degree drops edges, so components only split.  Pass the graph's
+    ring to reuse the component counts it already holds.
     """
-    ring = GKMRing(graph)
+    ring = GKMRing(graph) if ring is None else ring
     if not graph.is_connected():
         warnings.warn("graph is disconnected; Betti bookkeeping applies per connected "
                       "component", stacklevel=2)
@@ -204,20 +217,21 @@ def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,
                                tuple(image), tuple(gkm), notes)
 
 
-def principal_verdict(cr: CurveRing, graph: GKMGraph,
-                      max_degree: int | None = None) -> PrincipalityVerdict:
+def principal_verdict(cr: CurveRing, graph: GKMGraph, max_degree: int | None = None,
+                      ring: GKMRing | None = None) -> PrincipalityVerdict:
     """Decide whether the subvariety modeled by the graph is principal.
 
     The restriction image of the ambient ring equals the Chern-class
     subalgebra of the subvariety, so restriction is surjective exactly when
-    that image already fills the modeled congruence ring.
+    that image already fills the modeled congruence ring.  ring, if given, is
+    GKMRing(graph), shared with the caller.
     """
     r = cr.r
     if graph.vertices[0] < 1 or graph.vertices[-1] > r:
         raise InputError(f"vertex set mismatch: graph vertices must be fixed-point "
                          f"labels in 1..{r}")
     restricted = restrict(cr, graph.vertices)
-    ring = GKMRing(graph)
+    ring = GKMRing(graph) if ring is None else ring
     bound = ring.stabilization_degree if max_degree is None else int(max_degree)
     notes: tuple[str, ...] = ()
     if 1 not in graph.vertices:

@@ -237,6 +237,67 @@ def test_tangent_membership_all_k(n):
         assert chern_membership(tb, k, cr)
 
 
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def _satisfies_relation(w, v) -> bool:
+    """[rho_w, rho_v] = 2 rho_v by definition, entry by entry over Fraction."""
+    k = len(w)
+    return all(sum(w[i][t] * v[t][j] - v[i][t] * w[t][j] for t in range(k)) == 2 * v[i][j]
+               for i in range(k) for j in range(k))
+
+
+@st.composite
+def _fibre_pairs(draw):
+    """Random square rational pairs of rank 1-6, valid pairs, and valid pairs
+    with one entry moved.  A valid pair is built like the matrix-fibre tangent
+    bundle: rho_w diagonal with decreasing weights, rho_v nonzero only just
+    above the diagonal where neighbouring weights differ by 2, then both
+    conjugated by shears so every entry can fill in."""
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("random", "valid", "perturbed")))
+    square = st.lists(st.lists(_RATIONALS, min_size=k, max_size=k), min_size=k, max_size=k)
+    if kind == "random":
+        return frac_matrix(draw(square)), frac_matrix(draw(square))
+    weights = [draw(_RATIONALS)]
+    for step in draw(st.lists(st.sampled_from((2, 2, 2, 1, 3)), min_size=k - 1,
+                              max_size=k - 1)):
+        weights.append(weights[-1] - step)
+    w = [[weights[a] if a == b else Fraction(0) for b in range(k)] for a in range(k)]
+    v = [[draw(_RATIONALS) if b == a + 1 and weights[a] - weights[b] == 2 else Fraction(0)
+          for b in range(k)] for a in range(k)]
+    if k > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            p, q = draw(st.permutations(range(k)))[:2]
+            c = draw(_RATIONALS)
+            shear = [[Fraction(a == b) + (c if (a, b) == (p, q) else 0) for b in range(k)]
+                     for a in range(k)]
+            unshear = [[Fraction(a == b) - (c if (a, b) == (p, q) else 0) for b in range(k)]
+                       for a in range(k)]
+            w, v = _conjugate(w, shear, unshear), _conjugate(v, shear, unshear)
+    w, v = [list(row) for row in w], [list(row) for row in v]
+    if kind == "perturbed":
+        target = draw(st.sampled_from((w, v)))
+        target[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] += draw(
+            _RATIONALS.filter(bool))
+    return frac_matrix(w), frac_matrix(v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fibre_pairs())
+def test_integer_commutator_check_matches_fraction_definition(pair):
+    """make_bundle checks the relation over int after clearing denominators;
+    it accepts exactly the pairs the Fraction definition accepts."""
+    w, v = pair
+    try:
+        make_bundle(len(w), {1: MatrixFibre(w, v)})
+        accepted = True
+    except InputError as exc:
+        assert str(exc) == "fibre at 1 violates [rho_w, rho_v] = 2 rho_v"
+        accepted = False
+    assert accepted == _satisfies_relation(w, v)
+
+
 # ---------------------------------------------------------------------------
 # invariance properties
 

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import borelcurve
-from borelcurve.cli import main
+from borelcurve.cli import _sha256, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -355,6 +357,21 @@ def loaded_by(code: str) -> list[str]:
     return json.loads(out.splitlines()[-1])
 
 
+def loaded_by_run(argv) -> set[str]:
+    """Modules a fresh interpreter loads while `main(argv)` runs (and succeeds)."""
+    return set(loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    assert main({[str(a) for a in argv]!r}) == 0"))
+
+
+def write_plane_inputs(tmp_path) -> dict:
+    paths = {}
+    for name, blob in (("spec", PLANE_SPEC), ("graph", CURVES_GRAPH)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(blob))
+    return paths
+
+
 def test_importing_the_cli_loads_no_math_module():
     loaded = loaded_by("import borelcurve.cli")
     assert "dataclasses" not in loaded and "inspect" not in loaded
@@ -374,23 +391,66 @@ def test_poincare_run_loads_only_root_systems():
 def test_ambient_runs_load_no_linear_algebra(tmp_path):
     """action and curve runs read the curve ring in closed form: no exactalg,
     gkm or chern.  principal needs gkm, whose congruence ring is a component
-    count, so it loads no exactalg either; chern is the only subcommand that
-    does."""
-    paths = {}
-    for name, blob in (("spec", PLANE_SPEC), ("graph", CURVES_GRAPH)):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(blob))
+    count, so it loads no exactalg either; only chern --gkm does."""
+    paths = write_plane_inputs(tmp_path)
     runs = {"action": ["action", "curve", "--spec", paths["spec"]],
             "curve": ["curve", "ideal", "--spec", paths["spec"], "--components", "2"],
             "principal": ["principal", "--spec", paths["spec"], "--gkm", paths["graph"]]}
     for subcommand, argv in runs.items():
-        loaded = set(loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
-                               "with contextlib.redirect_stdout(io.StringIO()):\n"
-                               f"    assert main({[str(a) for a in argv]!r}) == 0"))
+        loaded = loaded_by_run(argv)
         forbidden = {"borelcurve.chern", "borelcurve.exactalg"}
         if subcommand != "principal":
             forbidden.add("borelcurve.gkm")
         assert not forbidden & loaded, (subcommand, forbidden & loaded)
+
+
+def test_chern_without_gkm_loads_no_congruence_ring(tmp_path):
+    """Membership reads the closed-form curve ring; only --gkm needs the
+    congruence ring and the generated subalgebra."""
+    paths = write_plane_inputs(tmp_path)
+    loaded = loaded_by_run(["chern", "--spec", paths["spec"], "--bundle", "tangent",
+                            "--test-membership"])
+    assert "borelcurve.chern" in loaded
+    assert not {"borelcurve.exactalg", "borelcurve.gkm"} & loaded
+
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))
+
+
+def test_no_run_loads_the_oracles_or_openssl(tmp_path):
+    """The oracles are for tests only, and the input digests come from the
+    builtin sha256 module (when the interpreter has one), not through
+    hashlib, which loads OpenSSL's _hashlib first."""
+    paths = write_plane_inputs(tmp_path)
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    runs = [["poincare", "--family", "B", "--rank", "3"],
+            ["action", "validate", "--spec", spec],
+            ["action", "curve", "--spec", spec],
+            ["curve", "ring", "--spec", spec],
+            ["principal", "--spec", spec, "--gkm", graph],
+            ["chern", "--spec", spec, "--bundle", "tangent", "--test-membership",
+             "--gkm", graph]]
+    for argv in runs:
+        loaded = loaded_by_run(argv)
+        assert "borelcurve.oracles" not in loaded, argv
+        if BUILTIN_SHA256:
+            assert not {"hashlib", "_hashlib"} & loaded, argv
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+def test_input_digest_matches_hashlib(tmp_path, monkeypatch, builtin):
+    """Both branches of cli._sha256 give hashlib's digest; hiding the builtin
+    modules forces the hashlib fallback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(bytes(range(256)) * 33)
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(1) or real(data))
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert _sha256(str(path)) == expected
+    assert len(calls) == (0 if builtin and BUILTIN_SHA256 else 1)
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
