@@ -171,11 +171,10 @@ def cmd_principal(args) -> dict:
     model = action.model_from_json(_load_json(args.spec))
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
-    congruences = gkm.GKMRing(graph)  # its component counts serve both answers
-    verdict = gkm.principal_verdict(ring, graph, _max_degree(args), congruences)
+    verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
     result = {
         "verdict": verdict.to_json(),
-        "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph, ring=congruences),
+        "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph),
     }
     return _report("principal", {"max_degree": args.max_degree},
                    {"spec": args.spec, "gkm": args.gkm}, result, verdict.bound)

@@ -104,7 +104,6 @@ class GKMRing:
         self.graph = graph
         self.r = len(graph.vertices)
         self._pos = {v: i for i, v in enumerate(graph.vertices)}
-        self._dims: dict[int, int] = {}  # component counts, per degree asked
 
     def basis(self, d: int) -> list[HomTuple]:
         """Indicators of the components at degree d, in the order of their last vertex
@@ -115,9 +114,7 @@ class GKMRing:
     def dim(self, d: int) -> int:
         if d < 0:
             raise InputError("degree must be non-negative")
-        if d not in self._dims:
-            self._dims[d] = len(self.graph.connected_components(d))
-        return self._dims[d]
+        return len(self.graph.connected_components(d))
 
     def hilbert(self, max_degree: int) -> list[int]:
         """dim(0..max_degree): the count changes only at the edge multiplicities,
@@ -146,16 +143,14 @@ class GKMRing:
         return self.graph.max_multiplicity
 
 
-def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None,
-                       ring: GKMRing | None = None) -> list[int]:
+def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
     Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
     applies per component and a warning is emitted.  None is negative: a
-    higher degree drops edges, so components only split.  Pass the graph's
-    ring to reuse the component counts it already holds.
+    higher degree drops edges, so components only split.
     """
-    ring = GKMRing(graph) if ring is None else ring
+    ring = GKMRing(graph)
     if not graph.is_connected():
         warnings.warn("graph is disconnected; Betti bookkeeping applies per connected "
                       "component", stacklevel=2)
@@ -217,21 +212,20 @@ def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,
                                tuple(image), tuple(gkm), notes)
 
 
-def principal_verdict(cr: CurveRing, graph: GKMGraph, max_degree: int | None = None,
-                      ring: GKMRing | None = None) -> PrincipalityVerdict:
+def principal_verdict(cr: CurveRing, graph: GKMGraph,
+                      max_degree: int | None = None) -> PrincipalityVerdict:
     """Decide whether the subvariety modeled by the graph is principal.
 
     The restriction image of the ambient ring equals the Chern-class
     subalgebra of the subvariety, so restriction is surjective exactly when
-    that image already fills the modeled congruence ring.  ring, if given, is
-    GKMRing(graph), shared with the caller.
+    that image already fills the modeled congruence ring.
     """
     r = cr.r
     if graph.vertices[0] < 1 or graph.vertices[-1] > r:
         raise InputError(f"vertex set mismatch: graph vertices must be fixed-point "
                          f"labels in 1..{r}")
     restricted = restrict(cr, graph.vertices)
-    ring = GKMRing(graph) if ring is None else ring
+    ring = GKMRing(graph)
     bound = ring.stabilization_degree if max_degree is None else int(max_degree)
     notes: tuple[str, ...] = ()
     if 1 not in graph.vertices:

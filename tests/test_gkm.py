@@ -189,6 +189,8 @@ def test_gkm_slice_matches_nullspace_oracle(graph, d):
     expected = [HomTuple(d, vec) for vec in nullspace(rows, ring.r)]
     assert ring.basis(d) == expected
     assert ring.dim(d) == ring.hilbert(d)[d] == len(expected)
+    assert GKMRing(graph).hilbert(d) == [
+        len(graph.connected_components(e)) for e in range(d + 1)]
     assert ring.dim(d) <= ring.dim(d + 1)  # so gkm_ordinary_betti is never negative
     assert all(ring.contains(t) for t in expected)
     by_hand = GKMGraph(graph.vertices, tuple(e for e in graph.edges if e[2] > d))
