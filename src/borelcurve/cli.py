@@ -8,9 +8,10 @@ runs on identical inputs produce identical bytes.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import warnings
+from types import SimpleNamespace
 
 from .errors import InputError, InternalError
 
@@ -172,10 +173,12 @@ def cmd_principal(args) -> dict:
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
     verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
-    result = {
-        "verdict": verdict.to_json(),
-        "gkm_ordinary_betti": gkm.gkm_ordinary_betti(graph),
-    }
+    with warnings.catch_warnings(record=True) as caught:  # reported as JSON lines
+        warnings.simplefilter("always")
+        betti = gkm.gkm_ordinary_betti(graph)
+    for warning in caught:
+        print(json.dumps({"warning": str(warning.message)}, sort_keys=True), file=sys.stderr)
+    result = {"verdict": verdict.to_json(), "gkm_ordinary_betti": betti}
     return _report("principal", {"max_degree": args.max_degree},
                    {"spec": args.spec, "gkm": args.gkm}, result, verdict.bound)
 
@@ -248,69 +251,161 @@ def _render(report: dict, table: bool) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line like any other bad input: one JSON
-    error line on stderr and exit code 2 (help still prints and exits 0)."""
-
-    def error(self, message):
-        raise InputError(message)
+# ---------------------------------------------------------------------------
+# the command line: one grammar, read by a quick parser and by argparse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _option(name: str, kind, help: str | None = None, required: bool = False,
+            default=None) -> tuple:
+    """One option: kind is str, int, bool (a flag), list (repeatable str) or
+    a tuple of choices."""
+    if kind is bool:
+        default = False
+    return name, name[2:].replace("-", "_"), kind, help, required, default
+
+
+# Every subcommand takes --table first, then its positional, then its options;
+# argparse lists missing arguments in that order.
+_COMMON = (_option("--table", bool, "flat key = value output instead of JSON"),)
+
+# subcommand: (function, help, choices of its one positional or None, options)
+GRAMMAR = {
+    "poincare": (cmd_poincare, "Kostant-Macdonald Poincare polynomials", None, (
+        _option("--family", ("A", "B", "C", "D", "G2", "F4")),
+        _option("--rank", int),
+        _option("--degrees", str, "comma-separated positive degrees, e.g. 1,2,3"),
+    )),
+    "action": (cmd_action, "validate a model and list fixed points / curve "
+               "parametrizations", ("validate", "fixed-points", "curve"), (
+        _option("--spec", str, "action spec JSON", required=True),
+    )),
+    "curve": (cmd_curve, "curve ring, Betti numbers, restrictions and ideals",
+              ("ring", "betti", "restrict", "ideal"), (
+        _option("--spec", str, required=True),
+        _option("--components", str, "comma-separated fixed-point labels, e.g. 2,3"),
+        _option("--max-degree", int),
+    )),
+    "principal": (cmd_principal, "decide surjectivity of the restriction map", None, (
+        _option("--spec", str, required=True),
+        _option("--gkm", str, "congruence graph JSON", required=True),
+        _option("--max-degree", int),
+    )),
+    "chern": (cmd_chern, "equivariant Chern class tuples and generation tests", None, (
+        _option("--spec", str, required=True),
+        _option("--bundle", list, "bundle spec JSON, or 'tangent' (repeatable)"),
+        _option("--k", int, default=1),
+        _option("--test-membership", bool),
+        _option("--gkm", str, "congruence graph JSON; compare the subalgebra "
+                "generated by all Chern classes of the given bundles"),
+        _option("--max-degree", int),
+    )),
+}
+
+
+def _quick_parse(argv):
+    """The namespace argparse would return for a plain command line, or None.
+
+    Plain: the subcommand comes first; option names are spelled in full, as
+    `--name value` or `--name=value`; no value starts with "-"; there is at
+    most one positional and it is one of its choices; every int value parses;
+    every required option is given.  Everything else (help, prefixes, "--",
+    negative values, every malformed line) is left to argparse, the one
+    source of help and error text.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    func, _, choices, options = GRAMMAR[argv[0]]
+    by_name = {option[0]: option for option in _COMMON + options}
+    values = {dest: default for _, dest, _, _, _, default in by_name.values()}
+    values.update(subcommand=argv[0], func=func)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if choices is None or "what" in values or token not in choices:
+                return None
+            values["what"] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in by_name:
+            return None
+        _, dest, kind, _, _, _ = by_name[name]
+        given.add(name)
+        if kind is bool:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is list:
+            value = (values[dest] or []) + [value]
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if choices is not None and "what" not in values:
+        return None
+    if any(required and name not in given
+           for name, _, _, _, required, _ in by_name.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a malformed command line like any other bad input: one JSON
+        error line on stderr and exit code 2 (help still prints and exits 0)."""
+
+        def error(self, message):
+            raise InputError(message)
+
     parser = _Parser(
         prog="borelcurve",
         description="Exact equivariant cohomology of regular Borel actions on "
                     "projective space, via the fixed-point curve.")
-    common = _Parser(add_help=False)
-    common.add_argument("--table", action="store_true",
-                        help="flat key = value output instead of JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("poincare", parents=[common],
-                       help="Kostant-Macdonald Poincare polynomials")
-    p.add_argument("--family", choices=["A", "B", "C", "D", "G2", "F4"])
-    p.add_argument("--rank", type=int)
-    p.add_argument("--degrees", help="comma-separated positive degrees, e.g. 1,2,3")
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("action", parents=[common], help="validate a model and "
-                       "list fixed points / curve parametrizations")
-    p.add_argument("what", choices=["validate", "fixed-points", "curve"])
-    p.add_argument("--spec", required=True, help="action spec JSON")
-    p.set_defaults(func=cmd_action)
-
-    p = sub.add_parser("curve", parents=[common], help="curve ring, Betti numbers, "
-                       "restrictions and ideals")
-    p.add_argument("what", choices=["ring", "betti", "restrict", "ideal"])
-    p.add_argument("--spec", required=True)
-    p.add_argument("--components", help="comma-separated fixed-point labels, e.g. 2,3")
-    p.add_argument("--max-degree", type=int)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("principal", parents=[common],
-                       help="decide surjectivity of the restriction map")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--gkm", required=True, help="congruence graph JSON")
-    p.add_argument("--max-degree", type=int)
-    p.set_defaults(func=cmd_principal)
-
-    p = sub.add_parser("chern", parents=[common],
-                       help="equivariant Chern class tuples and generation tests")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--bundle", action="append",
-                   help="bundle spec JSON, or 'tangent' (repeatable)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--test-membership", action="store_true")
-    p.add_argument("--gkm", help="congruence graph JSON; compare the subalgebra "
-                   "generated by all Chern classes of the given bundles")
-    p.add_argument("--max-degree", type=int)
-    p.set_defaults(func=cmd_chern)
+    for command, (func, summary, choices, options) in GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        _add_options(p, _COMMON)
+        if choices is not None:
+            p.add_argument("what", choices=choices)
+        _add_options(p, options)
+        p.set_defaults(func=func)
     return parser
 
 
+def _add_options(parser, options) -> None:
+    for name, _, kind, text, required, default in options:
+        kwargs = {"help": text, "required": required, "default": default}
+        if kind is bool:
+            kwargs["action"] = "store_true"
+        elif kind is list:
+            kwargs["action"] = "append"
+        elif isinstance(kind, tuple):
+            kwargs["choices"] = kind
+        else:
+            kwargs["type"] = kind
+        parser.add_argument(name, **kwargs)
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _quick_parse(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         report = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

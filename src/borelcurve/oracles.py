@@ -3,7 +3,9 @@
 check_fixed_point_return tests points of the curve against the unipotent
 flow, and sl2_family_checks verifies the 2x2 identities behind the family of
 conjugated tori.  Both stay importable from `borelcurve.action`, which
-re-exports them on first access (PEP 562).
+re-exports them on first access (PEP 562).  weyl_length_genfun enumerates
+the Weyl group to recount the Kostant-Macdonald polynomial; it and its guard
+stay importable from `borelcurve.rootsystems` the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from fractions import Fraction
 from .action import ActionModel, component_parametrization
 from .errors import InputError, InternalError
 from .rational import Poly, to_fraction
+from .rootsystems import PoincarePoly, positive_roots, weyl_order
+
+WEYL_ENUMERATION_GUARD = 10**6
 
 
 def _mat_vec(a, x):
@@ -209,3 +214,45 @@ def sl2_family_checks() -> dict[str, str]:
         raise InternalError("s(0) != -2N")
     report["s_at_zero_in_unipotent_lie_algebra"] = "ok"
     return report
+
+
+# ---------------------------------------------------------------------------
+# Weyl-group enumeration, the oracle for the Kostant-Macdonald product
+
+
+def weyl_length_genfun(family: str, rank: int) -> PoincarePoly:
+    """Length generating function of the Weyl group by brute-force enumeration.
+
+    The group is generated by the simple reflections acting on the realization;
+    elements are identified with their image of the (regular) sum of positive
+    roots, and breadth-first levels count elements by length.
+    """
+    rs = positive_roots(family, rank)
+    order = weyl_order(family, rank)
+    if order > WEYL_ENUMERATION_GUARD:
+        raise InputError(f"Weyl group of order {order} exceeds the enumeration "
+                         f"guard {WEYL_ENUMERATION_GUARD}")
+    simples = rs.simple_roots
+    norms = [sum(c * c for c in s) for s in simples]
+    start = tuple(sum(root[i] for root in rs.positive_roots) for i in range(len(simples[0])))
+    seen = {start}
+    frontier = [start]
+    counts = [1]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, ns in zip(simples, norms):
+                c, rem = divmod(2 * sum(a * b for a, b in zip(x, s)), ns)
+                if rem:
+                    raise InternalError(f"2(x, s)/(s, s) is not an integer for x = {x}, "
+                                        f"s = {s}")
+                y = tuple(a - c * b for a, b in zip(x, s))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if nxt:
+            counts.append(len(nxt))
+        frontier = nxt
+    if len(seen) != order:
+        raise InternalError("Weyl enumeration produced the wrong group order")
+    return PoincarePoly(tuple(counts))

@@ -15,7 +15,8 @@ heights,
 
 with exact polynomial division.  weyl_length_genfun recomputes the same
 polynomial by breadth-first enumeration of the Weyl group acting on a regular
-vector, and serves as an independent oracle.  Everything here is integer
+vector, and serves as an independent oracle; it lives in `oracles` and is
+re-exported here on first access (PEP 562).  Everything here is integer
 arithmetic.
 """
 
@@ -27,7 +28,6 @@ from .errors import InputError, InternalError
 from .record import Record
 
 MAX_RANK = 8
-WEYL_ENUMERATION_GUARD = 10**6
 
 # Largest total degree sum(d) accepted by poincare_from_degrees.  The product
 # formula works on lists of sum(d + 1) integers in O(len(d) * sum(d)) steps,
@@ -286,39 +286,11 @@ def poincare_from_degrees(degrees) -> PoincarePoly:
     return PoincarePoly(tuple(coeffs))
 
 
-def weyl_length_genfun(family: str, rank: int) -> PoincarePoly:
-    """Length generating function of the Weyl group by brute-force enumeration.
+_ORACLES = ("WEYL_ENUMERATION_GUARD", "weyl_length_genfun")
 
-    The group is generated by the simple reflections acting on the realization;
-    elements are identified with their image of the (regular) sum of positive
-    roots, and breadth-first levels count elements by length.
-    """
-    rs = positive_roots(family, rank)
-    order = weyl_order(family, rank)
-    if order > WEYL_ENUMERATION_GUARD:
-        raise InputError(f"Weyl group of order {order} exceeds the enumeration "
-                         f"guard {WEYL_ENUMERATION_GUARD}")
-    simples = rs.simple_roots
-    norms = [sum(c * c for c in s) for s in simples]
-    start = tuple(sum(root[i] for root in rs.positive_roots) for i in range(len(simples[0])))
-    seen = {start}
-    frontier = [start]
-    counts = [1]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, ns in zip(simples, norms):
-                c, rem = divmod(2 * sum(a * b for a, b in zip(x, s)), ns)
-                if rem:
-                    raise InternalError(f"2(x, s)/(s, s) is not an integer for x = {x}, "
-                                        f"s = {s}")
-                y = tuple(a - c * b for a, b in zip(x, s))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if nxt:
-            counts.append(len(nxt))
-        frontier = nxt
-    if len(seen) != order:
-        raise InternalError("Weyl enumeration produced the wrong group order")
-    return PoincarePoly(tuple(counts))
+
+def __getattr__(name):
+    if name in _ORACLES:  # loaded on first use, so no CLI run compiles them
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import borelcurve
-from borelcurve.cli import _sha256, main
+from borelcurve import cli
+from borelcurve.cli import _COMMON, GRAMMAR, _build_parser, _quick_parse, _sha256, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -326,6 +329,118 @@ def test_table_renderer(capsys, specs):
     assert "exact_arithmetic = True" in out
 
 
+def test_disconnected_graph_warns_with_one_json_line(tmp_path):
+    """The warning is one JSON line on stderr, whatever the interpreter's
+    warning filters, and stdout is the report alone."""
+    spec, graph = tmp_path / "plane.json", tmp_path / "graph.json"
+    spec.write_text(json.dumps(PLANE_SPEC))
+    graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2, 1]]}))
+    from borelcurve.gkm import GKMGraph, gkm_ordinary_betti
+    with pytest.warns(UserWarning):
+        betti = gkm_ordinary_betti(GKMGraph.from_json(json.loads(graph.read_text())))
+    outs = []
+    for flags in ([], ["-W", "error"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "borelcurve.cli", "principal",
+                               "--spec", str(spec), "--gkm", str(graph)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0
+        assert proc.stderr == ('{"warning": "graph is disconnected; Betti bookkeeping '
+                               'applies per connected component"}\n')
+        assert json.loads(proc.stdout)["result"]["gkm_ordinary_betti"] == betti
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the quick parser agrees with argparse wherever it answers
+
+
+def parse_with_argparse(argv) -> dict:
+    return vars(_build_parser().parse_args(argv))
+
+
+PLAIN_LINES = [
+    ["poincare", "--family", "A", "--rank", "2"],
+    ["poincare", "--degrees=1,2,3", "--table"],
+    ["poincare", "--rank", " 3", "--rank", "1_0", "--family=G2"],
+    ["action", "--spec", "x.json", "curve"],
+    ["curve", "ideal", "--spec=", "--components", "2,3", "--max-degree", "\u0663"],
+    ["principal", "--gkm", "g", "--spec", "s", "--table", "--table"],
+    ["chern", "--spec", "s", "--bundle", "tangent", "--bundle=b.json", "--k", "0",
+     "--test-membership", "--gkm", "g", "--max-degree", "7"],
+]
+
+REFUSED_LINES = [
+    [], ["-h"], ["curve", "-h"], ["chern", "--help"], ["poincare", "--fam", "A"],
+    ["curve", "ring", "--spec", "s", "--max", "2"], ["poincare", "--", "--rank", "2"],
+    ["curve", "ring", "--spec", "s", "--max-degree", "-2"], ["poincare", "--degrees", "-"],
+    ["curve", "ring"], ["curve", "--spec", "s"], ["curve", "ring", "ring", "--spec", "s"],
+    ["poincare", "extra"], ["poincare", "--family", "E8"], ["poincare", "--rank", "2x"],
+    ["poincare", "--table=1"], ["poincare", "--rank"], ["principal", "--spec", "s"],
+    ["--table", "poincare"], ["bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_LINES)
+def test_quick_parser_takes_plain_lines(argv):
+    args = _quick_parse(argv)
+    assert args is not None
+    assert vars(args) == parse_with_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", REFUSED_LINES)
+def test_quick_parser_leaves_the_rest_to_argparse(argv):
+    assert _quick_parse(argv) is None
+
+
+NOISE = ["--", "-", "-h", "--help", "", "-2", " 3", "1_0", "\u0663", "x"]
+
+
+def option_values(kind):
+    """Mostly values the option takes, sometimes noise."""
+    if kind is int:
+        plain = ["0", "2", "1001", " 3", "1_0", "\u0663", "2x"]
+    elif isinstance(kind, tuple):
+        plain = [*kind, "E8"]
+    else:
+        plain = ["x.json", "tangent", "1,2", ""]
+    return st.sampled_from(plain * 3 + NOISE)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand (or noise), then options of that subcommand: repeated or
+    missing, spelled `--name value`, `--name=value` or as a prefix, with its
+    positional and noise mixed in."""
+    command = draw(st.sampled_from([*GRAMMAR, "bogus", "-h"]))
+    _, _, choices, options = GRAMMAR.get(command, (None, None, None, ()))
+    pieces = []
+    for name, _, kind, _, required, _ in _COMMON + options:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2] if required else [0, 0, 1, 2]))):
+            spelling = draw(st.sampled_from(["space", "equals"] * 3 + ["prefix"]))
+            spelled = name[:-1] if spelling == "prefix" else name
+            if kind is bool:
+                pieces.append([spelled] if spelling == "space" else [f"{spelled}=1"])
+            elif spelling == "equals":
+                pieces.append([f"{spelled}={draw(option_values(kind))}"])
+            else:
+                pieces.append([spelled, draw(option_values(kind))])
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])) if choices else 0):
+        pieces.append([draw(st.sampled_from(choices))])
+    pieces += [[draw(st.sampled_from(NOISE))] for _ in range(draw(st.sampled_from([0, 0, 1])))]
+    pieces = draw(st.permutations(pieces))
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_quick_parser_matches_argparse(argv):
+    args = _quick_parse(argv)
+    if args is not None:
+        assert vars(args) == parse_with_argparse(argv)
+
+
 # ---------------------------------------------------------------------------
 # start-up cost: what a CLI process loads
 
@@ -377,6 +492,44 @@ def test_importing_the_cli_loads_no_math_module():
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert [m for m in loaded if m.startswith("borelcurve")] == [
         "borelcurve", "borelcurve.cli", "borelcurve.errors"]
+
+
+STARTUP_ONLY = {"argparse", "gettext", "locale"}
+
+
+def test_plain_runs_never_load_argparse(tmp_path):
+    """argparse, and the gettext and locale it loads, are for help and
+    errors; importing the CLI and a well-formed run of each subcommand take
+    the quick parser."""
+    assert not STARTUP_ONLY & set(loaded_by("import borelcurve.cli"))
+    paths = write_plane_inputs(tmp_path)
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    for argv in (["poincare", "--family", "A", "--rank", "2"],
+                 ["action", "validate", "--spec", spec],
+                 ["curve", "ring", "--spec", spec, "--max-degree", "3"],
+                 ["principal", "--spec", spec, "--gkm", graph, "--table"],
+                 ["chern", "--spec", spec, "--bundle", "tangent", "--k=1", "--gkm", graph]):
+        assert not STARTUP_ONLY & loaded_by_run(argv), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["chern", "--help"]])
+def test_help_falls_back_to_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: borelcurve {' '.join(argv[:-1])}".rstrip() + " [-h]")
+
+
+def test_console_entry_reads_sys_argv_on_the_quick_path(capsys, monkeypatch):
+    def no_argparse():
+        raise AssertionError("a plain command line reached argparse")
+
+    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    monkeypatch.setattr(sys, "argv", ["borelcurve", "poincare", "--family", "A",
+                                      "--rank", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"]["poly"] == [1, 2, 2, 1]
 
 
 def test_poincare_run_loads_only_root_systems():

@@ -177,6 +177,14 @@ def test_enumeration_guard():
         weyl_length_genfun("B", 8)
 
 
+def test_weyl_oracle_is_reexported_from_oracles():
+    from borelcurve import oracles, rootsystems
+    assert rootsystems.weyl_length_genfun is oracles.weyl_length_genfun
+    assert rootsystems.WEYL_ENUMERATION_GUARD == oracles.WEYL_ENUMERATION_GUARD == 10**6
+    with pytest.raises(AttributeError):
+        rootsystems.no_such_name
+
+
 def test_poincare_poly_invariants_enforced():
     with pytest.raises(Exception):
         PoincarePoly((1, 2, 3))  # not palindromic
