@@ -8,6 +8,7 @@ runs on identical inputs produce identical bytes.  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import warnings
@@ -417,5 +418,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry (console script and `python -m`): exit with main's code.
+
+    Before it exits, `gc.freeze()` moves every object still alive (the loaded
+    modules, classes and functions) into the permanent generation, which the
+    interpreter's shutdown collections skip; streams are still flushed and
+    atexit handlers still run.  `main` itself leaves the collector alone, as
+    tests and the benchmark's tracer call it many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -119,6 +119,8 @@ class GKMRing:
     def hilbert(self, max_degree: int) -> list[int]:
         """dim(0..max_degree): the count changes only at the edge multiplicities,
         so one count per multiplicity fills the run of degrees up to the next."""
+        if max_degree < 0:
+            raise InputError("degree bound must be non-negative")
         cuts = sorted({0, *(m for _, _, m in self.graph.edges)})
         out: list[int] = []
         for start, stop in zip(cuts, cuts[1:] + [max_degree + 1]):

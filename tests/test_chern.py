@@ -405,6 +405,13 @@ def test_verdict_rejects_congruence_violation(curves_union_graph):
         chern_subalgebra_verdict([HomTuple(0, (1, 0, 0))], curves_union_graph)
 
 
+def test_verdict_rejects_negative_bound(curves_union_graph):
+    gens = [HomTuple(1, (1, -1, -1))]
+    with pytest.raises(InputError, match="degree bound must be non-negative"):
+        chern_subalgebra_verdict(gens, curves_union_graph, -1)
+    assert chern_subalgebra_verdict(gens, curves_union_graph, 0).image_hilbert == (1,)
+
+
 @given(regular_models(max_n=4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_default_chern_verdict_matches_former_truncation(model, data):

@@ -1,10 +1,14 @@
+import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,8 @@ import borelcurve
 from borelcurve import cli
 from borelcurve.cli import _COMMON, GRAMMAR, _build_parser, _quick_parse, _sha256, main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PLANE_SPEC = {"n": 2, "h_weights": [2, 0, -2],
               "e_matrix": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]}
@@ -623,3 +628,137 @@ def test_export_list_is_pinned():
     assert borelcurve.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         borelcurve.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# the exit path: a process freezes the collector before it exits, main does not
+
+
+def test_main_leaves_the_collector_alone(capsys, specs):
+    """Tests and the benchmark's tracer call main many times in one process."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["curve", "ring", "--spec", specs["plane"]]) == 0
+    assert main(["curve", "ring", "--spec", specs["plane"], "--max-degree", "-1"]) == 2
+    assert main(["curve"]) == 2
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("argv", [["poincare", "--family", "A", "--rank", "2"],
+                                  ["poincare", "--family", "E8", "--rank", "8"]])
+def test_module_entry_freezes_the_collector_and_keeps_the_exit_code(capsys, monkeypatch,
+                                                                    argv):
+    expected = main(argv)
+    expected_out = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["borelcurve", *argv])
+    try:
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("ignore", RuntimeWarning)  # cli is already imported
+            runpy.run_module("borelcurve.cli", run_name="__main__")
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert frozen > 0
+    assert exc.value.code == expected
+    assert capsys.readouterr() == expected_out
+
+
+def test_console_entry_is_the_module_entry():
+    """pyproject's console script and `python -m borelcurve.cli` run one function."""
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    name, _, target = scripts.splitlines()[0].partition(" = ")
+    module, _, function = target.strip('"').partition(":")
+    assert (name, module) == ("borelcurve", "borelcurve.cli")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(statement) for statement in body] for body in blocks] == [
+        [f"{function}()"]]
+    assert callable(getattr(cli, function))
+
+
+def load_bench_jobs():
+    """bench/jobs.py, imported as it stands (bench/ is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def run_process(argv, flags=()) -> tuple:
+    """A fresh process with buffered streams, so output lost at exit shows."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, *flags, "-m", "borelcurve.cli", *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+def run_in_process(capsys, argv, warning_filter=None) -> tuple:
+    with warnings.catch_warnings():
+        if warning_filter:
+            warnings.simplefilter(warning_filter)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_process_output_is_the_in_process_output(capsys, monkeypatch, tmp_path):
+    """stdout, stderr and exit code of a process equal main's, on one job of
+    each kind the benchmark runs (seed 3), help, an argparse error and the
+    disconnected-graph warning under -W error."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    jobs = load_bench_jobs()
+    first = {}
+    for workload in jobs.WORKLOADS:
+        for job in jobs.build(workload, 3, tmp_path / workload):
+            first.setdefault(job.kind, job.argv)
+    assert len(first) == 13
+    spec, graph = tmp_path / "plane.json", tmp_path / "graph.json"
+    spec.write_text(json.dumps(PLANE_SPEC))
+    graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2, 1]]}))
+    cases = [(argv, (), None) for argv in first.values()] + [
+        (["-h"], (), None),
+        (["poincare", "--family", "E8", "--rank", "8"], (), None),
+        (["principal", "--spec", str(spec), "--gkm", str(graph)], ("-W", "error"), "error")]
+    codes = set()
+    for argv, flags, warning_filter in cases:
+        process = run_process(argv, flags)
+        assert process == run_in_process(capsys, argv, warning_filter), argv
+        codes.add(process[0])
+    assert codes == {0, 2}
+
+
+RESOURCE_RUNS = [
+    ["poincare", "--degrees", "1,2,3"],
+    ["action", "curve", "--spec", "{plane}"],
+    ["curve", "ideal", "--spec", "{plane}", "--components", "2"],
+    ["principal", "--spec", "{plane}", "--gkm", "{graph}"],
+    ["chern", "--spec", "{plane}", "--bundle", "{bundle_a}", "--bundle", "tangent",
+     "--test-membership", "--gkm", "{graph}"],
+    ["chern", "--spec", "{plane}", "--bundle", "{missing}"],
+    ["principal", "--spec", "{plane}", "--gkm", "{bad_json}"],
+]
+
+
+@pytest.mark.parametrize("argv", RESOURCE_RUNS, ids=lambda argv: argv[0])
+def test_no_run_leaves_a_file_open(capsys, specs, tmp_path, argv):
+    """A frozen exit never collects what a run leaves behind, so a run must
+    close every file it opens; an unclosed one raises ResourceWarning."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{")
+    paths = dict(specs, missing=str(tmp_path / "missing.json"), bad_json=str(bad_json))
+    argv = [a.format(**paths) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        main(argv)
+        gc.collect()
+    capsys.readouterr()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -205,6 +205,19 @@ def test_gkm_slice_rejects_negative_degree(curves_union_graph):
             method(-1)
 
 
+def test_negative_degree_bound_is_an_input_error(plane_ring, curves_union_graph):
+    """Every Hilbert function refuses a negative bound alike, so the Betti
+    numbers built on the congruence ring's raise InputError, not IndexError."""
+    with pytest.raises(InputError, match="degree bound must be non-negative"):
+        GKMRing(curves_union_graph).hilbert(-1)
+    with pytest.raises(InputError, match="degree bound must be non-negative"):
+        plane_ring.algebra.hilbert_function(-1)
+    with pytest.raises(InputError, match="degree bound must be non-negative"):
+        gkm_ordinary_betti(curves_union_graph, -1)
+    assert GKMRing(curves_union_graph).hilbert(0) == [1]
+    assert gkm_ordinary_betti(curves_union_graph, 0) == [1]
+
+
 def test_multiplicity_limit():
     assert GKMGraph((1, 2), ((1, 2, 1000),)).max_multiplicity == 1000
     with pytest.raises(InputError, match="<= 1000"):
