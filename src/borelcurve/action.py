@@ -59,6 +59,15 @@ class CurveComponent(Record):
     degrees: tuple[int, ...]
     homog_coords: tuple[Poly, ...]
 
+    def to_json(self) -> dict:
+        return {
+            "index": self.index,
+            "degrees": list(self.degrees),
+            "chart_coords": [[format_fraction(c) for c in p.coeffs] for p in self.chart_coords],
+            "homogeneous_coords": [[format_fraction(c) for c in p.coeffs]
+                                   for p in self.homog_coords],
+        }
+
 
 def _mat_mul(a, b):
     n, m, k = len(a), len(b[0]), len(b)

@@ -1,0 +1,21 @@
+"""`borelcurve action`: validate a model, its fixed points, its curve."""
+
+from . import action
+from .cmd_common import _load_json, _report
+
+
+def run(args) -> dict:
+    model = action.model_from_json(_load_json(args.spec))
+    inputs = {"spec": args.spec}
+    options = {"what": args.what}
+    if args.what == "validate":
+        result = {"valid": True,
+                  "model": action.model_to_json(model),
+                  "big_cell_degrees": action.big_cell_degrees(model)}
+    elif args.what == "fixed-points":
+        result = {"fixed_points": [list(p) for p in action.fixed_points(model)]}
+    else:  # curve
+        comps = [action.component_parametrization(model, j)
+                 for j in range(1, model.n + 2)]
+        result = {"components": [c.to_json() for c in comps]}
+    return _report("action", options, inputs, result, None)

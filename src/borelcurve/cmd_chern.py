@@ -1,0 +1,46 @@
+"""`borelcurve chern`: Chern class tuples, membership, generation verdicts."""
+
+from . import action, chern, curve
+from .cmd_common import _load_json, _max_degree, _report
+from .errors import InputError
+
+
+def run(args) -> dict:
+    model = action.model_from_json(_load_json(args.spec))
+    ring = curve.build_curve_ring(model)
+    inputs = {"spec": args.spec}
+    bundles = []
+    for idx, spec in enumerate(args.bundle or []):
+        if spec == "tangent":
+            bundles.append(("tangent", chern.tangent_bundle(model)))
+        else:
+            bundles.append((spec, chern.bundle_from_json(_load_json(spec))))
+            inputs[f"bundle{idx}"] = spec
+    if not bundles:
+        raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
+    max_degree = _max_degree(args)
+    per_bundle, tuples = [], []  # tuples: c_0..c_rank of each bundle, computed once
+    for name, bundle in bundles:
+        tuples.append(chern.chern_tuples(bundle, ring))
+        t = chern.chern_class(tuples[-1], args.k)
+        entry = {"bundle": name, "k": args.k, "tuple": t.to_json()}
+        if args.test_membership:
+            entry["membership"] = chern.regular_on_curve(bundle, t, ring)
+        per_bundle.append(entry)
+    result: dict = {"bundles": per_bundle}
+    bound = None
+    if args.gkm is not None:
+        from . import gkm
+        graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
+        inputs["gkm"] = args.gkm
+        generators = []
+        for (name, bundle), classes in zip(bundles, tuples):
+            if set(bundle.fibres) != set(graph.vertices):
+                raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
+                                 f"do not match graph vertices {list(graph.vertices)}")
+            generators.extend(classes[1:])
+        verdict = chern.chern_subalgebra_verdict(generators, graph, max_degree)
+        result["subalgebra_verdict"] = verdict.to_json()
+        bound = verdict.bound
+    return _report("chern", {"k": args.k, "test_membership": args.test_membership,
+                             "max_degree": args.max_degree}, inputs, result, bound)

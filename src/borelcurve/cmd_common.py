@@ -1,0 +1,61 @@
+"""What every `cmd_<subcommand>` module shares.  None imports `borelcurve.cli`:
+under `python -m borelcurve.cli` that file is `__main__`, and importing it by
+name would compile and run it a second time."""
+
+import json
+
+from .errors import InputError
+
+
+def _sha256(path: str) -> str:
+    # Only runs that read input files need it.  The builtin module costs a
+    # tenth of `hashlib`, which loads OpenSSL's `_hashlib` first.
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python >= 3.12
+        except ImportError:
+            from hashlib import sha256
+    with open(path, "rb") as handle:
+        return sha256(handle.read()).hexdigest()
+
+
+def _load_json(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, int digits, nesting depth
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _report(subcommand: str, options: dict, inputs: dict, result: dict,
+            max_degree: int | None) -> dict:
+    return {
+        "command": subcommand,
+        "options": options,
+        "inputs": {name: {"path": path, "sha256": _sha256(path)}
+                   for name, path in inputs.items()},
+        "result": result,
+        "max_degree": max_degree,
+        "exact_arithmetic": True,
+    }
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc
+
+
+def _max_degree(args) -> int | None:
+    from .rational import MAX_DEGREE
+    if args.max_degree is not None:
+        if args.max_degree < 0:
+            raise InputError("degree bound must be non-negative")
+        if args.max_degree > MAX_DEGREE:
+            raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
+    return args.max_degree

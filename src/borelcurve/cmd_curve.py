@@ -1,0 +1,47 @@
+"""`borelcurve curve`: the curve ring, Betti numbers, restrictions, ideals."""
+
+from . import action, curve
+from .cmd_common import _load_json, _max_degree, _parse_int_list, _report
+from .errors import InputError
+
+
+def run(args) -> dict:
+    model = action.model_from_json(_load_json(args.spec))
+    ring = curve.build_curve_ring(model)
+    bound = _max_degree(args)
+    if bound is None:
+        bound = curve.default_degree_bound(ring)
+    inputs = {"spec": args.spec}
+    options = {"what": args.what, "components": args.components}
+    if args.what == "ring":
+        result = {
+            "generators": [g.to_json() for g in ring.algebra.generators],
+            "hilbert": ring.algebra.hilbert_function(bound),
+            "betti": curve.betti_numbers(ring, bound),
+            "truncation_degree": bound,
+        }
+    elif args.what == "betti":
+        result = {"betti": curve.betti_numbers(ring, bound), "truncation_degree": bound}
+    elif args.what == "restrict":
+        if args.components is None:
+            raise InputError("curve restrict needs --components")
+        subset = _parse_int_list(args.components, "component")
+        sub = curve.restrict(ring, subset)
+        result = {
+            "components": sorted(set(subset)),
+            "generators": [g.to_json() for g in sub.generators],
+            "hilbert": sub.hilbert_function(bound),
+            "truncation_degree": bound,
+        }
+    else:  # ideal
+        if args.components is None:
+            raise InputError("curve ideal needs --components")
+        subset = _parse_int_list(args.components, "component")
+        dims = curve.ideal_hilbert(ring, subset, bound)
+        result = {
+            "components": sorted(set(subset)),
+            "ideal_hilbert": dims,
+            "stabilized_rank": ring.r - len(set(subset)),
+            "truncation_degree": bound,
+        }
+    return _report("curve", options, inputs, result, bound)

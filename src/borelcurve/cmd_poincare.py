@@ -1,0 +1,25 @@
+"""`borelcurve poincare`: Kostant-Macdonald Poincare polynomials."""
+
+from . import rootsystems
+from .cmd_common import _parse_int_list, _report
+from .errors import InputError
+
+
+def run(args) -> dict:
+    if args.degrees is not None and args.family is not None:
+        raise InputError("choose either --family/--rank or --degrees, not both")
+    if args.degrees is not None:
+        degrees = _parse_int_list(args.degrees, "degree")
+        poly = rootsystems.poincare_from_degrees(degrees)
+        options = {"degrees": degrees}
+        result = {"poly": list(poly.coeffs)}
+    else:
+        if args.family is None or args.rank is None:
+            raise InputError("poincare needs --family and --rank, or --degrees")
+        rs = rootsystems.positive_roots(args.family, args.rank)
+        poly = rootsystems.km_poincare(rs)
+        options = {"family": args.family, "rank": args.rank}
+        result = {"poly": list(poly.coeffs),
+                  "weyl_order": poly.value_at_one,
+                  "heights": sorted(rootsystems.heights(rs))}
+    return _report("poincare", options, {}, result, None)

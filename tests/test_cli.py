@@ -1,13 +1,18 @@
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib
 import importlib.util
+import io
+import itertools
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -16,8 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import borelcurve
-from borelcurve import cli
-from borelcurve.cli import _COMMON, GRAMMAR, _build_parser, _quick_parse, _sha256, main
+from borelcurve import argparser, cli
+from borelcurve.argparser import build_parser
+from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, main
+from borelcurve.cmd_common import _sha256
+from borelcurve.gkm import GKMGraph
+from test_action import regular_models
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -232,6 +241,94 @@ def test_chern_verdict_builds_no_slice_past_full_rank(capsys, tmp_path, monkeypa
     assert asked == list(range(full + 1))
 
 
+@st.composite
+def chern_gkm_cases(draw):
+    """A model, 1-2 bundles and a graph with multiplicities 1-3 on the bundles'
+    fixed points: (model, bundles, graph, max_degree), each bundle a pair of
+    its JSON spec (None for tangent) and its fibre weights per label.  Split
+    and matrix fibres are equal across edges of multiplicity >= 2, so their
+    classes meet the congruences; tangent's may not."""
+    model = draw(regular_models(max_n=3))
+    h = model.h_weights
+    kinds = draw(st.lists(st.sampled_from(["tangent", "split", "matrix"]),
+                          min_size=1, max_size=2))
+    if "tangent" in kinds:
+        vertices = list(range(1, len(h) + 1))
+    else:
+        vertices = sorted(draw(st.sets(st.integers(1, len(h)), min_size=1)))
+    pairs = st.permutations(vertices).map(lambda p: p[:2])
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 3)).map(lambda e: [*e[0], e[1]]),
+                          max_size=4 if len(vertices) > 1 else 0))
+    graph = {"vertices": vertices, "edges": edges}
+    glued = GKMGraph.from_json(graph).connected_components(1)
+    bundles = []
+    for kind in kinds:
+        if kind == "tangent":
+            weights = {j: [h[j - 1] - x for i, x in enumerate(h) if i != j - 1]
+                       for j in vertices}
+            bundles.append((None, weights))
+            continue
+        rank = draw(st.integers(1, 3))
+        weights, fibres = {}, {}
+        for comp in glued:
+            if kind == "split":
+                ws = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+                fibre = {"weights": ws}
+            else:  # rho_W diagonal, steps of 2; rho_V on the superdiagonal
+                top = draw(st.integers(-4, 4))
+                ws = [top - 2 * i for i in range(rank)]
+                fibre = {"rho_W": [[str(ws[i] if i == j else 0) for j in range(rank)]
+                                   for i in range(rank)],
+                         "rho_V": [[str(draw(st.integers(-3, 3)) if j == i + 1 else 0)
+                                    for j in range(rank)] for i in range(rank)]}
+            for j in comp:
+                weights[j], fibres[str(j)] = ws, fibre
+        bundles.append(({"rank": rank, "fibres": fibres}, weights))
+    return model, bundles, graph, draw(st.none() | st.integers(0, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chern_gkm_cases())
+def test_chern_gkm_verdict_is_the_subalgebra_of_every_class(case):
+    """The chern --gkm verdict compares the congruence ring with the
+    subalgebra that c_1..c_rank of every bundle and v generate."""
+    from borelcurve.action import model_to_json
+    from borelcurve.exactalg import GradedSubalgebra, HomTuple
+    from borelcurve.gkm import GKMRing, compare_hilberts
+    model, bundles, graph_json, max_degree = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, blob in [("spec", model_to_json(model)), ("graph", graph_json),
+                           *((f"bundle{i}", b) for i, (b, _) in enumerate(bundles))]:
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(blob, handle)
+        argv = ["chern", "--spec", paths["spec"], "--gkm", paths["graph"]]
+        for i, (blob, _) in enumerate(bundles):
+            argv += ["--bundle", "tangent" if blob is None else paths[f"bundle{i}"]]
+        if max_degree is not None:
+            argv += ["--max-degree", str(max_degree)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    ring = GKMRing(GKMGraph.from_json(graph_json))
+    labels = ring.graph.vertices
+    gens = [HomTuple(k, [sum(math.prod(c) for c in itertools.combinations(weights[j], k))
+                         for j in labels])
+            for _, weights in bundles for k in range(1, len(weights[labels[0]]) + 1)]
+    if not all(ring.contains(g) for g in gens):
+        assert code == 2 and "violates the graph congruences" in err.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    bound = ring.stabilization_degree if max_degree is None else max_degree
+    image = GradedSubalgebra(len(labels), gens + [HomTuple.ones(len(labels), 1)])
+    expected = compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound),
+                                len(labels), bound).to_json()
+    verdict = json.loads(out.getvalue())["result"]["subalgebra_verdict"]
+    keys = ("status", "witness", "bound", "image_hilbert")
+    assert {k: verdict[k] for k in keys} == {k: expected[k] for k in keys}
+
+
 @pytest.mark.parametrize("text", [
     '{"n": ' + "1" * 5000 + "}",     # past the interpreter's int-digit limit
     b"\xff\xfe{}",                  # not UTF-8
@@ -362,7 +459,7 @@ def test_disconnected_graph_warns_with_one_json_line(tmp_path):
 
 
 def parse_with_argparse(argv) -> dict:
-    return vars(_build_parser().parse_args(argv))
+    return vars(build_parser(GRAMMAR, _COMMON).parse_args(argv))
 
 
 PLAIN_LINES = [
@@ -419,7 +516,7 @@ def command_lines(draw):
     missing, spelled `--name value`, `--name=value` or as a prefix, with its
     positional and noise mixed in."""
     command = draw(st.sampled_from([*GRAMMAR, "bogus", "-h"]))
-    _, _, choices, options = GRAMMAR.get(command, (None, None, None, ()))
+    _, choices, options = GRAMMAR.get(command, (None, None, ()))
     pieces = []
     for name, _, kind, _, required, _ in _COMMON + options:
         for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2] if required else [0, 0, 1, 2]))):
@@ -502,19 +599,36 @@ def test_importing_the_cli_loads_no_math_module():
 STARTUP_ONLY = {"argparse", "gettext", "locale"}
 
 
+def plain_runs(tmp_path) -> list[list[str]]:
+    """A well-formed command line of each subcommand, on the plane inputs."""
+    paths = write_plane_inputs(tmp_path)
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    runs = [["poincare", "--family", "A", "--rank", "2"],
+            ["action", "validate", "--spec", spec],
+            ["curve", "ring", "--spec", spec, "--max-degree", "3"],
+            ["principal", "--spec", spec, "--gkm", graph, "--table"],
+            ["chern", "--spec", spec, "--bundle", "tangent", "--k=1", "--gkm", graph]]
+    assert [argv[0] for argv in runs] == list(GRAMMAR)
+    return runs
+
+
+def cli_modules(loaded) -> set[str]:
+    """The CLI's own modules among those loaded: cli, argparser and cmd_*."""
+    return {m for m in loaded if m in ("borelcurve.cli", "borelcurve.argparser")
+            or m.startswith("borelcurve.cmd_")}
+
+
 def test_plain_runs_never_load_argparse(tmp_path):
     """argparse, and the gettext and locale it loads, are for help and
     errors; importing the CLI and a well-formed run of each subcommand take
-    the quick parser."""
+    the quick parser, which loads the shared helpers and the subcommand's
+    own module, not another one nor the argparse builder."""
     assert not STARTUP_ONLY & set(loaded_by("import borelcurve.cli"))
-    paths = write_plane_inputs(tmp_path)
-    spec, graph = str(paths["spec"]), str(paths["graph"])
-    for argv in (["poincare", "--family", "A", "--rank", "2"],
-                 ["action", "validate", "--spec", spec],
-                 ["curve", "ring", "--spec", spec, "--max-degree", "3"],
-                 ["principal", "--spec", spec, "--gkm", graph, "--table"],
-                 ["chern", "--spec", spec, "--bundle", "tangent", "--k=1", "--gkm", graph]):
-        assert not STARTUP_ONLY & loaded_by_run(argv), argv
+    for argv in plain_runs(tmp_path):
+        loaded = loaded_by_run(argv)
+        assert not STARTUP_ONLY & loaded, argv
+        assert cli_modules(loaded) == {"borelcurve.cli", "borelcurve.cmd_common",
+                                       f"borelcurve.cmd_{argv[0]}"}, argv
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["chern", "--help"]])
@@ -530,7 +644,7 @@ def test_console_entry_reads_sys_argv_on_the_quick_path(capsys, monkeypatch):
     def no_argparse():
         raise AssertionError("a plain command line reached argparse")
 
-    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    monkeypatch.setattr(argparser, "build_parser", no_argparse)
     monkeypatch.setattr(sys, "argv", ["borelcurve", "poincare", "--family", "A",
                                       "--rank", "2"])
     assert main() == 0
@@ -541,9 +655,58 @@ def test_poincare_run_loads_only_root_systems():
     loaded = loaded_by("from borelcurve.cli import main\n"
                        "main(['poincare', '--family', 'A', '--rank', '2'])")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
-        "borelcurve", "borelcurve.cli", "borelcurve.errors", "borelcurve.record",
-        "borelcurve.rootsystems"]
+        "borelcurve", "borelcurve.cli", "borelcurve.cmd_common", "borelcurve.cmd_poincare",
+        "borelcurve.errors", "borelcurve.record", "borelcurve.rootsystems"]
     assert not {"fractions", "decimal", "hashlib"} & set(loaded)
+
+
+def test_module_runs_never_import_the_cli_by_name(tmp_path):
+    """`python -m borelcurve.cli` runs cli.py as __main__; a module importing
+    `borelcurve.cli` would compile and run it a second time."""
+    for argv in plain_runs(tmp_path):
+        loaded = loaded_by("import contextlib, io, runpy, sys\n"
+                           f"sys.argv = {['borelcurve', *argv]!r}\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    try:\n"
+                           "        runpy.run_module('borelcurve.cli', run_name='__main__')\n"
+                           "    except SystemExit as exc:\n"
+                           "        assert exc.code == 0, exc.code")
+        assert cli_modules(loaded) == {"borelcurve.cmd_common", f"borelcurve.cmd_{argv[0]}"}, argv
+
+
+@pytest.mark.parametrize("argv,code", [(["-h"], 0), (["chern", "--help"], 0),
+                                       (["curve", "ring"], 2), (["poincare", "--rank", "2x"], 2),
+                                       (["bogus"], 2)])
+def test_help_and_malformed_lines_load_argparser(argv, code):
+    loaded = loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
+                       "with contextlib.redirect_stdout(io.StringIO()), "
+                       "contextlib.redirect_stderr(io.StringIO()):\n"
+                       "    try:\n"
+                       f"        code = main({argv!r})\n"
+                       "    except SystemExit as exc:\n"
+                       "        code = exc.code\n"
+                       f"assert code == {code}, code")
+    assert cli_modules(loaded) == {"borelcurve.cli", "borelcurve.argparser"}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    """A reader that went away before the report is written: exit 141 (as a
+    shell reports a writer killed by SIGPIPE), nothing on stderr, whether the
+    report fails in print (unbuffered) or in the flush at the end."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "borelcurve.cli", "poincare", "--family",
+                               "A", "--rank", "2"], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_ambient_runs_load_no_linear_algebra(tmp_path):
@@ -597,7 +760,7 @@ def test_no_run_loads_the_oracles_or_openssl(tmp_path):
 
 @pytest.mark.parametrize("builtin", [True, False])
 def test_input_digest_matches_hashlib(tmp_path, monkeypatch, builtin):
-    """Both branches of cli._sha256 give hashlib's digest; hiding the builtin
+    """Both branches of cmd_common._sha256 give hashlib's digest; hiding the builtin
     modules forces the hashlib fallback."""
     path = tmp_path / "input.json"
     path.write_bytes(bytes(range(256)) * 33)
