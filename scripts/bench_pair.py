@@ -1,14 +1,17 @@
 """Benchmark a parent revision against the working tree; write one BENCH JSON file.
 
-    python3 scripts/bench_pair.py --parent HEAD --seed 5 --out BENCH_11.json \\
+    python3 scripts/bench_pair.py --parent HEAD~1 --seed 5 --out BENCH_11.json \\
         --pairs small_jobs=10 ring_scaling=5 subvariety_verdicts=5
 
 The parent is extracted with `git archive` into a temporary directory and the
 change is a copy of the working tree's files (tracked, and untracked but not
 ignored), so neither side carries a `__pycache__` or `.bench_out` left by
-earlier runs.  Each side runs its own unchanged `bench/run.py --trace 0` with
-the caller's environment; a pair runs both sides once, and pairs alternate
-which side goes first.
+earlier runs; the script refuses a parent whose tracked files equal the
+working tree's.  Each side runs its own unchanged `bench/run.py --trace 0`
+for BENCHMARK.json's `run_seconds`, with the caller's environment: whether
+jobs compile the package or read `.pyc` files therefore depends on the
+caller's `PYTHONDONTWRITEBYTECODE`, which is recorded.  A pair runs both
+sides once, and pairs alternate which side goes first.
 
 Recorded, per workload and per end-to-end metric of BENCHMARK.json: each
 pair's values, each side's median and quartiles, and the pairs the change
@@ -17,7 +20,7 @@ source lines of the package a fresh `python -m borelcurve.cli` run of each
 subcommand compiles (its module files plus cli.py, which runs as
 `__main__`); and fresh-process times of a poincare and a principal job with
 a filled bytecode cache (`PYTHONPYCACHEPREFIX` per side, one warm-up run,
-then `--warm-runs` alternating runs).
+then WARM_RUNS alternating runs).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ COMPILED = {
     "chern --gkm": ["chern", "--spec", "{spec}", "--bundle", "tangent", "--gkm", "{graph}"],
 }
 WARM_JOBS = ("poincare", "principal")
+WARM_RUNS = 40
 
 # Runs one command line as `python -m borelcurve.cli` does, then prints the
 # package files it loaded.  cli.py runs as __main__, so it is not among them.
@@ -140,7 +144,7 @@ def workload_record(pairs: list[dict], e2e: list[dict]) -> dict:
             "metrics": metrics}
 
 
-def warm_cache_times(dirs: dict, inputs: dict, runs: int, scratch: Path) -> dict:
+def warm_cache_times(dirs: dict, inputs: dict, scratch: Path) -> dict:
     """Fresh-process seconds of each WARM_JOBS line with a filled bytecode cache."""
     envs = {}
     for side, path in dirs.items():
@@ -160,7 +164,7 @@ def warm_cache_times(dirs: dict, inputs: dict, runs: int, scratch: Path) -> dict
         for argv in lines.values():
             once(side, argv)
     times = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
-    for index in range(runs):
+    for index in range(WARM_RUNS):
         for side in pair_order(index):
             for job, argv in lines.items():
                 times[job][side].append(once(side, argv))
@@ -169,15 +173,15 @@ def warm_cache_times(dirs: dict, inputs: dict, runs: int, scratch: Path) -> dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", nargs="+", default=[], metavar="WORKLOAD=N")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--warm-runs", type=int, default=40)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if subprocess.run(["git", "diff", "--quiet", args.parent, "--"], cwd=ROOT).returncode == 0:
+        parser.error(f"the working tree's tracked files equal {args.parent}: nothing to compare")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     pairs = {w: int(n) for w, _, n in (p.partition("=") for p in args.pairs)}
     record = {"host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                        "machine": platform.machine()},
@@ -198,9 +202,9 @@ def main(argv=None) -> int:
         record["src_lines"] = {side: src_lines(path) for side, path in dirs.items()}
         record["compiled_lines"] = {side: compiled_lines(path, inputs)
                                     for side, path in dirs.items()}
-        record["warm_cache_s"] = {"runs": args.warm_runs, "jobs": {
+        record["warm_cache_s"] = {"runs": WARM_RUNS, "jobs": {
             job: " ".join(COMPILED[job]) for job in WARM_JOBS},
-            **warm_cache_times(dirs, inputs, args.warm_runs, scratch)}
+            **warm_cache_times(dirs, inputs, scratch)}
         record["workloads"] = {}
         for workload, count in pairs.items():
             done = []
