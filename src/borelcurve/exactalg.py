@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
-    MAX_DEGREE, HomTuple, Poly, Vec, _hadamard, format_fraction, to_fraction, to_int)
-from .record import Record  # noqa: F401  re-exported for existing imports
+    HomTuple, Poly, Vec, _hadamard, format_fraction, to_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,8 @@ class GradedSubalgebra:
     """Subalgebra of the r-component tuple ring generated by homogeneous tuples.
 
     The degree-d slice is the linear subspace V_d of Q^r spanned by the
-    coefficient vectors of all degree-d products of generators (and the unit,
-    when adjoined).  Slices are built by dynamic programming
+    coefficient vectors of all degree-d products of generators and the unit.
+    Slices are built by dynamic programming
 
         V_d = span( g o w : g generator of degree e <= d, w in V_{d-e} )
 
@@ -178,7 +177,7 @@ class GradedSubalgebra:
     every later slice is too, and degrees 0..D decide every slice question.
     """
 
-    def __init__(self, r: int, generators: Iterable[HomTuple] = (), contains_unit: bool = True):
+    def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
         if r < 1:
             raise InputError("component count must be positive")
         self.r = int(r)
@@ -187,7 +186,6 @@ class GradedSubalgebra:
             if g.r != self.r:
                 raise InputError("component-count mismatch between generators")
         self.generators = gens
-        self.contains_unit = bool(contains_unit)
         self._slices: list[RowSpace] = []
 
     # -- slice construction --------------------------------------------------
@@ -211,7 +209,7 @@ class GradedSubalgebra:
         while len(self._slices) <= d:
             k = len(self._slices)
             space = RowSpace(self.r)
-            if k == 0 and self.contains_unit:
+            if k == 0:
                 space.add((Fraction(1),) * self.r)
             for g in self.generators:
                 if 1 <= g.degree < k:
@@ -288,22 +286,3 @@ class GradedSubalgebra:
                     vec = [x + a * y for x, y in zip(vec, row)]
             space.add(vec)
         return [HomTuple(d, v) for v in space.basis_vectors()]
-
-    def generator_support(self) -> set[int]:
-        """1-based labels of components touched by some generator."""
-        out = set()
-        for g in self.generators:
-            for i, c in enumerate(g.coeffs):
-                if c != 0:
-                    out.add(i + 1)
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "contains_unit": self.contains_unit,
-            "generators": [g.to_json() for g in self.generators],
-        }
-
-    def __repr__(self):
-        return f"GradedSubalgebra(r={self.r}, generators={len(self.generators)})"

@@ -198,24 +198,6 @@ class Poly(Record):
             n >>= 1
         return out
 
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dn = len(rem) - 1, o.degree
-        lead = o.coeffs[-1]
-        quo = [Fraction(0)] * max(dd - dn + 1, 0)
-        for k in range(dd - dn, -1, -1):
-            c = rem[k + dn] / lead
-            if c != 0:
-                quo[k] = c
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(tuple(quo)), Poly(tuple(rem))
-
     def __call__(self, x):
         x = to_fraction(x) if not isinstance(x, Fraction) else x
         acc = Fraction(0)
@@ -270,23 +252,12 @@ class HomTuple(Record):
     def r(self) -> int:
         return len(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __mul__(self, other):
-        if isinstance(other, HomTuple):
-            if other.r != self.r:
-                raise InputError("component-count mismatch")
-            return HomTuple(self.degree + other.degree, _hadamard(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction, str)):
-            c = to_fraction(other)
-            return HomTuple(self.degree, tuple(c * x for x in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, HomTuple):
+            return NotImplemented
+        if other.r != self.r:
+            raise InputError("component-count mismatch")
+        return HomTuple(self.degree + other.degree, _hadamard(self.coeffs, other.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, HomTuple):
@@ -296,11 +267,6 @@ class HomTuple(Record):
         if other.degree != self.degree:
             raise InputError("cannot add tuples of different degrees")
         return HomTuple(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, HomTuple):
-            return NotImplemented
-        return self + (-1) * other
 
     def project(self, positions: Sequence[int]) -> "HomTuple":
         """Restrict to the given 0-based component positions."""

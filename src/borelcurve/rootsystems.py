@@ -62,111 +62,97 @@ class PoincarePoly(Record):
     def value_at_one(self) -> int:
         return sum(self.coeffs)
 
-    def __iter__(self):
-        return iter(self.coeffs)
 
-
-def _unit(dim: int, i: int, sign: int = 1) -> list[int]:
-    v = [0] * dim
-    v[i] = sign
-    return v
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _unit(dim: int, i: int, scale: int = 1) -> tuple[int, ...]:
+    return tuple(scale * (k == i) for k in range(dim))
 
 
 def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _family_tables(family: str, rank: int):
-    if family == "A":
-        if not 1 <= rank <= MAX_RANK:
-            raise InputError(f"A-family rank must be 1..{MAX_RANK}")
-        dim = rank + 1
-        simple = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank)]
-        pos = [_sub(_unit(dim, i), _unit(dim, j)) for i in range(dim) for j in range(i + 1, dim)]
-        return simple, pos
-    if family == "B":
-        if not 1 <= rank <= MAX_RANK:
-            raise InputError(f"B-family rank must be 1..{MAX_RANK}")
-        dim = rank
-        simple = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank - 1)]
-        simple.append(tuple(_unit(dim, rank - 1)))
-        pos = [tuple(_unit(dim, i)) for i in range(rank)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                pos.append(_sub(_unit(dim, i), _unit(dim, j)))
-                pos.append(_add(_unit(dim, i), _unit(dim, j)))
-        return simple, pos
-    if family == "C":
-        if not 1 <= rank <= MAX_RANK:
-            raise InputError(f"C-family rank must be 1..{MAX_RANK}")
-        dim = rank
-        simple = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank - 1)]
-        simple.append(tuple(_unit(dim, rank - 1, 2)))
-        pos = [tuple(_unit(dim, i, 2)) for i in range(rank)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                pos.append(_sub(_unit(dim, i), _unit(dim, j)))
-                pos.append(_add(_unit(dim, i), _unit(dim, j)))
-        return simple, pos
-    if family == "D":
-        if not 2 <= rank <= MAX_RANK:
-            raise InputError(f"D-family rank must be 2..{MAX_RANK}")
-        dim = rank
-        simple = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank - 1)]
-        simple.append(_add(_unit(dim, rank - 2), _unit(dim, rank - 1)))
-        pos = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                pos.append(_sub(_unit(dim, i), _unit(dim, j)))
-                pos.append(_add(_unit(dim, i), _unit(dim, j)))
-        return simple, pos
-    if family == "G2":
-        if rank != 2:
-            raise InputError("G2 has rank 2")
-        a, b = (1, -1, 0), (-2, 1, 1)
-        simple = [a, b]
-        pos = [a, b, _add(a, b), _add(_add(a, a), b), _add(_add(a, _add(a, a)), b),
-               _add(_add(a, _add(a, a)), _add(b, b))]
-        return simple, pos
-    if family == "F4":
-        if rank != 4:
-            raise InputError("F4 has rank 4")
-        # realization scaled by 2 so the half-sum roots stay integral
-        simple = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-        pos = [tuple(_unit(4, i, 2)) for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pos.append(_sub(_unit(4, i, 2), _unit(4, j, 2)))
-                pos.append(_add(_unit(4, i, 2), _unit(4, j, 2)))
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    pos.append((1, s1, s2, s3))
-        return simple, pos
-    raise InputError(f"unsupported family {family!r} (expected A, B, C, D, G2 or F4)")
+def _pairs(dim: int, signs=(-1, 1), scale: int = 1) -> list[tuple[int, ...]]:
+    """scale * (e_i + s e_j) for i < j, each sign s in turn."""
+    return [tuple(scale * ((k == i) + s * (k == j)) for k in range(dim))
+            for i in range(dim) for j in range(i + 1, dim) for s in signs]
 
 
-_POSITIVE_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "G2": lambda n: 6,
-    "F4": lambda n: 24,
+def _chain(dim: int, count: int) -> list[tuple[int, ...]]:
+    """The simple roots e_i - e_{i+1} for i < count."""
+    return [tuple((k == i) - (k == i + 1) for k in range(dim)) for i in range(count)]
+
+
+# Each builder maps the rank n to (simple roots, positive roots).
+
+
+def _type_a(n):
+    return _chain(n + 1, n), _pairs(n + 1, (-1,))
+
+
+def _type_b(n):
+    return _chain(n, n - 1) + [_unit(n, n - 1)], [_unit(n, i) for i in range(n)] + _pairs(n)
+
+
+def _type_c(n):
+    return (_chain(n, n - 1) + [_unit(n, n - 1, 2)],
+            [_unit(n, i, 2) for i in range(n)] + _pairs(n))
+
+
+def _type_d(n):
+    pos = _pairs(n)
+    return _chain(n, n - 1) + [pos[-1]], pos  # pos[-1] = e_{n-2} + e_{n-1}
+
+
+def _type_g2(n):
+    a, b = (1, -1, 0), (-2, 1, 1)
+    return [a, b], [tuple(i * x + j * y for x, y in zip(a, b))
+                    for i, j in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
+
+
+def _type_f4(n):
+    # realization scaled by 2 so the half-sum roots stay integral
+    simple = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    halves = [(1, s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+    return simple, [_unit(4, i, 2) for i in range(4)] + _pairs(4, scale=2) + halves
+
+
+# family: (lowest rank, highest rank, positive-root count, Weyl group order, builder);
+# the count and the order are functions of the rank
+_FAMILIES = {
+    "A": (1, MAX_RANK, lambda n: n * (n + 1) // 2, lambda n: factorial(n + 1), _type_a),
+    "B": (1, MAX_RANK, lambda n: n * n, lambda n: 2**n * factorial(n), _type_b),
+    "C": (1, MAX_RANK, lambda n: n * n, lambda n: 2**n * factorial(n), _type_c),
+    "D": (2, MAX_RANK, lambda n: n * (n - 1), lambda n: 2 ** (n - 1) * factorial(n), _type_d),
+    "G2": (2, 2, lambda n: 6, lambda n: 12, _type_g2),
+    "F4": (4, 4, lambda n: 24, lambda n: 1152, _type_f4),
 }
+
+
+def _family(family: str, rank: int):
+    """The table row of a supported family at a rank it has; InputError otherwise."""
+    row = _FAMILIES.get(family) if isinstance(family, str) else None
+    if row is None:
+        raise InputError(f"unsupported family {family!r} (expected A, B, C, D, G2 or F4)")
+    low, high = row[:2]
+    if not low <= rank <= high:
+        raise InputError(f"{family} has rank {low}" if low == high
+                         else f"{family}-family rank must be {low}..{high}")
+    return row
 
 
 def positive_roots(family: str, rank: int) -> RootSystem:
     """Complete positive-root list in the standard integer realization."""
-    simple, pos = _family_tables(family, int(rank))
-    rs = RootSystem(family, int(rank), tuple(simple), tuple(pos))
-    if len(rs.positive_roots) != _POSITIVE_COUNT[family](rs.rank):
+    rank = int(rank)
+    _, _, count, _, build = _family(family, rank)
+    simple, pos = build(rank)
+    if len(pos) != count(rank):
         raise InternalError("positive root count does not match the classical value")
-    return rs
+    return RootSystem(family, rank, tuple(simple), tuple(pos))
+
+
+def weyl_order(family: str, rank: int) -> int:
+    """Order of the Weyl group; the same InputError as positive_roots otherwise."""
+    return _family(family, rank)[3](rank)
 
 
 def heights(rs: RootSystem) -> list[int]:
@@ -206,20 +192,6 @@ def heights(rs: RootSystem) -> list[int]:
                                 "combination of simple roots")
         out.append(sum(expansion[root]))
     return out
-
-
-def weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    if family == "G2":
-        return 12
-    if family == "F4":
-        return 1152
-    raise InputError(f"unsupported family {family!r}")
 
 
 def _product_formula(degrees: list[int]) -> list[int]:

@@ -424,11 +424,57 @@ def test_deterministic_output(capsys, specs):
     assert first == second
 
 
+# `--table` lines of the plane spec's lists of objects: each item is keyed by
+# its index in brackets, and a zero polynomial renders as an empty value
+PLANE_TABLES = {
+    ("curve", "ring"): [
+        "result.betti = 1 1 1",
+        "result.generators[0].coeffs = 1 1 1",
+        "result.generators[0].degree = 1",
+        "result.generators[1].coeffs = 0 1 2",
+        "result.generators[1].degree = 1",
+        "result.generators[2].coeffs = 0 0 2",
+        "result.generators[2].degree = 2",
+        "result.hilbert = 1 2 3",
+        "result.truncation_degree = 2",
+    ],
+    ("action", "curve"): [
+        "result.components[0].chart_coords[0] = ",
+        "result.components[0].chart_coords[1] = ",
+        "result.components[0].degrees = 1 2",
+        "result.components[0].homogeneous_coords[0] = 1",
+        "result.components[0].homogeneous_coords[1] = ",
+        "result.components[0].homogeneous_coords[2] = ",
+        "result.components[0].index = 1",
+        "result.components[1].chart_coords[0] = 0 1",
+        "result.components[1].chart_coords[1] = ",
+        "result.components[1].degrees = 1 2",
+        "result.components[1].homogeneous_coords[0] = 1",
+        "result.components[1].homogeneous_coords[1] = 0 1",
+        "result.components[1].homogeneous_coords[2] = ",
+        "result.components[1].index = 2",
+        "result.components[2].chart_coords[0] = 0 2",
+        "result.components[2].chart_coords[1] = 0 0 2",
+        "result.components[2].degrees = 1 2",
+        "result.components[2].homogeneous_coords[0] = 1/2",
+        "result.components[2].homogeneous_coords[1] = 0 1",
+        "result.components[2].homogeneous_coords[2] = 0 0 1",
+        "result.components[2].index = 3",
+    ],
+}
+
+
 def test_table_renderer(capsys, specs):
     code, out, _ = run(capsys, ["curve", "betti", "--spec", specs["plane"], "--table"])
     assert code == 0
     assert "result.betti = 1 1 1" in out
     assert "exact_arithmetic = True" in out
+    for argv, expected in PLANE_TABLES.items():
+        code, out, _ = run(capsys, [*argv, "--spec", specs["plane"], "--table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("result.")] == expected
+        assert f"options.what = {argv[1]}" in lines
 
 
 def test_disconnected_graph_warns_with_one_json_line(tmp_path):
@@ -672,6 +718,13 @@ def test_module_runs_never_import_the_cli_by_name(tmp_path):
                            "    except SystemExit as exc:\n"
                            "        assert exc.code == 0, exc.code")
         assert cli_modules(loaded) == {"borelcurve.cmd_common", f"borelcurve.cmd_{argv[0]}"}, argv
+
+
+def test_package_has_no_subpackages():
+    """The acceptance no-float gate and the benchmark's `src_lines` count both
+    read `src/borelcurve/*.py`, so a module in a subdirectory would escape both."""
+    package = SRC / "borelcurve"
+    assert [p for p in package.rglob("*.py") if p.parent != package] == []
 
 
 @pytest.mark.parametrize("argv,code", [(["-h"], 0), (["chern", "--help"], 0),

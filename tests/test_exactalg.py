@@ -64,16 +64,6 @@ def test_monomial_equals_dense_construction(c, k):
         Poly.monomial(c, -1)
 
 
-def test_poly_divmod_exact():
-    v = Poly.variable()
-    num = (1 - v**3) * (1 - v**2)
-    q, r = divmod(num, 1 - v)
-    assert r.is_zero()
-    assert q * (1 - v) == num
-    q2, r2 = divmod(1 - v**3, 1 - v**2)
-    assert not r2.is_zero()
-
-
 def test_rref_and_nullspace():
     rows = [[Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)],
@@ -251,7 +241,6 @@ def test_chain_property_and_quotient_sum():
         for t in lower:
             assert alg.member(HomTuple(d, t.coeffs))
     assert sum(alg.quotient_by_v_dims(8)) == 3
-    assert alg.generator_support() == {1, 2, 3}
 
 
 def test_coordinates_rebuild_target_exactly():
@@ -271,6 +260,16 @@ def test_coordinates_rebuild_target_exactly():
 # independent oracle: enumerate every monomial of total degree d and span
 
 
+def _reduce(basis, vec):
+    v = list(vec)
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x != 0)
+        if v[p] != 0:
+            f = v[p] / b[p]
+            v = [a - f * c for a, c in zip(v, b)]
+    return v
+
+
 def _oracle_dim_and_span(r, gens, d):
     vectors = []
 
@@ -287,27 +286,24 @@ def _oracle_dim_and_span(r, gens, d):
                 [a * b for a, b in zip(current, g.coeffs)])
 
     rec(0, d, [Fraction(1)] * r)
+    # any power of a degree-0 generator keeps the degree: multiply them into
+    # the span until it stops growing
+    zero_gens = [g.coeffs for g in gens if g.degree == 0]
     basis = []
-    for vec in vectors:
-        v = list(vec)
-        for b in basis:
-            p = next(i for i, x in enumerate(b) if x != 0)
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [a - f * c for a, c in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
+    grew = True
+    while grew:
+        grew = False
+        for vec in vectors:
+            v = _reduce(basis, vec)
+            if any(x != 0 for x in v):
+                basis.append(v)
+                grew = True
+        vectors = [[a * c for a, c in zip(b, g)] for g in zero_gens for b in basis]
     return basis
 
 
 def _in_span(basis, vec):
-    v = list(vec)
-    for b in basis:
-        p = next(i for i, x in enumerate(b) if x != 0)
-        if v[p] != 0:
-            f = v[p] / b[p]
-            v = [a - f * c for a, c in zip(v, b)]
-    return all(x == 0 for x in v)
+    return all(x == 0 for x in _reduce(basis, vec))
 
 
 def test_dp_matches_brute_force_on_plane_generators():
@@ -326,7 +322,7 @@ def test_dp_matches_brute_force_randomized(r, data):
     n_gens = data.draw(st.integers(0, 3))
     gens = []
     for _ in range(n_gens):
-        deg = data.draw(st.integers(1, 3))
+        deg = data.draw(st.integers(0, 3))  # degree 0 runs the saturation
         coeffs = tuple(data.draw(small_fractions) for _ in range(r))
         gens.append(HomTuple(deg, coeffs))
     alg = GradedSubalgebra(r, gens)

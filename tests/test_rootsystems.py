@@ -81,15 +81,23 @@ def test_heights_reject_dependent_simple_roots():
         heights(doubled)
 
 
+def _input_error(fn, *args) -> str:
+    with pytest.raises(InputError) as info:
+        fn(*args)
+    return str(info.value)
+
+
 def test_unsupported_inputs():
-    with pytest.raises(InputError):
-        positive_roots("E", 6)
-    with pytest.raises(InputError):
-        positive_roots("A", 9)
-    with pytest.raises(InputError):
-        positive_roots("G2", 3)
-    with pytest.raises(InputError):
-        positive_roots("D", 1)
+    assert _input_error(positive_roots, "E", 6) == (
+        "unsupported family 'E' (expected A, B, C, D, G2 or F4)")
+    assert _input_error(positive_roots, "A", 9) == "A-family rank must be 1..8"
+    assert _input_error(positive_roots, "G2", 3) == "G2 has rank 2"
+    assert _input_error(positive_roots, "D", 1) == "D-family rank must be 2..8"
+    # weyl_order reads the same table, so it rejects what positive_roots rejects
+    for family, rank in [("E", 6), ("A", 9), ("G2", 3), ("D", 1), ("G2", 5), ("A", 0),
+                         ("B", -3), ("F4", 2)]:
+        assert _input_error(weyl_order, family, rank) == _input_error(positive_roots,
+                                                                      family, rank)
 
 
 def test_km_poincare_examples():
