@@ -25,9 +25,10 @@ _EXPORTS = {
     "curve": ("CurveRing", "betti_numbers", "build_curve_ring", "default_degree_bound",
               "ideal_hilbert", "restrict"),
     "errors": ("InputError", "InternalError"),
-    "exactalg": ("GradedSubalgebra", "HomTuple", "Poly", "format_fraction", "to_fraction"),
+    "exactalg": ("GradedSubalgebra",),
     "gkm": ("GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"),
+    "rational": ("HomTuple", "Poly", "format_fraction", "to_fraction"),
     "rootsystems": ("PoincarePoly", "RootSystem", "heights", "km_poincare",
                     "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
                     "weyl_order"),

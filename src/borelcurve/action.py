@@ -123,12 +123,8 @@ def validate(model: ActionModel) -> ActionModel:
 
 def principal_model(n: int) -> ActionModel:
     """The standard model on P^n: h = (n, n-2, ..., -n), e the Jordan block."""
-    if n < 0:
-        raise InputError("dimension n must be non-negative")
-    h = tuple(n - 2 * i for i in range(n + 1))
-    e = tuple(tuple(Fraction(1) if j == i + 1 else Fraction(0) for j in range(n + 1))
-              for i in range(n + 1))
-    return validate(ActionModel(n, h, e))
+    return model_from_json({"n": n, "h_weights": [n - 2 * i for i in range(n + 1)],
+                            "e_matrix": "principal"})
 
 
 def model_from_json(data: dict) -> ActionModel:

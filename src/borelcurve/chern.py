@@ -116,6 +116,9 @@ def bundle_from_json(data: dict) -> BundleData:
             label = int(key)
         except ValueError:
             raise InputError(f"fibre key {key!r} is not an integer fixed-point label") from None
+        if label in fibres:
+            first = next(k for k in raw if int(k) == label)
+            raise InputError(f"fibre keys {first!r} and {key!r} both name fixed point {label}")
         if not isinstance(val, dict):
             raise InputError(f"fibre {key} must be an object with weights or rho_W/rho_V")
         if "weights" in val:
@@ -257,27 +260,18 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
     Each generator must satisfy the graph congruences, otherwise it could not
     be a class on the modeled subvariety at all.  Equality of Hilbert
     functions up to the bound means the classes generate; a strict deficit is
-    reported with its witness degree.  The default bound is the congruence
-    ring's stabilization degree, which certifies the verdict (see
-    PrincipalityVerdict); v is adjoined, so once a slice is Q^r no later one is built.
+    reported with its witness degree (gkm.decide).
     """
     from .exactalg import GradedSubalgebra
-    from .gkm import GKMRing, compare_hilberts
+    from .gkm import GKMRing, decide
     ring = GKMRing(graph)
-    r = len(graph.vertices)
-    gens = []
-    for t in generators:
-        if t.r != r:
+    gens = list(generators)
+    for t in gens:
+        if t.r != ring.r:
             raise InputError("generator component count does not match the graph")
         if not ring.contains(t):
             raise InputError(f"generator {t.to_json()} violates the graph congruences")
-        gens.append(t)
-    algebra = GradedSubalgebra(r, gens + [HomTuple.ones(r, 1)])
-    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
-    image: list[int] = []
-    for d in range(bound + 1):
-        image.append(r if image and image[-1] == r else len(algebra.graded_basis(d)))
-    model_side = ring.hilbert(bound)
     notes = ("comparison of the subalgebra generated by the given classes against "
              "the congruence ring",)
-    return compare_hilberts(image, model_side, r, bound, notes)
+    return decide(GradedSubalgebra(ring.r, gens + [HomTuple.ones(ring.r, 1)]), graph,
+                  max_degree, notes)

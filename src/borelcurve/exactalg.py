@@ -228,10 +228,17 @@ class GradedSubalgebra:
         return [HomTuple(d, vec) for vec in self._slice(d).basis_vectors()]
 
     def hilbert_function(self, max_degree: int) -> list[int]:
-        """[dim V_0, ..., dim V_max_degree]."""
+        """[dim V_0, ..., dim V_max_degree]; with v a generator no slice past the
+        first full one is built (the chain above)."""
         if max_degree < 0:
             raise InputError("degree bound must be non-negative")
-        return [self._slice(d).dim for d in range(max_degree + 1)]
+        chain = HomTuple.ones(self.r, 1) in self.generators
+        out: list[int] = []
+        for d in range(max_degree + 1):
+            out.append(self._slice(d).dim)
+            if chain and out[-1] == self.r:
+                return out + [self.r] * (max_degree - d)
+        return out
 
     def member(self, t: HomTuple) -> bool:
         """Exact membership of a homogeneous tuple in its degree slice."""

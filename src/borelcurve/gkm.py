@@ -82,10 +82,6 @@ class GKMGraph(Record):
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
 
-    @property
-    def max_multiplicity(self) -> int:
-        return max((m for _, _, m in self.edges), default=0)
-
     @classmethod
     def from_json(cls, data: dict) -> "GKMGraph":
         try:
@@ -142,10 +138,10 @@ class GKMRing:
     def stabilization_degree(self) -> int:
         """Smallest degree from which the slices are all of Q^r: the largest
         multiplicity, since every edge active at degree d cuts the slice."""
-        return self.graph.max_multiplicity
+        return max((m for _, _, m in self.graph.edges), default=0)
 
 
-def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[int]:
+def gkm_ordinary_betti(graph: GKMGraph) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
     Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
@@ -156,12 +152,8 @@ def gkm_ordinary_betti(graph: GKMGraph, max_degree: int | None = None) -> list[i
     if not graph.is_connected():
         warnings.warn("graph is disconnected; Betti bookkeeping applies per connected "
                       "component", stacklevel=2)
-    if max_degree is None:
-        stab = ring.stabilization_degree
-        bound = stab + 1 if stab > 0 else 0
-    else:
-        bound = int(max_degree)
-    h = ring.hilbert(bound)
+    stab = ring.stabilization_degree
+    h = ring.hilbert(stab + 1 if stab > 0 else 0)
     return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
 
 
@@ -200,18 +192,25 @@ def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,
     notes = tuple(notes)
     witness = next((d for d in range(len(image)) if image[d] < gkm[d]), None)
     if witness is not None:
-        return PrincipalityVerdict(NOT_PRINCIPAL, witness, bound,
-                                   tuple(image), tuple(gkm), notes)
-    if any(image[d] > gkm[d] for d in range(len(image))):
-        notes = notes + ("restriction image exceeds the modeled ring in some degree; "
-                         "the congruence data is inconsistent with the curve",)
-        return PrincipalityVerdict(INCONCLUSIVE, None, bound,
-                                   tuple(image), tuple(gkm), notes)
-    if image == gkm and image[-1] == target_rank:
-        return PrincipalityVerdict(PRINCIPAL, None, bound,
-                                   tuple(image), tuple(gkm), notes)
-    return PrincipalityVerdict(INCONCLUSIVE, None, bound,
-                               tuple(image), tuple(gkm), notes)
+        status = NOT_PRINCIPAL
+    elif any(image[d] > gkm[d] for d in range(len(image))):
+        status = INCONCLUSIVE
+        notes += ("restriction image exceeds the modeled ring in some degree; "
+                  "the congruence data is inconsistent with the curve",)
+    else:  # no degree differs, so image == gkm
+        status = PRINCIPAL if image[-1] == target_rank else INCONCLUSIVE
+    return PrincipalityVerdict(status, witness, bound, tuple(image), tuple(gkm), notes)
+
+
+def decide(image, graph: GKMGraph, max_degree: int | None,
+           notes: tuple[str, ...]) -> PrincipalityVerdict:
+    """Compare the Hilbert function of `image`, an algebra over the graph vertices
+    containing v, with the congruence ring's, by default up to the stabilization
+    degree, which certifies the verdict (PrincipalityVerdict)."""
+    ring = GKMRing(graph)
+    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
+    return compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound),
+                            len(graph.vertices), bound, notes)
 
 
 def principal_verdict(cr: CurveRing, graph: GKMGraph,
@@ -222,18 +221,10 @@ def principal_verdict(cr: CurveRing, graph: GKMGraph,
     subalgebra of the subvariety, so restriction is surjective exactly when
     that image already fills the modeled congruence ring.
     """
-    r = cr.r
-    if graph.vertices[0] < 1 or graph.vertices[-1] > r:
+    if graph.vertices[0] < 1 or graph.vertices[-1] > cr.r:
         raise InputError(f"vertex set mismatch: graph vertices must be fixed-point "
-                         f"labels in 1..{r}")
-    restricted = restrict(cr, graph.vertices)
-    ring = GKMRing(graph)
-    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
-    notes: tuple[str, ...] = ()
-    if 1 not in graph.vertices:
-        notes = ("label 1 (the unipotent fixed point o) is not among the vertices; a "
-                 "nonempty invariant subvariety always contains o, so this subset is "
-                 "geometrically dubious",)
-    image = restricted.hilbert_function(bound)
-    model_side = ring.hilbert(bound)
-    return compare_hilberts(image, model_side, len(graph.vertices), bound, notes)
+                         f"labels in 1..{cr.r}")
+    notes = () if 1 in graph.vertices else (
+        "label 1 (the unipotent fixed point o) is not among the vertices; a nonempty "
+        "invariant subvariety always contains o, so this subset is geometrically dubious",)
+    return decide(restrict(cr, graph.vertices), graph, max_degree, notes)

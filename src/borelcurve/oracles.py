@@ -123,9 +123,6 @@ class _Laurent:
             return NotImplemented
         return self.terms == o.terms
 
-    def __repr__(self):
-        return f"_Laurent({self.terms!r})"
-
 
 def _mul2(a, b):
     return (

@@ -60,9 +60,11 @@ def test_validate_allows_shifted_weights_and_rescaled_e():
     assert big_cell_degrees(m) == [1]
 
 
-def test_model_from_json_principal_shorthand():
+def test_model_from_json_principal_shorthand(plane_model):
     m = model_from_json({"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal"})
-    assert m == principal_model(2)
+    assert m == principal_model(2) == plane_model
+    with pytest.raises(InputError, match="^dimension n must be non-negative$"):
+        principal_model(-1)
     for n, h in ((2.9, [2, 0, -2]), (True, [1, -1]), ("2", [2, 0, -2]),
                  (2, [2.4, 0, -2.2]), (2, [2, False, -2]), (2, [2, "0", -2])):
         with pytest.raises(InputError, match="expected an integer"):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,16 @@ def test_bundle_from_json():
         bundle_from_json({"rank": 2, "fibres": {"1": {"rho_W": 5, "rho_V": 5}}})
     with pytest.raises(InputError, match="expected an integer"):
         bundle_from_json({"rank": 1.5, "fibres": {"1": {"weights": [1]}}})
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1"])
+def test_bundle_from_json_rejects_a_fixed_point_named_twice(key):
+    """int() reads each of these keys as label 1: the later fibre would
+    silently replace the earlier one."""
+    blob = {"rank": 1, "fibres": {"1": {"weights": [5]}, key: {"weights": [7]}}}
+    with pytest.raises(InputError, match=re.escape(f"fibre keys '1' and {key!r} both name "
+                                                   "fixed point 1")):
+        bundle_from_json(blob)
 
 
 def test_tangent_bundle_weights(plane_model):

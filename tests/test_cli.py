@@ -180,6 +180,17 @@ def test_chern_subalgebra_verdict_via_cli(capsys, specs):
     assert verdict["witness"] == 1
 
 
+def test_chern_rejects_a_fixed_point_named_twice(capsys, specs, tmp_path):
+    bundle = tmp_path / "twice.json"
+    bundle.write_text(json.dumps({"rank": 1, "fibres": {
+        "1": {"weights": [5]}, "01": {"weights": [7]},
+        "2": {"weights": [1]}, "3": {"weights": [3]}}}))
+    code, out, err = run(capsys, ["chern", "--spec", specs["plane"], "--bundle", str(bundle)])
+    assert (code, out) == (2, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "fibre keys '1' and '01' both name fixed point 1"}]
+
+
 def test_chern_tuples_run_once_per_bundle(capsys, specs, monkeypatch):
     """tuple, membership and the --gkm generators share one chern_tuples run."""
     from borelcurve import chern
@@ -228,8 +239,8 @@ def test_chern_verdict_builds_no_slice_past_full_rank(capsys, tmp_path, monkeypa
     graph.write_text(json.dumps({"vertices": list(range(1, 10)),
                                  "edges": [[1, j, 1] for j in range(2, 10)]}))
     asked = []
-    original = GradedSubalgebra.graded_basis
-    monkeypatch.setattr(GradedSubalgebra, "graded_basis",
+    original = GradedSubalgebra._slice
+    monkeypatch.setattr(GradedSubalgebra, "_slice",
                         lambda self, d: asked.append(d) or original(self, d))
     code, out, _ = run(capsys, ["chern", "--spec", str(spec), "--bundle", "tangent",
                                 "--gkm", str(graph), "--max-degree", "1000"])
@@ -602,9 +613,10 @@ EXPORTS = {
     "curve": ["CurveRing", "betti_numbers", "build_curve_ring", "default_degree_bound",
               "ideal_hilbert", "restrict"],
     "errors": ["InputError", "InternalError"],
-    "exactalg": ["GradedSubalgebra", "HomTuple", "Poly", "format_fraction", "to_fraction"],
+    "exactalg": ["GradedSubalgebra"],
     "gkm": ["GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"],
+    "rational": ["HomTuple", "Poly", "format_fraction", "to_fraction"],
     "rootsystems": ["PoincarePoly", "RootSystem", "heights", "km_poincare",
                     "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
                     "weyl_order"],
@@ -640,6 +652,11 @@ def test_importing_the_cli_loads_no_math_module():
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert [m for m in loaded if m.startswith("borelcurve")] == [
         "borelcurve", "borelcurve.cli", "borelcurve.errors"]
+
+
+def test_scalar_exports_load_no_linear_algebra():
+    loaded = loaded_by("import borelcurve\nborelcurve.HomTuple")
+    assert "borelcurve.rational" in loaded and "borelcurve.exactalg" not in loaded
 
 
 STARTUP_ONLY = {"argparse", "gettext", "locale"}

@@ -332,3 +332,23 @@ def test_dp_matches_brute_force_randomized(r, data):
     assert len(dp) == len(oracle)
     for t in dp:
         assert _in_span(oracle, t.coeffs)
+
+
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_hilbert_function_is_the_slice_dims(r, with_v, max_degree, data):
+    """The Hilbert function equals the per-slice dimensions; with v a generator
+    the slices form a chain, so no slice past the first full one is built."""
+    gens = [HomTuple(data.draw(st.integers(0, 3)),  # degree 0 runs the saturation
+                     tuple(data.draw(small_fractions) for _ in range(r)))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    if with_v:
+        gens.append(HomTuple.ones(r, 1))
+    alg = GradedSubalgebra(r, gens)
+    hilbert = alg.hilbert_function(max_degree)
+    dims = [len(GradedSubalgebra(r, gens).graded_basis(d)) for d in range(max_degree + 1)]
+    assert hilbert == dims
+    if HomTuple.ones(r, 1) in gens and r in dims:
+        assert len(alg._slices) == dims.index(r) + 1
+    else:
+        assert len(alg._slices) == max_degree + 1

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from borelcurve.curve import build_curve_ring, restrict
 from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple, nullspace
-from borelcurve.gkm import (GKMGraph, GKMRing, gkm_ordinary_betti,
+from borelcurve.gkm import (GKMGraph, GKMRing, compare_hilberts, gkm_ordinary_betti,
                             principal_verdict)
 
 from test_action import regular_models
@@ -57,12 +59,11 @@ def test_gkm_dims_monotone_and_stabilize(curves_union_graph):
     ring = GKMRing(curves_union_graph)
     dims = ring.hilbert(5)
     assert dims == sorted(dims)
-    assert all(d == 3 for d in dims[curves_union_graph.max_multiplicity:])
+    assert all(d == 3 for d in dims[ring.stabilization_degree:])
 
 
 def test_gkm_ordinary_betti(curves_union_graph):
     assert gkm_ordinary_betti(curves_union_graph) == [1, 2, 0]
-    assert gkm_ordinary_betti(curves_union_graph, 3) == [1, 2, 0, 0]
     assert gkm_ordinary_betti(GKMGraph((1,))) == [1]
     path4 = GKMGraph((1, 2, 3, 4), ((1, 2, 1), (2, 3, 1), (3, 4, 1)))
     assert gkm_ordinary_betti(path4) == [1, 3, 0]
@@ -159,7 +160,7 @@ def test_stabilization_degree_is_first_full_degree(case):
     """Oracle: scanning the slice dimensions finds the largest multiplicity."""
     _, graph = case
     ring = GKMRing(graph)
-    first_full = next(d for d in range(graph.max_multiplicity + 2) if ring.dim(d) == ring.r)
+    first_full = next(d for d in itertools.count() if ring.dim(d) == ring.r)
     assert ring.stabilization_degree == first_full
 
 
@@ -206,20 +207,17 @@ def test_gkm_slice_rejects_negative_degree(curves_union_graph):
 
 
 def test_negative_degree_bound_is_an_input_error(plane_ring, curves_union_graph):
-    """Every Hilbert function refuses a negative bound alike, so the Betti
-    numbers built on the congruence ring's raise InputError, not IndexError."""
+    """Every Hilbert function refuses a negative bound alike, with InputError,
+    not IndexError."""
     with pytest.raises(InputError, match="degree bound must be non-negative"):
         GKMRing(curves_union_graph).hilbert(-1)
     with pytest.raises(InputError, match="degree bound must be non-negative"):
         plane_ring.algebra.hilbert_function(-1)
-    with pytest.raises(InputError, match="degree bound must be non-negative"):
-        gkm_ordinary_betti(curves_union_graph, -1)
     assert GKMRing(curves_union_graph).hilbert(0) == [1]
-    assert gkm_ordinary_betti(curves_union_graph, 0) == [1]
 
 
 def test_multiplicity_limit():
-    assert GKMGraph((1, 2), ((1, 2, 1000),)).max_multiplicity == 1000
+    assert GKMRing(GKMGraph((1, 2), ((1, 2, 1000),))).stabilization_degree == 1000
     with pytest.raises(InputError, match="<= 1000"):
         GKMGraph((1, 2), ((1, 2, 1001),))
 
@@ -250,3 +248,17 @@ def test_graph_json_roundtrip(curves_union_graph):
                 {"vertices": [1, 2], "edges": [[1, "2"]]}):
         with pytest.raises(InputError, match="expected an integer"):
             GKMGraph.from_json(bad)
+
+
+@pytest.mark.parametrize("image,gkm,status,witness,flagged", [
+    ([1, 1, 3], [1, 2, 2], "NotPrincipal", 1, False),  # a deficit outranks a later excess
+    ([2, 1], [1, 2], "NotPrincipal", 1, False),  # and an earlier one
+    ([2, 2], [1, 2], "InconclusiveAtBound", None, True),  # an excess below the target rank
+])
+def test_compare_hilberts_outcomes(image, gkm, status, witness, flagged):
+    """The comparisons that no verdict test reaches: a deficit together with an
+    excess, and an excess whose last degree is below the target rank."""
+    verdict = compare_hilberts(image, gkm, 3, len(image) - 1, ("given",))
+    assert (verdict.status, verdict.witness) == (status, witness)
+    assert verdict.notes[0] == "given"
+    assert any("inconsistent" in note for note in verdict.notes[1:]) == flagged
