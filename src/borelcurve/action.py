@@ -30,6 +30,7 @@ other oracles live in `oracles` and are re-exported here on first access.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, InternalError
 from .rational import Poly, format_fraction, to_fraction, to_int
@@ -70,9 +71,9 @@ class CurveComponent(Record):
 
 
 def _mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), start=Fraction(0))
-                       for j in range(m)) for i in range(n))
+    """The exact product a b, over int, Fraction or any ring whose elements add to 0."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _as_list(x):

@@ -21,12 +21,11 @@ v^k times the exterior trace of rho_w, a number computed over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .action import _as_list, _as_matrix
+from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ascii_int
 from .rational import HomTuple, to_fraction, to_int
 from .record import Record
 
@@ -58,7 +57,7 @@ class MatrixFibre(Record):
         return len(self.rho_w)
 
 
-class BundleData(Record, frozen=False):
+class BundleData(Record):
     rank: int
     fibres: dict[int, SplitFibre | MatrixFibre]
 
@@ -68,8 +67,8 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
 
     That relation makes rho_v nilpotent: [rho_w, rho_v^m] = 2m rho_v^m, so
     tr(rho_v^m) = 0 for all m >= 1, which over Q forces every eigenvalue to 0.
-    It is checked over int: with W = D_w rho_w and V = D_v rho_v integer
-    (D the lcm of the entry denominators), it reads WV - VW = 2 D_w V.
+    It is checked over int: with (D_w, W) = _cleared(rho_w) and
+    (D_v, V) = _cleared(rho_v), it reads WV - VW = 2 D_w V.
     """
     rank = int(rank)
     if rank < 0:
@@ -86,16 +85,11 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
         if isinstance(fibre, MatrixFibre):
             w = _as_matrix(fibre.rho_w, rank)
             v = _as_matrix(fibre.rho_v, rank)
-            dw, dv = _lcm_denominator(w), _lcm_denominator(v)
-            W = [[x.numerator * (dw // x.denominator) for x in row] for row in w]
-            V = [[x.numerator * (dv // x.denominator) for x in row] for row in v]
-            w_cols, v_cols = list(zip(*W)), list(zip(*V))
-            for i in range(rank):
-                for j in range(rank):
-                    if (sum(map(mul, W[i], v_cols[j])) - sum(map(mul, V[i], w_cols[j]))
-                            != 2 * dw * V[i][j]):
-                        raise InputError(f"fibre at {label} violates [rho_w, rho_v] = "
-                                         "2 rho_v")
+            (dw, W), (_, V) = _cleared(w), _cleared(v)
+            WV, VW = _mat_mul(W, V), _mat_mul(V, W)
+            if any(WV[i][j] - VW[i][j] != 2 * dw * V[i][j]
+                   for i in range(rank) for j in range(rank)):
+                raise InputError(f"fibre at {label} violates [rho_w, rho_v] = 2 rho_v")
             fibre = MatrixFibre(w, v)
         checked[label] = fibre
     return BundleData(rank, checked)
@@ -113,11 +107,11 @@ def bundle_from_json(data: dict) -> BundleData:
     fibres: dict[int, SplitFibre | MatrixFibre] = {}
     for key, val in raw.items():
         try:
-            label = int(key)
+            label = ascii_int(key)
         except ValueError:
             raise InputError(f"fibre key {key!r} is not an integer fixed-point label") from None
         if label in fibres:
-            first = next(k for k in raw if int(k) == label)
+            first = next(k for k in raw if ascii_int(k) == label)
             raise InputError(f"fibre keys {first!r} and {key!r} both name fixed point {label}")
         if not isinstance(val, dict):
             raise InputError(f"fibre {key} must be an object with weights or rho_W/rho_V")
@@ -160,34 +154,31 @@ def elementary_symmetric(values: Sequence, k: int) -> Fraction:
     return _elementary_all(values)[k]
 
 
-def _lcm_denominator(m: Matrix) -> int:
-    """The lcm of the denominators of a rational matrix's entries (1 if empty)."""
+def _cleared(m: Matrix) -> tuple[int, Matrix]:
+    """(D, D m): D is the lcm of the entry denominators (1 if none), D m over int."""
     d = 1
     for q in {x.denominator for row in m for x in row}:
         d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
-    return d
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
 
 
 def _exterior_traces(m: Matrix) -> list[Fraction]:
     """[e_0, ..., e_n] of the eigenvalues of a square rational matrix.
 
-    With D the lcm of the entry denominators, A = D m is an integer matrix
-    whose characteristic polynomial t^n + c_1 t^(n-1) + ... has the integer
-    coefficients c_i = D^i c_i(m).  One Faddeev-LeVerrier run over int gives
-    them all: A_1 = A, A_i = A (A_(i-1) + c_(i-1) I), c_i = -tr(A_i) / i,
-    each division exact; then e_i = (-1)^i c_i / D^i.
+    With (D, A) = _cleared(m), A is an integer matrix whose characteristic
+    polynomial t^n + c_1 t^(n-1) + ... has the integer coefficients
+    c_i = D^i c_i(m).  One Faddeev-LeVerrier run over int gives them all:
+    A_1 = A, A_i = A (A_(i-1) + c_(i-1) I) = A A_(i-1) + c_(i-1) A,
+    c_i = -tr(A_i) / i, each division exact; then e_i = (-1)^i c_i / D^i.
     """
     n = len(m)
-    d = _lcm_denominator(m)
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    d, a = _cleared(m)
     out = [Fraction(1)]
-    current, c = [row[:] for row in a], 0
+    current, c = a, 0
     for i in range(1, n + 1):
         if i > 1:
-            for t in range(n):
-                current[t][t] += c
-            cols = list(zip(*current))
-            current = [[sum(map(mul, row, col)) for col in cols] for row in a]
+            current = [[x + c * y for x, y in zip(p, q)]
+                       for p, q in zip(_mat_mul(a, current), a)]
         c, rem = divmod(-sum(current[t][t] for t in range(n)), i)
         if rem:
             raise InternalError(f"Faddeev-LeVerrier step {i} left a remainder")

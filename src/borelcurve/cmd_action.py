@@ -5,8 +5,8 @@ from .cmd_common import _load_json, _report
 
 
 def run(args) -> dict:
-    model = action.model_from_json(_load_json(args.spec))
-    inputs = {"spec": args.spec}
+    inputs: dict = {}
+    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     options = {"what": args.what}
     if args.what == "validate":
         result = {"valid": True,

@@ -6,16 +6,16 @@ from .errors import InputError
 
 
 def run(args) -> dict:
-    model = action.model_from_json(_load_json(args.spec))
+    inputs: dict = {}
+    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     ring = curve.build_curve_ring(model)
-    inputs = {"spec": args.spec}
     bundles = []
     for idx, spec in enumerate(args.bundle or []):
         if spec == "tangent":
             bundles.append(("tangent", chern.tangent_bundle(model)))
         else:
-            bundles.append((spec, chern.bundle_from_json(_load_json(spec))))
-            inputs[f"bundle{idx}"] = spec
+            data = _load_json(inputs, f"bundle{idx}", spec)
+            bundles.append((spec, chern.bundle_from_json(data)))
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
     max_degree = _max_degree(args)
@@ -31,8 +31,7 @@ def run(args) -> dict:
     bound = None
     if args.gkm is not None:
         from . import gkm
-        graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
-        inputs["gkm"] = args.gkm
+        graph = gkm.GKMGraph.from_json(_load_json(inputs, "gkm", args.gkm))
         generators = []
         for (name, bundle), classes in zip(bundles, tuples):
             if set(bundle.fibres) != set(graph.vertices):

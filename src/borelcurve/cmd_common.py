@@ -2,12 +2,13 @@
 under `python -m borelcurve.cli` that file is `__main__`, and importing it by
 name would compile and run it a second time."""
 
+import io
 import json
 
-from .errors import InputError
+from .errors import InputError, ascii_int
 
 
-def _sha256(path: str) -> str:
+def _sha256(data: bytes) -> str:
     # Only runs that read input files need it.  The builtin module costs a
     # tenth of `hashlib`, which loads OpenSSL's `_hashlib` first.
     try:
@@ -17,16 +18,20 @@ def _sha256(path: str) -> str:
             from _sha2 import sha256  # Python >= 3.12
         except ImportError:
             from hashlib import sha256
-    with open(path, "rb") as handle:
-        return sha256(handle.read()).hexdigest()
+    return sha256(data).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def _load_json(inputs: dict, name: str, path: str) -> dict:
+    """Parse the JSON file at path, read once; inputs[name] records the path and the
+    sha256 of the bytes parsed, which decode as a text-mode UTF-8 read decodes them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    inputs[name] = {"path": path, "sha256": _sha256(data)}
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # syntax, UTF-8, int digits, nesting depth
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -36,8 +41,7 @@ def _report(subcommand: str, options: dict, inputs: dict, result: dict,
     return {
         "command": subcommand,
         "options": options,
-        "inputs": {name: {"path": path, "sha256": _sha256(path)}
-                   for name, path in inputs.items()},
+        "inputs": inputs,
         "result": result,
         "max_degree": max_degree,
         "exact_arithmetic": True,
@@ -46,7 +50,7 @@ def _report(subcommand: str, options: dict, inputs: dict, result: dict,
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [ascii_int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc
 

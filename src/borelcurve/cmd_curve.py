@@ -6,12 +6,12 @@ from .errors import InputError
 
 
 def run(args) -> dict:
-    model = action.model_from_json(_load_json(args.spec))
+    inputs: dict = {}
+    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     ring = curve.build_curve_ring(model)
     bound = _max_degree(args)
     if bound is None:
         bound = curve.default_degree_bound(ring)
-    inputs = {"spec": args.spec}
     options = {"what": args.what, "components": args.components}
     if args.what == "ring":
         result = {

@@ -9,9 +9,10 @@ from .cmd_common import _load_json, _max_degree, _report
 
 
 def run(args) -> dict:
-    model = action.model_from_json(_load_json(args.spec))
+    inputs: dict = {}
+    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     ring = curve.build_curve_ring(model)
-    graph = gkm.GKMGraph.from_json(_load_json(args.gkm))
+    graph = gkm.GKMGraph.from_json(_load_json(inputs, "gkm", args.gkm))
     verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
     with warnings.catch_warnings(record=True) as caught:  # reported as JSON lines
         warnings.simplefilter("always")
@@ -19,5 +20,4 @@ def run(args) -> dict:
     for warning in caught:
         print(json.dumps({"warning": str(warning.message)}, sort_keys=True), file=sys.stderr)
     result = {"verdict": verdict.to_json(), "gkm_ordinary_betti": betti}
-    return _report("principal", {"max_degree": args.max_degree},
-                   {"spec": args.spec, "gkm": args.gkm}, result, verdict.bound)
+    return _report("principal", {"max_degree": args.max_degree}, inputs, result, verdict.bound)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .action import ActionModel, CurveComponent, big_cell_degrees, component_parametrization
+from .action import ActionModel, big_cell_degrees, component_parametrization
 from .errors import InputError, InternalError
 from .rational import HomTuple
 from .record import Record
@@ -97,9 +97,8 @@ class NodeAlgebra:
         return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
 
 
-class CurveRing(Record, frozen=False):
+class CurveRing(Record):
     model: ActionModel
-    components: tuple[CurveComponent, ...]
     algebra: NodeAlgebra
 
     @property
@@ -134,7 +133,7 @@ def build_curve_ring(model: ActionModel) -> CurveRing:
         x = gens[1].coeffs
         if x[1] == 0 or any(x[j] != j * x[1] for j in range(r)):
             raise InternalError("degree-1 chart generator is not c * (0, 1, ..., n)")
-    return CurveRing(model, comps, NodeAlgebra(range(r), gens))
+    return CurveRing(model, NodeAlgebra(range(r), gens))
 
 
 def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer-text rule.
 
 The CLI maps InputError to exit code 2 and InternalError to exit code 3.
 """
@@ -10,3 +10,11 @@ class InputError(ValueError):
 
 class InternalError(RuntimeError):
     """An exact identity that must hold has failed; indicates a bug, not bad input."""
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for an optionally signed run of ASCII digits with surrounding
+    whitespace; ValueError for the underscores and non-ASCII digits int() takes."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .action import ActionModel, component_parametrization
+from .action import ActionModel, _mat_mul, component_parametrization
 from .errors import InputError, InternalError
 from .rational import Poly, to_fraction
 from .rootsystems import PoincarePoly, positive_roots, weyl_order
@@ -124,13 +124,6 @@ class _Laurent:
         return self.terms == o.terms
 
 
-def _mul2(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def _limit_at_zero(num: Poly, den: Poly) -> Fraction:
     """Exact limit of num(v)/den(v) as v -> 0, cancelling the common power of v."""
     if den.is_zero():
@@ -173,18 +166,18 @@ def sl2_family_checks() -> dict[str, str]:
     n_mat = ((zero, one), (zero, zero))
 
     torus = ((a, zero), (zero, a_inv))
-    lhs = _mul2(_mul2(phi(v_inv), torus), phi(-v_inv))
+    lhs = _mat_mul(_mat_mul(phi(v_inv), torus), phi(-v_inv))
     rhs = ((a, (one - a * a) * a_inv * v_inv), (zero, a_inv))
     if lhs != rhs:
         raise InternalError("torus conjugation identity failed")
     report["torus_conjugation_identity"] = "ok"
 
     u = L.sym(0)
-    lhs2 = _mul2(_mul2(phi(u), w_mat), phi(-u))
+    lhs2 = _mat_mul(_mat_mul(phi(u), w_mat), phi(-u))
     rhs2 = ((one, -(two * u)), (zero, -one))
     if lhs2 != rhs2:
         raise InternalError("phi(u) W phi(-u) != W - 2u N")
-    conj = _mul2(_mul2(phi(v_inv), w_mat), phi(-v_inv))
+    conj = _mat_mul(_mat_mul(phi(v_inv), w_mat), phi(-v_inv))
     s_v = tuple(tuple(v * entry for entry in row) for row in conj)
     expected = ((v, L.const(-2)), (zero, -v))
     if s_v != expected:

@@ -239,7 +239,7 @@ class HomTuple(Record):
             raise InputError("tuple needs at least one component")
 
     @classmethod
-    def ones(cls, r: int, degree: int = 0) -> "HomTuple":
+    def ones(cls, r: int, degree: int) -> "HomTuple":
         return cls(degree, (Fraction(1),) * r)
 
     @property

@@ -9,17 +9,13 @@ class Record:
     of the same name is a default.  Instances are built positionally or by
     keyword, then `__post_init__` may normalize fields via object.__setattr__.
     They equal same-class instances with equal fields, hash by their fields
-    and refuse assignment; `class C(Record, frozen=False)` gives assignable,
-    unhashable instances instead.
+    and refuse assignment.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -167,6 +167,14 @@ def test_bundle_from_json_rejects_a_fixed_point_named_twice(key):
         bundle_from_json(blob)
 
 
+@pytest.mark.parametrize("key", ["1_0", "\u0661", "1.0", ""])
+def test_bundle_from_json_takes_ascii_digit_keys_only(key):
+    """int() reads "1_0" as 10 and the Arabic-Indic digit one as 1."""
+    with pytest.raises(InputError, match=re.escape(f"fibre key {key!r} is not an integer "
+                                                   "fixed-point label")):
+        bundle_from_json({"rank": 1, "fibres": {key: {"weights": [1]}}})
+
+
 def test_tangent_bundle_weights(plane_model):
     tb = tangent_bundle(plane_model)
     assert tb.fibres[1].weights == (2, 4)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import gc
 import hashlib
@@ -419,6 +420,24 @@ def test_non_integer_rational_strings_exit_2(capsys, tmp_path, entry):
     assert "cannot parse rational" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "ideal", "--spec", "{plane}", "--components", "\u0662"],
+    ["curve", "restrict", "--spec", "{plane}", "--components", "2,1_0"],
+    ["poincare", "--degrees", "2,\u0663"], ["poincare", "--degrees", "1_0"]])
+def test_list_options_take_ascii_digits_only(capsys, specs, argv):
+    """int() reads "1_0" as 10 and the Arabic-Indic digits as 2 and 3."""
+    code, out, err = run(capsys, [arg.format(**specs) for arg in argv])
+    assert (code, out) == (2, "")
+    assert "list" in err and "expected comma-separated integers" in err
+
+
+def test_list_options_take_signs_zeros_and_spaces(capsys, specs):
+    code, out, _ = run(capsys, ["curve", "ideal", "--spec", specs["plane"],
+                                "--components", " +2, 03"])
+    assert code == 0
+    assert json.loads(out)["result"]["components"] == [2, 3]
+
+
 def test_poincare_degree_sum_is_capped(capsys):
     from borelcurve.rootsystems import MAX_DEGREE_SUM
     for degrees in (str(MAX_DEGREE_SUM + 1), ",".join(["1"] * (MAX_DEGREE_SUM + 1))):
@@ -829,19 +848,71 @@ def test_no_run_loads_the_oracles_or_openssl(tmp_path):
 
 
 @pytest.mark.parametrize("builtin", [True, False])
-def test_input_digest_matches_hashlib(tmp_path, monkeypatch, builtin):
+def test_input_digest_matches_hashlib(monkeypatch, builtin):
     """Both branches of cmd_common._sha256 give hashlib's digest; hiding the builtin
     modules forces the hashlib fallback."""
-    path = tmp_path / "input.json"
-    path.write_bytes(bytes(range(256)) * 33)
-    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    data = bytes(range(256)) * 33
+    expected = hashlib.sha256(data).hexdigest()
     real, calls = hashlib.sha256, []
     monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(1) or real(data))
     if not builtin:
         monkeypatch.setitem(sys.modules, "_sha256", None)
         monkeypatch.setitem(sys.modules, "_sha2", None)
-    assert _sha256(str(path)) == expected
+    assert _sha256(data) == expected
     assert len(calls) == (0 if builtin and BUILTIN_SHA256 else 1)
+
+
+def test_piped_spec_reports_the_digest_of_the_bytes_parsed():
+    """A pipe can be read once: the digest is that of the bytes the run parsed."""
+    data = json.dumps(PLANE_SPEC).encode()
+    proc = subprocess.run([sys.executable, "-m", "borelcurve.cli", "curve", "betti",
+                           "--spec", "/dev/stdin"], input=data, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"] == {
+        "spec": {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}}
+
+
+def test_each_input_file_is_opened_once(capsys, specs, monkeypatch):
+    """One read serves both the parse and the digest."""
+    real, opened = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, err = run(capsys, ["chern", "--spec", specs["plane"], "--bundle",
+                                specs["bundle_a"], "--gkm", specs["graph"]])
+    monkeypatch.undo()
+    assert code == 0, err
+    assert opened == [specs["plane"], specs["bundle_a"], specs["graph"]]
+
+
+# the cases where decoding the bytes read could differ from a text-mode read
+MALFORMED_FILES = {
+    "missing": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "directory": ("dir", "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    "invalid UTF-8": (b'\xff{"n": 1}', "{path} is not valid JSON: 'utf-8' codec can't "
+                      "decode byte 0xff in position 0: invalid start byte"),
+    "UTF-8 BOM": (b'\xef\xbb\xbf{"n": 1}', "{path} is not valid JSON: Unexpected UTF-8 BOM "
+                  "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "CRLF": (b'{\r\n  "n": 1,\r\n  "h_weights": [1, -1]\r\n  "e_matrix": "principal"\r\n}\r\n',
+             "{path} is not valid JSON: Expecting ',' delimiter: line 4 column 3 (char 37)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_unreadable_input_file_exits_2_with_its_error(capsys, tmp_path, case):
+    content, message = MALFORMED_FILES[case]
+    path = tmp_path / "spec.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, ["action", "validate", "--spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": message.format(path=path)}) + "\n"
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
