@@ -32,8 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, InternalError
-from .rational import Poly, format_fraction, to_fraction, to_int
+from .errors import InputError, InternalError, to_int
+from .rational import Poly, format_fraction, to_fraction
 from .record import Record
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -208,7 +208,7 @@ def component_parametrization(model: ActionModel, j: int) -> CurveComponent:
     coordinate homog_i / homog_0 is a monomial of degree d_i = i.
     """
     r = model.n + 1
-    if not 1 <= j <= r:
+    if not 1 <= to_int(j) <= r:
         raise InputError(f"component index must lie in 1..{r}")
     J = j - 1
     e = model.e_matrix

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError, ascii_int
-from .rational import HomTuple, to_fraction, to_int
+from .errors import InputError, InternalError, ascii_int, to_int
+from .rational import HomTuple, to_fraction
 from .record import Record
 
 if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
@@ -70,15 +70,13 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
     It is checked over int: with (D_w, W) = _cleared(rho_w) and
     (D_v, V) = _cleared(rho_v), it reads WV - VW = 2 D_w V.
     """
-    rank = int(rank)
-    if rank < 0:
+    if to_int(rank) < 0:
         raise InputError("bundle rank must be non-negative")
     if not fibres:
         raise InputError("bundle needs at least one fibre")
     checked: dict[int, SplitFibre | MatrixFibre] = {}
     for label, fibre in fibres.items():
-        label = int(label)
-        if label < 1:
+        if to_int(label) < 1:
             raise InputError("fixed-point labels must be positive")
         if fibre.rank != rank:
             raise InputError(f"fibre at {label} has rank {fibre.rank}, expected {rank}")
@@ -149,7 +147,7 @@ def _elementary_all(values: Sequence) -> list[Fraction]:
 
 def elementary_symmetric(values: Sequence, k: int) -> Fraction:
     """e_k of a multiset."""
-    if k < 0 or k > len(values):
+    if not 0 <= to_int(k) <= len(values):
         raise InputError("k out of range")
     return _elementary_all(values)[k]
 
@@ -192,7 +190,7 @@ def exterior_trace(matrix, k: int) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise InputError("matrix must be square")
-    if not 0 <= k <= n:
+    if not 0 <= to_int(k) <= n:
         raise InputError(f"k must lie in 0..{n}")
     return _exterior_traces(m)[k]
 
@@ -220,7 +218,7 @@ def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
 
 def chern_class(tuples: list[HomTuple], k: int) -> HomTuple:
     """Entry k of chern_tuples(bundle, cr), for k in 0..rank."""
-    if not 0 <= k < len(tuples):
+    if not 0 <= to_int(k) < len(tuples):
         raise InputError(f"k must lie in 0..{len(tuples) - 1}")
     return tuples[k]
 

@@ -16,7 +16,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ascii_int
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -45,10 +45,16 @@ def _render(report: dict, table: bool) -> str:
 # the command line: one grammar, read by a quick parser and by argparse
 
 
+def integer(text: str) -> int:
+    """The int options' reader: errors.ascii_int, under a name that reads well
+    in argparse's message "invalid integer value: '1_0'"."""
+    return ascii_int(text)
+
+
 def _option(name: str, kind, help: str | None = None, required: bool = False,
             default=None) -> tuple:
-    """One option: kind is str, int, bool (a flag), list (repeatable str) or
-    a tuple of choices."""
+    """One option: kind is a reader of its text (str or integer), bool (a
+    flag), list (repeatable str) or a tuple of choices."""
     if kind is bool:
         default = False
     return name, name[2:].replace("-", "_"), kind, help, required, default
@@ -63,7 +69,7 @@ _COMMON = (_option("--table", bool, "flat key = value output instead of JSON"),)
 GRAMMAR = {
     "poincare": ("Kostant-Macdonald Poincare polynomials", None, (
         _option("--family", ("A", "B", "C", "D", "G2", "F4")),
-        _option("--rank", int),
+        _option("--rank", integer),
         _option("--degrees", str, "comma-separated positive degrees, e.g. 1,2,3"),
     )),
     "action": ("validate a model and list fixed points / curve "
@@ -74,21 +80,21 @@ GRAMMAR = {
               ("ring", "betti", "restrict", "ideal"), (
         _option("--spec", str, required=True),
         _option("--components", str, "comma-separated fixed-point labels, e.g. 2,3"),
-        _option("--max-degree", int),
+        _option("--max-degree", integer),
     )),
     "principal": ("decide surjectivity of the restriction map", None, (
         _option("--spec", str, required=True),
         _option("--gkm", str, "congruence graph JSON", required=True),
-        _option("--max-degree", int),
+        _option("--max-degree", integer),
     )),
     "chern": ("equivariant Chern class tuples and generation tests", None, (
         _option("--spec", str, required=True),
         _option("--bundle", list, "bundle spec JSON, or 'tangent' (repeatable)"),
-        _option("--k", int, default=1),
+        _option("--k", integer, default=1),
         _option("--test-membership", bool),
         _option("--gkm", str, "congruence graph JSON; compare the subalgebra "
                 "generated by all Chern classes of the given bundles"),
-        _option("--max-degree", int),
+        _option("--max-degree", integer),
     )),
 }
 
@@ -98,7 +104,7 @@ def _quick_parse(argv):
 
     Plain: the subcommand comes first; option names are spelled in full, as
     `--name value` or `--name=value`; no value starts with "-"; there is at
-    most one positional and it is one of its choices; every int value parses;
+    most one positional and it is one of its choices; every value reads;
     every required option is given.  Everything else (help, prefixes, "--",
     negative values, every malformed line) is left to argparse, the one
     source of help and error text.
@@ -133,15 +139,16 @@ def _quick_parse(argv):
                 return None
         if value.startswith("-"):
             return None
-        if kind is int:
+        if kind is list:
+            value = (values[dest] or []) + [value]
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
             try:
-                value = int(value)
+                value = kind(value)
             except ValueError:
                 return None
-        elif kind is list:
-            value = (values[dest] or []) + [value]
-        elif kind is not str and value not in kind:
-            return None
         values[dest] = value
     if choices is not None and "what" not in values:
         return None

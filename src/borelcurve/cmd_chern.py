@@ -1,8 +1,9 @@
 """`borelcurve chern`: Chern class tuples, membership, generation verdicts."""
 
 from . import action, chern, curve
-from .cmd_common import _load_json, _max_degree, _report
+from .cmd_common import _load_json, _report
 from .errors import InputError
+from .rational import degree_bound
 
 
 def run(args) -> dict:
@@ -18,7 +19,7 @@ def run(args) -> dict:
             bundles.append((spec, chern.bundle_from_json(data)))
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
-    max_degree = _max_degree(args)
+    max_degree = degree_bound(args.max_degree, None)  # checked without --gkm too
     per_bundle, tuples = [], []  # tuples: c_0..c_rank of each bundle, computed once
     for name, bundle in bundles:
         tuples.append(chern.chern_tuples(bundle, ring))

@@ -53,13 +53,3 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [ascii_int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc
-
-
-def _max_degree(args) -> int | None:
-    from .rational import MAX_DEGREE
-    if args.max_degree is not None:
-        if args.max_degree < 0:
-            raise InputError("degree bound must be non-negative")
-        if args.max_degree > MAX_DEGREE:
-            raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
-    return args.max_degree

@@ -1,17 +1,16 @@
 """`borelcurve curve`: the curve ring, Betti numbers, restrictions, ideals."""
 
 from . import action, curve
-from .cmd_common import _load_json, _max_degree, _parse_int_list, _report
+from .cmd_common import _load_json, _parse_int_list, _report
 from .errors import InputError
+from .rational import degree_bound
 
 
 def run(args) -> dict:
     inputs: dict = {}
     model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     ring = curve.build_curve_ring(model)
-    bound = _max_degree(args)
-    if bound is None:
-        bound = curve.default_degree_bound(ring)
+    bound = degree_bound(args.max_degree, curve.default_degree_bound(ring))
     options = {"what": args.what, "components": args.components}
     if args.what == "ring":
         result = {

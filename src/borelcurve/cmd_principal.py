@@ -5,7 +5,7 @@ import sys
 import warnings
 
 from . import action, curve, gkm
-from .cmd_common import _load_json, _max_degree, _report
+from .cmd_common import _load_json, _report
 
 
 def run(args) -> dict:
@@ -13,7 +13,7 @@ def run(args) -> dict:
     model = action.model_from_json(_load_json(inputs, "spec", args.spec))
     ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(_load_json(inputs, "gkm", args.gkm))
-    verdict = gkm.principal_verdict(ring, graph, _max_degree(args))
+    verdict = gkm.principal_verdict(ring, graph, args.max_degree)
     with warnings.catch_warnings(record=True) as caught:  # reported as JSON lines
         warnings.simplefilter("always")
         betti = gkm.gkm_ordinary_betti(graph)

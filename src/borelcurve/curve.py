@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .action import ActionModel, big_cell_degrees, component_parametrization
-from .errors import InputError, InternalError
-from .rational import HomTuple
+from .errors import InputError, InternalError, to_int
+from .rational import HomTuple, degree_bound
 from .record import Record
 
 
@@ -51,13 +51,13 @@ class NodeAlgebra:
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]."""
-        if max_degree < 0:
+        if to_int(max_degree) < 0:
             raise InputError("degree bound must be non-negative")
         return [min(d + 1, self.r) for d in range(max_degree + 1)]
 
     def graded_basis(self, d: int) -> list[HomTuple]:
         """Canonical row-reduced basis of V_d: the Lagrange rows on nodes[:d+1]."""
-        if d < 0:
+        if to_int(d) < 0:
             raise InputError("degree must be non-negative")
         pivots = self.nodes[:d + 1]
 
@@ -143,7 +143,7 @@ def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
     function; trailing zeros are stripped once the algebra has stabilized, and
     the entries always sum to the number of fixed points.
     """
-    bound = default_degree_bound(cr) if max_degree is None else int(max_degree)
+    bound = degree_bound(max_degree, default_degree_bound(cr))
     hil = cr.algebra.hilbert_function(bound)
     if hil[-1] != cr.r:
         raise InputError(f"truncation degree {bound} too small: Hilbert function has "
@@ -157,7 +157,7 @@ def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
 
 
 def _positions(cr: CurveRing, subset: Iterable[int]) -> list[int]:
-    labels = sorted(set(int(s) for s in subset))
+    labels = sorted(set(map(to_int, subset)))
     if not labels:
         raise InputError("fixed-point subset must be nonempty")
     if labels[0] < 1 or labels[-1] > cr.r:
@@ -186,5 +186,5 @@ def ideal_hilbert(cr: CurveRing, subset: Iterable[int],
     r - |subset|, the rank of the ideal over Q[v], from the default degree on.
     """
     size = len(_positions(cr, subset))
-    bound = default_degree_bound(cr) if max_degree is None else int(max_degree)
+    bound = degree_bound(max_degree, default_degree_bound(cr))
     return [dim - min(d + 1, size) for d, dim in enumerate(cr.algebra.hilbert_function(bound))]

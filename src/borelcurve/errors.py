@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the integer-text rule.
+"""Exception hierarchy shared by all modules, and the two integer rules.
 
 The CLI maps InputError to exit code 2 and InternalError to exit code 3.
 """
@@ -10,6 +10,13 @@ class InputError(ValueError):
 
 class InternalError(RuntimeError):
     """An exact identity that must hold has failed; indicates a bug, not bad input."""
+
+
+def to_int(x) -> int:
+    """Accept a genuine int only; bools, floats and strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
 
 
 def ascii_int(text: str) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, to_int
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
     HomTuple, Poly, Vec, _hadamard, format_fraction, to_fraction)
 
@@ -142,14 +142,9 @@ class RowSpace:
     def coordinates(self, vec: Sequence) -> list[Fraction] | None:
         """Coefficients of vec over self.rows, or None if vec is outside the span."""
         v = [to_fraction(x) for x in vec]
-        coords = [v[p] for p in self.pivots]
-        recon = [Fraction(0)] * self.ncols
-        for c, row in zip(coords, self.rows):
-            if c != 0:
-                recon = [a + c * b for a, b in zip(recon, row)]
-        if recon != v:
+        if any(self.reduce(v)):
             return None
-        return coords
+        return [v[p] for p in self.pivots]
 
     def basis_vectors(self) -> list[Vec]:
         return [tuple(row) for row in self.rows]
@@ -178,9 +173,9 @@ class GradedSubalgebra:
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
-        if r < 1:
+        if to_int(r) < 1:
             raise InputError("component count must be positive")
-        self.r = int(r)
+        self.r = r
         gens = tuple(generators)
         for g in gens:
             if g.r != self.r:
@@ -204,7 +199,7 @@ class GradedSubalgebra:
 
     def _slice(self, d: int) -> RowSpace:
         """The degree-d slice; missing degrees are built bottom-up."""
-        if d < 0:
+        if to_int(d) < 0:
             raise InputError("degree must be non-negative")
         while len(self._slices) <= d:
             k = len(self._slices)
@@ -212,11 +207,9 @@ class GradedSubalgebra:
             if k == 0:
                 space.add((Fraction(1),) * self.r)
             for g in self.generators:
-                if 1 <= g.degree < k:
+                if 1 <= g.degree <= k:  # V_0 holds the unit, so g itself when k = deg g
                     for row in self._slices[k - g.degree].rows:
                         space.add(_hadamard(g.coeffs, row))
-                elif g.degree == k:
-                    space.add(g.coeffs)
             self._saturate_degree_zero(space)
             self._slices.append(space)
         return self._slices[d]
@@ -230,7 +223,7 @@ class GradedSubalgebra:
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]; with v a generator no slice past the
         first full one is built (the chain above)."""
-        if max_degree < 0:
+        if to_int(max_degree) < 0:
             raise InputError("degree bound must be non-negative")
         chain = HomTuple.ones(self.r, 1) in self.generators
         out: list[int] = []
@@ -275,7 +268,7 @@ class GradedSubalgebra:
         This is the degree-d piece of the ideal of the sub-curve over the given
         components.
         """
-        pos = sorted(set(int(i) for i in labels))
+        pos = sorted(set(map(to_int, labels)))
         if not pos:
             raise InputError("component subset must be nonempty")
         if pos[0] < 1 or pos[-1] > self.r:

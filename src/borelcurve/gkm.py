@@ -21,8 +21,8 @@ from __future__ import annotations
 import warnings
 
 from .curve import CurveRing, restrict
-from .errors import InputError
-from .rational import MAX_DEGREE, HomTuple, to_int
+from .errors import InputError, to_int
+from .rational import MAX_DEGREE, HomTuple, degree_bound
 from .record import Record
 
 PRINCIPAL = "Principal"
@@ -45,10 +45,9 @@ class GKMGraph(Record):
         vset = set(verts)
         edges = []
         for edge in self.edges:
-            if len(edge) == 2:
-                i, j, m = to_int(edge[0]), to_int(edge[1]), 1
-            else:
-                i, j, m = (to_int(x) for x in edge)
+            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+                raise InputError(f"edge {edge!r} is not [i, j] or [i, j, multiplicity]")
+            i, j, m = (to_int(x) for x in (*edge, 1)[:3])
             if i == j:
                 raise InputError("self-loops are not allowed")
             if i not in vset or j not in vset:
@@ -63,6 +62,7 @@ class GKMGraph(Record):
 
     def connected_components(self, threshold: int = 0) -> list[tuple[int, ...]]:
         """Sorted components of the graph on the edges of multiplicity > threshold."""
+        threshold = to_int(threshold)
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -85,7 +85,7 @@ class GKMGraph(Record):
     @classmethod
     def from_json(cls, data: dict) -> "GKMGraph":
         try:
-            return cls(tuple(data["vertices"]), tuple(tuple(e) for e in data.get("edges", [])))
+            return cls(tuple(data["vertices"]), tuple(data.get("edges", [])))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph spec: {exc}") from exc
 
@@ -108,14 +108,14 @@ class GKMRing:
         return [HomTuple(d, [int(v in comp) for v in self.graph.vertices]) for comp in comps]
 
     def dim(self, d: int) -> int:
-        if d < 0:
+        if to_int(d) < 0:
             raise InputError("degree must be non-negative")
         return len(self.graph.connected_components(d))
 
     def hilbert(self, max_degree: int) -> list[int]:
         """dim(0..max_degree): the count changes only at the edge multiplicities,
         so one count per multiplicity fills the run of degrees up to the next."""
-        if max_degree < 0:
+        if to_int(max_degree) < 0:
             raise InputError("degree bound must be non-negative")
         cuts = sorted({0, *(m for _, _, m in self.graph.edges)})
         out: list[int] = []
@@ -208,7 +208,7 @@ def decide(image, graph: GKMGraph, max_degree: int | None,
     containing v, with the congruence ring's, by default up to the stabilization
     degree, which certifies the verdict (PrincipalityVerdict)."""
     ring = GKMRing(graph)
-    bound = ring.stabilization_degree if max_degree is None else int(max_degree)
+    bound = degree_bound(max_degree, ring.stabilization_degree)
     return compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound),
                             len(graph.vertices), bound, notes)
 

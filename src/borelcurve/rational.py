@@ -18,13 +18,13 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, to_int
 from .record import Record
 
 Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
-# Largest degree accepted from input (edge multiplicities, --max-degree).
+# Largest degree accepted from input (edge multiplicities, degree_bound).
 # Answers stop changing at degree n (curve) or the largest multiplicity.
 MAX_DEGREE = 1000
 
@@ -59,11 +59,17 @@ def to_fraction(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as a rational number")
 
 
-def to_int(x) -> int:
-    """Accept a genuine int only; bools, floats and strings are rejected."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"expected an integer, got {x!r}")
-    return x
+def degree_bound(max_degree, default: int | None) -> int | None:
+    """The degree bound a caller gives, an int in 0..MAX_DEGREE; None gives
+    `default`, which the cap does not bind (a ring on more than 1,001 nodes
+    has a default bound n above it)."""
+    if max_degree is None:
+        return default
+    if to_int(max_degree) < 0:
+        raise InputError("degree bound must be non-negative")
+    if max_degree > MAX_DEGREE:
+        raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
+    return max_degree
 
 
 def format_fraction(q: Fraction) -> str:
@@ -103,7 +109,7 @@ class Poly(Record):
 
     @classmethod
     def monomial(cls, c, k: int) -> "Poly":
-        if k < 0:
+        if to_int(k) < 0:
             raise InputError("monomial power must be non-negative")
         c = to_fraction(c)
         mono = object.__new__(cls)  # already normalized: skip __post_init__
@@ -181,7 +187,7 @@ class Poly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if to_int(n) < 0:
             raise InputError("negative polynomial power")
         out = Poly.const(1)
         base = self
@@ -232,7 +238,7 @@ class HomTuple(Record):
     coeffs: Vec
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 0:
+        if to_int(self.degree) < 0:
             raise InputError("tuple degree must be a non-negative integer")
         object.__setattr__(self, "coeffs", tuple(to_fraction(c) for c in self.coeffs))
         if not self.coeffs:
@@ -272,6 +278,6 @@ class HomTuple(Record):
     @classmethod
     def from_json(cls, data: dict) -> "HomTuple":
         try:
-            return cls(to_int(data["degree"]), tuple(to_fraction(c) for c in data["coeffs"]))
+            return cls(data["degree"], tuple(to_fraction(c) for c in data["coeffs"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad tuple serialization: {data!r}") from exc

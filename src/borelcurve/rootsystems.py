@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, to_int
 from .record import Record
 
 MAX_RANK = 8
@@ -134,7 +134,7 @@ def _family(family: str, rank: int):
     if row is None:
         raise InputError(f"unsupported family {family!r} (expected A, B, C, D, G2 or F4)")
     low, high = row[:2]
-    if not low <= rank <= high:
+    if not low <= to_int(rank) <= high:
         raise InputError(f"{family} has rank {low}" if low == high
                          else f"{family}-family rank must be {low}..{high}")
     return row
@@ -142,7 +142,6 @@ def _family(family: str, rank: int):
 
 def positive_roots(family: str, rank: int) -> RootSystem:
     """Complete positive-root list in the standard integer realization."""
-    rank = int(rank)
     _, _, count, _, build = _family(family, rank)
     simple, pos = build(rank)
     if len(pos) != count(rank):
@@ -241,11 +240,9 @@ def poincare_from_degrees(degrees) -> PoincarePoly:
     the degrees do not come from a regular projective model.  The degrees may
     sum to at most MAX_DEGREE_SUM.
     """
-    ds = []
-    for d in degrees:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise InputError("degrees must be positive integers")
-        ds.append(d)
+    ds = [to_int(d) for d in degrees]
+    if any(d < 1 for d in ds):
+        raise InputError("degrees must be positive integers")
     if sum(ds) > MAX_DEGREE_SUM:
         raise InputError(f"degrees must sum to at most {MAX_DEGREE_SUM}")
     try:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import borelcurve
 from borelcurve import argparser, cli
 from borelcurve.argparser import build_parser
-from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, main
+from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, integer, main
 from borelcurve.cmd_common import _sha256
 from borelcurve.gkm import GKMGraph
 from test_action import regular_models
@@ -385,6 +385,15 @@ def test_degree_limits_exit_2(capsys, tmp_path, specs):
     assert len(json.loads(out)["result"]["hilbert"]) == 1001
 
 
+def test_graph_edge_of_four_entries_exits_2(capsys, tmp_path, specs):
+    graph = tmp_path / "long_edge.json"
+    graph.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2, 1, 5]]}))
+    code, out, err = run(capsys, ["principal", "--spec", specs["plane"], "--gkm", str(graph)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "bad graph spec: edge [1, 2, 1, 5] is not [i, j] "
+                                        "or [i, j, multiplicity]"}
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "ring"], ["curve", "betti"], ["curve", "restrict", "--components", "2"],
     ["curve", "ideal", "--components", "1"], ["principal", "--gkm", "{graph}"],
@@ -429,6 +438,19 @@ def test_list_options_take_ascii_digits_only(capsys, specs, argv):
     code, out, err = run(capsys, [arg.format(**specs) for arg in argv])
     assert (code, out) == (2, "")
     assert "list" in err and "expected comma-separated integers" in err
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["poincare", "--family", "A", "--rank", "\u0663"], "--rank", "\u0663"),
+    (["curve", "betti", "--spec", "{plane}", "--max-degree", "0_2"], "--max-degree", "0_2"),
+    (["chern", "--spec", "{plane}", "--bundle", "tangent", "--k", "\u0661"], "--k", "\u0661"),
+    (["principal", "--spec", "{plane}", "--gkm", "{graph}", "--max-degree=1_000"],
+     "--max-degree", "1_000")])
+def test_int_options_take_ascii_digits_only(capsys, specs, argv, option, value):
+    """int() reads "0_2" as 2 and the Arabic-Indic digits as 3 and 1."""
+    code, out, err = run(capsys, [arg.format(**specs) for arg in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"argument {option}: invalid integer value: {value!r}"}
 
 
 def test_list_options_take_signs_zeros_and_spaces(capsys, specs):
@@ -541,9 +563,9 @@ def parse_with_argparse(argv) -> dict:
 PLAIN_LINES = [
     ["poincare", "--family", "A", "--rank", "2"],
     ["poincare", "--degrees=1,2,3", "--table"],
-    ["poincare", "--rank", " 3", "--rank", "1_0", "--family=G2"],
+    ["poincare", "--rank", " 3", "--rank", "+10", "--family=G2"],
     ["action", "--spec", "x.json", "curve"],
-    ["curve", "ideal", "--spec=", "--components", "2,3", "--max-degree", "\u0663"],
+    ["curve", "ideal", "--spec=", "--components", "2,3", "--max-degree", "3 "],
     ["principal", "--gkm", "g", "--spec", "s", "--table", "--table"],
     ["chern", "--spec", "s", "--bundle", "tangent", "--bundle=b.json", "--k", "0",
      "--test-membership", "--gkm", "g", "--max-degree", "7"],
@@ -557,6 +579,8 @@ REFUSED_LINES = [
     ["poincare", "extra"], ["poincare", "--family", "E8"], ["poincare", "--rank", "2x"],
     ["poincare", "--table=1"], ["poincare", "--rank"], ["principal", "--spec", "s"],
     ["--table", "poincare"], ["bogus"],
+    ["poincare", "--rank", " 3", "--rank", "1_0", "--family=G2"],
+    ["curve", "ideal", "--spec=", "--components", "2,3", "--max-degree", "\u0663"],
 ]
 
 
@@ -577,8 +601,8 @@ NOISE = ["--", "-", "-h", "--help", "", "-2", " 3", "1_0", "\u0663", "x"]
 
 def option_values(kind):
     """Mostly values the option takes, sometimes noise."""
-    if kind is int:
-        plain = ["0", "2", "1001", " 3", "1_0", "\u0663", "2x"]
+    if kind is integer:
+        plain = ["0", "2", "1001", " 3", "+3 ", "1_0", "\u0663", "\uff13", "2x"]
     elif isinstance(kind, tuple):
         plain = [*kind, "E8"]
     else:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from borelcurve import curve
 from borelcurve.action import ActionModel, principal_model
 from borelcurve.chern import chern_tuples, tangent_bundle
-from borelcurve.curve import (betti_numbers, build_curve_ring,
+from borelcurve.curve import (CurveRing, NodeAlgebra, betti_numbers, build_curve_ring,
                               default_degree_bound, ideal_hilbert, restrict)
 from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import GradedSubalgebra, HomTuple
+from borelcurve.rational import MAX_DEGREE
 from borelcurve.rootsystems import poincare_from_degrees
 
 from conftest import jordan_block
@@ -219,3 +220,18 @@ def test_build_checks_the_normal_form(monkeypatch):
     monkeypatch.setattr(curve, "component_parametrization", skewed)
     with pytest.raises(InternalError, match=r"c \* \(0, 1"):
         build_curve_ring(principal_model(3))
+
+
+def test_default_bound_may_pass_the_cap_on_given_bounds():
+    """MAX_DEGREE caps only the bounds a caller gives: on 1,002 nodes the
+    default bound is 1001.  The model is left unvalidated so the ring builds
+    at once."""
+    cr = CurveRing(ActionModel(1001, (), ()), NodeAlgebra(range(1002), ()))
+    assert default_degree_bound(cr) == 1001 > MAX_DEGREE
+    assert betti_numbers(cr) == [1] * 1002
+    assert ideal_hilbert(cr, [1, 5]) == [min(d + 1, 1002) - min(d + 1, 2) for d in range(1002)]
+    for given in (lambda bound: betti_numbers(cr, bound),
+                  lambda bound: ideal_hilbert(cr, [1, 5], bound)):
+        with pytest.raises(InputError, match="^--max-degree must be <= 1000$"):
+            given(1001)
+    assert ideal_hilbert(cr, [1, 5], 1000) == ideal_hilbert(cr, [1, 5])[:1001]

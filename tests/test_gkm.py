@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,18 @@ def test_graph_validation():
     g = GKMGraph((3, 1, 2), ((2, 1),))  # two-entry edges default to m = 1
     assert g.vertices == (1, 2, 3)
     assert g.edges == ((1, 2, 1),)
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 1, 5), [1], (), 5, "12", {"i": 1, "j": 2}],
+                         ids=repr)
+def test_edge_is_a_pair_or_a_triple(edge):
+    """Anything else names the edge; it used to fail on unpacking, with a bare
+    ValueError or TypeError, or read a string's characters as labels."""
+    message = rf"^edge {re.escape(repr(edge))} is not \[i, j\] or \[i, j, multiplicity\]$"
+    with pytest.raises(InputError, match=message):
+        GKMGraph((1, 2), (edge,))
+    with pytest.raises(InputError, match="^bad graph spec: " + message[1:]):
+        GKMGraph.from_json({"vertices": [1, 2], "edges": [edge]})
 
 
 def test_connectivity(curves_union_graph):

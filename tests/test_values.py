@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from borelcurve.action import ActionModel, CurveComponent
-from borelcurve.chern import BundleData, MatrixFibre, SplitFibre
-from borelcurve.curve import CurveRing
+from borelcurve.action import (ActionModel, CurveComponent, component_parametrization,
+                               principal_model)
+from borelcurve.chern import (BundleData, MatrixFibre, SplitFibre, chern_class,
+                              chern_subalgebra_verdict, elementary_symmetric, exterior_trace,
+                              make_bundle)
+from borelcurve.curve import CurveRing, betti_numbers, build_curve_ring, ideal_hilbert, restrict
+from borelcurve.errors import InputError
 from borelcurve.exactalg import GradedSubalgebra, HomTuple, Poly
-from borelcurve.gkm import GKMGraph, PrincipalityVerdict
-from borelcurve.rootsystems import PoincarePoly, RootSystem
+from borelcurve.gkm import GKMGraph, GKMRing, PrincipalityVerdict, principal_verdict
+from borelcurve.rational import degree_bound
+from borelcurve.rootsystems import (PoincarePoly, RootSystem, poincare_from_degrees,
+                                    positive_roots, weyl_order)
 
 from conftest import jordan_block
 
@@ -108,3 +114,52 @@ def test_construction_rejects_bad_arguments():
         Poly(degree=1)
     with pytest.raises(TypeError):
         SplitFibre((1,), weights=(1,))
+
+
+# ---------------------------------------------------------------------------
+# integer parameters: genuine ints only (errors.to_int)
+
+_RING = build_curve_ring(principal_model(2))
+_GRAPH = GKMGraph((1, 2, 3), ((1, 2, 1), (1, 3, 1)))
+
+# name -> a call taking one integer parameter
+INTEGER_PARAMETERS = {
+    "make_bundle rank": lambda x: make_bundle(x, {1: SplitFibre((1, -1))}),
+    "make_bundle label": lambda x: make_bundle(1, {x: SplitFibre((1,))}),
+    "restrict label": lambda x: restrict(_RING, [x]),
+    "ideal_hilbert label": lambda x: ideal_hilbert(_RING, [x]),
+    "GradedSubalgebra r": lambda x: GradedSubalgebra(x),
+    "kernel_basis label": lambda x: _ALGEBRA.kernel_basis([x], 1),
+    "positive_roots rank": lambda x: positive_roots("A", x),
+    "weyl_order rank": lambda x: weyl_order("A", x),
+    "component_parametrization j": lambda x: component_parametrization(_RING.model, x),
+    "HomTuple degree": lambda x: HomTuple(x, (1,)),
+    "poincare_from_degrees degree": lambda x: poincare_from_degrees([1, x]),
+    "elementary_symmetric k": lambda x: elementary_symmetric((1, 2, 3), x),
+    "exterior_trace k": lambda x: exterior_trace(((1, 0), (0, 2)), x),
+    "chern_class k": lambda x: chern_class([HomTuple(k, (1,)) for k in range(3)], x),
+    "NodeAlgebra.graded_basis degree": lambda x: _RING.algebra.graded_basis(x),
+    "GradedSubalgebra.graded_basis degree": lambda x: _ALGEBRA.graded_basis(x),
+    "GKMRing.basis degree": lambda x: GKMRing(_GRAPH).basis(x),
+    "GKMGraph.connected_components threshold": lambda x: _GRAPH.connected_components(x),
+    "Poly.monomial power": lambda x: Poly.monomial(1, x),
+    "Poly power": lambda x: Poly((1, 1)) ** x,
+    "GKMRing.dim degree": lambda x: GKMRing(_GRAPH).dim(x),
+    "betti_numbers bound": lambda x: betti_numbers(_RING, x),
+    "ideal_hilbert bound": lambda x: ideal_hilbert(_RING, [1], x),
+    "principal_verdict bound": lambda x: principal_verdict(_RING, _GRAPH, x),
+    "chern_subalgebra_verdict bound": lambda x: chern_subalgebra_verdict([], _GRAPH, x),
+    "degree_bound": lambda x: degree_bound(x, 0),
+    "NodeAlgebra.hilbert_function bound": lambda x: _RING.algebra.hilbert_function(x),
+    "GradedSubalgebra.hilbert_function bound": lambda x: _ALGEBRA.hilbert_function(x),
+    "GKMRing.hilbert bound": lambda x: GKMRing(_GRAPH).hilbert(x),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"], ids=repr)
+def test_integer_parameters_take_genuine_ints_only(name, value):
+    """int() would read 2.0 and 2.5 as 2, True as 1 and "2" as 2."""
+    INTEGER_PARAMETERS[name](2)  # the int itself is accepted
+    with pytest.raises(InputError, match="^expected an integer, got "):
+        INTEGER_PARAMETERS[name](value)
