@@ -19,7 +19,7 @@ def run(args) -> dict:
             bundles.append((spec, chern.bundle_from_json(data)))
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
-    max_degree = degree_bound(args.max_degree, None)  # checked without --gkm too
+    degree_bound(args.max_degree, None)  # checked without --gkm too
     per_bundle, tuples = [], []  # tuples: c_0..c_rank of each bundle, computed once
     for name, bundle in bundles:
         tuples.append(chern.chern_tuples(bundle, ring))
@@ -39,7 +39,7 @@ def run(args) -> dict:
                 raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
                                  f"do not match graph vertices {list(graph.vertices)}")
             generators.extend(classes[1:])
-        verdict = chern.chern_subalgebra_verdict(generators, graph, max_degree)
+        verdict = chern.chern_subalgebra_verdict(generators, graph, args.max_degree)
         result["subalgebra_verdict"] = verdict.to_json()
         bound = verdict.bound
     return _report("chern", {"k": args.k, "test_membership": args.test_membership,

@@ -16,11 +16,11 @@ def run(args) -> dict:
         result = {
             "generators": [g.to_json() for g in ring.algebra.generators],
             "hilbert": ring.algebra.hilbert_function(bound),
-            "betti": curve.betti_numbers(ring, bound),
+            "betti": curve.betti_numbers(ring, args.max_degree),
             "truncation_degree": bound,
         }
     elif args.what == "betti":
-        result = {"betti": curve.betti_numbers(ring, bound), "truncation_degree": bound}
+        result = {"betti": curve.betti_numbers(ring, args.max_degree), "truncation_degree": bound}
     elif args.what == "restrict":
         if args.components is None:
             raise InputError("curve restrict needs --components")
@@ -36,7 +36,7 @@ def run(args) -> dict:
         if args.components is None:
             raise InputError("curve ideal needs --components")
         subset = _parse_int_list(args.components, "component")
-        dims = curve.ideal_hilbert(ring, subset, bound)
+        dims = curve.ideal_hilbert(ring, subset, args.max_degree)
         result = {
             "components": sorted(set(subset)),
             "ideal_hilbert": dims,

@@ -68,7 +68,7 @@ def degree_bound(max_degree, default: int | None) -> int | None:
     if to_int(max_degree) < 0:
         raise InputError("degree bound must be non-negative")
     if max_degree > MAX_DEGREE:
-        raise InputError(f"--max-degree must be <= {MAX_DEGREE}")
+        raise InputError(f"degree bound must be <= {MAX_DEGREE}")
     return max_degree
 
 

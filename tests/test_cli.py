@@ -378,11 +378,33 @@ def test_degree_limits_exit_2(capsys, tmp_path, specs):
                   "--gkm", specs["graph"]]):
         code, _, err = run(capsys, argv + ["--max-degree", "1001"])
         assert code == 2
-        assert "--max-degree must be <= 1000" in err
+        assert "degree bound must be <= 1000" in err
     code, out, _ = run(capsys, ["curve", "ring", "--spec", specs["plane"],
                                 "--max-degree", "1000"])
     assert code == 0
     assert len(json.loads(out)["result"]["hilbert"]) == 1001
+
+
+@pytest.mark.parametrize("what", [["ring"], ["betti"], ["restrict", "--components", "1,5"],
+                                  ["ideal", "--components", "1,5"]])
+def test_curve_default_bound_may_pass_the_cap(capsys, specs, monkeypatch, what):
+    """Without --max-degree a ring on 1,002 nodes is read to its default bound
+    1001; only a given bound is capped.  The ring is swapped in unvalidated, as
+    a principal spec with n = 1001 takes minutes to parametrize."""
+    from borelcurve import curve
+    from borelcurve.action import ActionModel
+    big = curve.CurveRing(ActionModel(1001, (), ()), curve.NodeAlgebra(range(1002), ()))
+    monkeypatch.setattr(curve, "build_curve_ring", lambda model: big)
+    argv = ["curve", *what, "--spec", specs["plane"]]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["max_degree"] == report["result"]["truncation_degree"] == 1001
+    for key in ("hilbert", "betti", "ideal_hilbert"):
+        assert len(report["result"].get(key, [0] * 1002)) == 1002
+    code, out, err = run(capsys, argv + ["--max-degree", "1001"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "degree bound must be <= 1000"}
 
 
 def test_graph_edge_of_four_entries_exits_2(capsys, tmp_path, specs):
@@ -405,7 +427,7 @@ def test_negative_max_degree_exits_2(capsys, specs, argv):
     assert json.loads(err) == {"error": "degree bound must be non-negative"}
     if argv[0] == "chern":  # checked even where no verdict reads it
         code, _, err = run(capsys, argv + ["--max-degree", "1001"])
-        assert code == 2 and "--max-degree must be <= 1000" in err
+        assert code == 2 and "degree bound must be <= 1000" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -232,6 +232,6 @@ def test_default_bound_may_pass_the_cap_on_given_bounds():
     assert ideal_hilbert(cr, [1, 5]) == [min(d + 1, 1002) - min(d + 1, 2) for d in range(1002)]
     for given in (lambda bound: betti_numbers(cr, bound),
                   lambda bound: ideal_hilbert(cr, [1, 5], bound)):
-        with pytest.raises(InputError, match="^--max-degree must be <= 1000$"):
+        with pytest.raises(InputError, match="^degree bound must be <= 1000$"):
             given(1001)
     assert ideal_hilbert(cr, [1, 5], 1000) == ideal_hilbert(cr, [1, 5])[:1001]
