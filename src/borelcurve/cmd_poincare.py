@@ -6,7 +6,7 @@ from .errors import InputError
 
 
 def run(args) -> dict:
-    if args.degrees is not None and args.family is not None:
+    if args.degrees is not None and (args.family, args.rank) != (None, None):
         raise InputError("choose either --family/--rank or --degrees, not both")
     if args.degrees is not None:
         degrees = _parse_int_list(args.degrees, "degree")

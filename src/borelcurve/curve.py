@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .action import ActionModel, big_cell_degrees, component_parametrization
+from .action import ActionModel, component_parametrization
 from .errors import InputError, InternalError, to_int
 from .rational import HomTuple, degree_bound
 from .record import Record
@@ -41,7 +41,8 @@ class NodeAlgebra:
     j > d), and a tuple lies in V_d exactly when its divided differences of
     order > d vanish.  No slice is ever built.
 
-    The interface is that of GradedSubalgebra, which stays the oracle.
+    Its slice methods are those of GradedSubalgebra, which stays the oracle;
+    betti_numbers and ideal_hilbert read the quotient and kernels off dim V_d.
     """
 
     def __init__(self, nodes: Iterable[int], generators: Iterable[HomTuple]):
@@ -91,11 +92,6 @@ class NodeAlgebra:
             return None
         return list(t.coeffs[:t.degree + 1])
 
-    def quotient_by_v_dims(self, max_degree: int) -> list[int]:
-        """Dimensions of the quotient by (v): 1 in degrees 0..r-1, then 0."""
-        h = self.hilbert_function(max_degree)
-        return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
-
 
 class CurveRing(Record):
     model: ActionModel
@@ -116,44 +112,33 @@ def default_degree_bound(cr: CurveRing) -> int:
 
 
 def build_curve_ring(model: ActionModel) -> CurveRing:
-    """Assemble the curve ring of a validated model from its parametrizations.
+    """Assemble the curve ring of a validated model from one parametrization.
 
-    Checks in O(r) the normal-form facts the closed form rests on: the chart
-    degrees are 1..n and the degree-1 chart generator is c (0, 1, ..., n).
+    The degree-i generator is J (J-1) ... (J-i+1) at node J times one scale
+    (NodeAlgebra); the last component, the only one carrying every a_t, fixes
+    it by its entry at J = n.  Checks in O(r) that the chart degrees are 1..n.
     """
     r = model.n + 1
-    comps = tuple(component_parametrization(model, j) for j in range(1, r + 1))
-    degrees = big_cell_degrees(model)
+    last = component_parametrization(model, r)
+    if last.degrees != tuple(range(1, r)):
+        raise InternalError(f"chart degrees {list(last.degrees)} are not 1..{r - 1}")
     gens = [HomTuple.ones(r, 1)]
-    for i, d in enumerate(degrees):
-        gens.append(HomTuple(d, tuple(comp.chart_coords[i].coeff(d) for comp in comps)))
-    if degrees != list(range(1, r)):
-        raise InternalError(f"chart degrees {degrees} are not 1..{r - 1}")
-    if r > 1:
-        x = gens[1].coeffs
-        if x[1] == 0 or any(x[j] != j * x[1] for j in range(r)):
-            raise InternalError("degree-1 chart generator is not c * (0, 1, ..., n)")
+    falling = [1] * r
+    for i, chart in enumerate(last.chart_coords, 1):
+        falling = [f * (J - i + 1) for J, f in enumerate(falling)]
+        scale = chart.coeff(i) / falling[-1]
+        gens.append(HomTuple(i, [f * scale for f in falling]))
     return CurveRing(model, NodeAlgebra(range(r), gens))
 
 
 def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
-    """Betti numbers via the quotient by (v): entry d is dim H^{2d}.
-
-    The quotient dimensions are successive differences of the Hilbert
-    function; trailing zeros are stripped once the algebra has stabilized, and
-    the entries always sum to the number of fixed points.
-    """
-    bound = degree_bound(max_degree, default_degree_bound(cr))
-    hil = cr.algebra.hilbert_function(bound)
-    if hil[-1] != cr.r:
+    """Betti numbers, dim H^{2d} = dim V_d - dim V_(d-1) = 1 for d = 0..n (NodeAlgebra)."""
+    n = default_degree_bound(cr)
+    bound = degree_bound(max_degree, n)
+    if bound < n:
         raise InputError(f"truncation degree {bound} too small: Hilbert function has "
                          "not stabilized at the fixed-point count")
-    dims = cr.algebra.quotient_by_v_dims(bound)
-    while dims and dims[-1] == 0:
-        dims.pop()
-    if sum(dims) != cr.r:
-        raise InternalError("Betti numbers do not sum to the fixed-point count")
-    return dims
+    return [1] * cr.r
 
 
 def _positions(cr: CurveRing, subset: Iterable[int]) -> list[int]:

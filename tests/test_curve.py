@@ -2,11 +2,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelcurve import curve
-from borelcurve.action import ActionModel, principal_model
+from borelcurve.action import ActionModel, component_parametrization, principal_model
 from borelcurve.chern import chern_tuples, tangent_bundle
 from borelcurve.curve import (CurveRing, NodeAlgebra, betti_numbers, build_curve_ring,
                               default_degree_bound, ideal_hilbert, restrict)
@@ -89,7 +89,6 @@ def test_restrict_examples(plane_ring):
     assert sub.hilbert_function(4) == [1, 2, 2, 2, 2]
     point = restrict(plane_ring, [1])
     assert point.hilbert_function(3) == [1, 1, 1, 1]
-    assert point.quotient_by_v_dims(2) == [1, 0, 0]
     with pytest.raises(InputError):
         restrict(plane_ring, [])
     with pytest.raises(InputError):
@@ -141,10 +140,9 @@ small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
 def _check_against_oracle(alg, oracle, bound, data):
-    """Every slice, Hilbert function and quotient, and member/coordinates on
-    random combinations of basis rows, perturbed and random tuples."""
+    """Every slice and Hilbert function, and member/coordinates on random
+    combinations of basis rows, perturbed and random tuples."""
     assert alg.hilbert_function(bound) == oracle.hilbert_function(bound)
-    assert alg.quotient_by_v_dims(bound) == oracle.quotient_by_v_dims(bound)
     for d in range(bound + 1):
         basis = alg.graded_basis(d)
         assert basis == oracle.graded_basis(d)
@@ -205,21 +203,37 @@ def test_closed_form_rejects_bad_degrees(plane_ring):
         ideal_hilbert(plane_ring, [2], -1)
 
 
-def test_build_checks_the_normal_form(monkeypatch):
-    with pytest.raises(InternalError, match="chart degrees"):
+def test_build_checks_the_normal_form():
+    with pytest.raises(InternalError, match=r"^chart degrees \[2, 4\] are not 1\.\.2$"):
         build_curve_ring(ActionModel(2, (4, 0, -4), jordan_block(3)))  # not validated
 
-    def skewed(model, j):
-        comp = real(model, j)
-        if j == 3:
-            charts = (comp.chart_coords[0] * 2,) + comp.chart_coords[1:]
-            comp = type(comp)(comp.index, charts, comp.degrees, comp.homog_coords)
-        return comp
+
+@given(regular_models(max_n=12))
+@example(principal_model(0))
+@settings(max_examples=50, deadline=None)
+def test_generators_match_every_parametrization(model):
+    """Entry J of the degree-i generator is the i-th chart coefficient of the
+    component over fixed point J + 1, for every component, not just the last."""
+    r = model.n + 1
+    comps = [component_parametrization(model, j) for j in range(1, r + 1)]
+    expected = [HomTuple.ones(r, 1)] + [
+        HomTuple(i, [comp.chart_coords[i - 1].coeff(i) for comp in comps]) for i in range(1, r)]
+    got = build_curve_ring(model).algebra.generators
+    assert [g.to_json() for g in got] == [g.to_json() for g in expected]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 64])
+def test_build_parametrizes_one_component(monkeypatch, n):
+    calls = []
+
+    def counted(model, j):
+        calls.append(j)
+        return real(model, j)
 
     real = curve.component_parametrization
-    monkeypatch.setattr(curve, "component_parametrization", skewed)
-    with pytest.raises(InternalError, match=r"c \* \(0, 1"):
-        build_curve_ring(principal_model(3))
+    monkeypatch.setattr(curve, "component_parametrization", counted)
+    build_curve_ring(principal_model(n))
+    assert calls == [n + 1]
 
 
 def test_default_bound_may_pass_the_cap_on_given_bounds():
