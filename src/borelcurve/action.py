@@ -97,9 +97,7 @@ def validate(model: ActionModel) -> ActionModel:
     commutation check passes, e has at most one nonzero entry per row and per
     column, so its rank is its number of nonzero entries.
     """
-    n = to_int(model.n)
-    if n < 0:
-        raise InputError("dimension n must be non-negative")
+    n = to_int(model.n, 0, name="dimension n")
     r = n + 1
     h = [to_int(w) for w in model.h_weights]
     if len(h) != r:
@@ -208,9 +206,7 @@ def component_parametrization(model: ActionModel, j: int) -> CurveComponent:
     coordinate homog_i / homog_0 is a monomial of degree d_i = i.
     """
     r = model.n + 1
-    if not 1 <= to_int(j) <= r:
-        raise InputError(f"component index must lie in 1..{r}")
-    J = j - 1
+    J = to_int(j, 1, r, "component index") - 1
     e = model.e_matrix
     coeffs = [Fraction(0)] * r
     coeffs[J] = Fraction(1)

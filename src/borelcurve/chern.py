@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError, ascii_int, to_int
+from .errors import InputError, InternalError, ascii_int, labels, to_int
 from .rational import HomTuple, to_fraction
 from .record import Record
 
@@ -70,14 +70,12 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
     It is checked over int: with (D_w, W) = _cleared(rho_w) and
     (D_v, V) = _cleared(rho_v), it reads WV - VW = 2 D_w V.
     """
-    if to_int(rank) < 0:
-        raise InputError("bundle rank must be non-negative")
+    to_int(rank, 0, name="bundle rank")
     if not fibres:
         raise InputError("bundle needs at least one fibre")
     checked: dict[int, SplitFibre | MatrixFibre] = {}
     for label, fibre in fibres.items():
-        if to_int(label) < 1:
-            raise InputError("fixed-point labels must be positive")
+        to_int(label, 1, name="fixed-point labels")
         if fibre.rank != rank:
             raise InputError(f"fibre at {label} has rank {fibre.rank}, expected {rank}")
         if isinstance(fibre, MatrixFibre):
@@ -96,7 +94,7 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
 def bundle_from_json(data: dict) -> BundleData:
     """Parse {"rank":, "fibres": {"j": {"weights":[...]} | {"rho_W":, "rho_V":}}}."""
     try:
-        rank = to_int(data["rank"])
+        rank = to_int(data["rank"], 0, name="bundle rank")  # before a fibre is sized by it
         raw = data["fibres"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad bundle spec: {exc}") from exc
@@ -147,9 +145,7 @@ def _elementary_all(values: Sequence) -> list[Fraction]:
 
 def elementary_symmetric(values: Sequence, k: int) -> Fraction:
     """e_k of a multiset."""
-    if not 0 <= to_int(k) <= len(values):
-        raise InputError("k out of range")
-    return _elementary_all(values)[k]
+    return _elementary_all(values)[to_int(k, 0, len(values), "k")]
 
 
 def _cleared(m: Matrix) -> tuple[int, Matrix]:
@@ -190,9 +186,7 @@ def exterior_trace(matrix, k: int) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise InputError("matrix must be square")
-    if not 0 <= to_int(k) <= n:
-        raise InputError(f"k must lie in 0..{n}")
-    return _exterior_traces(m)[k]
+    return _exterior_traces(m)[to_int(k, 0, n, "k")]
 
 
 def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
@@ -203,11 +197,8 @@ def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
     matrix fibre contributes the exterior traces of rho_w: those of
     v*rho_w - 2*rho_v are v^k times them (module docstring).
     """
-    labels = sorted(bundle.fibres)
-    if labels[0] < 1 or labels[-1] > cr.r:
-        raise InputError(f"bundle fixed points must be component labels in 1..{cr.r}")
     columns = []
-    for label in labels:
+    for label in labels(bundle.fibres, cr.r, "bundle fixed points"):
         fibre = bundle.fibres[label]
         if isinstance(fibre, SplitFibre):
             columns.append(_elementary_all(fibre.weights))
@@ -218,9 +209,7 @@ def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
 
 def chern_class(tuples: list[HomTuple], k: int) -> HomTuple:
     """Entry k of chern_tuples(bundle, cr), for k in 0..rank."""
-    if not 0 <= to_int(k) < len(tuples):
-        raise InputError(f"k must lie in 0..{len(tuples) - 1}")
-    return tuples[k]
+    return tuples[to_int(k, 0, len(tuples) - 1, "k")]
 
 
 def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:

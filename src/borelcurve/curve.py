@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .action import ActionModel, component_parametrization
-from .errors import InputError, InternalError, to_int
+from .errors import InputError, InternalError, labels, to_int
 from .rational import HomTuple, degree_bound
 from .record import Record
 
@@ -52,15 +52,12 @@ class NodeAlgebra:
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]."""
-        if to_int(max_degree) < 0:
-            raise InputError("degree bound must be non-negative")
+        to_int(max_degree, 0, name="degree bound")
         return [min(d + 1, self.r) for d in range(max_degree + 1)]
 
     def graded_basis(self, d: int) -> list[HomTuple]:
         """Canonical row-reduced basis of V_d: the Lagrange rows on nodes[:d+1]."""
-        if to_int(d) < 0:
-            raise InputError("degree must be non-negative")
-        pivots = self.nodes[:d + 1]
+        pivots = self.nodes[:to_int(d, 0, name="degree") + 1]
 
         def lagrange(s, x):  # the Lagrange polynomial of pivot node s, at x
             num = den = 1
@@ -141,15 +138,6 @@ def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
     return [1] * cr.r
 
 
-def _positions(cr: CurveRing, subset: Iterable[int]) -> list[int]:
-    labels = sorted(set(map(to_int, subset)))
-    if not labels:
-        raise InputError("fixed-point subset must be nonempty")
-    if labels[0] < 1 or labels[-1] > cr.r:
-        raise InputError(f"fixed-point labels must lie in 1..{cr.r}")
-    return labels
-
-
 def restrict(cr: CurveRing, subset: Iterable[int]) -> NodeAlgebra:
     """Coordinate ring of the sub-curve over the given fixed-point labels.
 
@@ -157,7 +145,7 @@ def restrict(cr: CurveRing, subset: Iterable[int]) -> NodeAlgebra:
     restricted ring, because the sub-curve is closed in the ambient chart:
     the polynomials on the nodes of the subset.
     """
-    pos = [lab - 1 for lab in _positions(cr, subset)]
+    pos = [lab - 1 for lab in labels(subset, cr.r, "fixed-point labels")]
     gens = [g.project(pos) for g in cr.algebra.generators]
     return NodeAlgebra((cr.algebra.nodes[p] for p in pos), gens)
 
@@ -170,6 +158,6 @@ def ideal_hilbert(cr: CurveRing, subset: Iterable[int],
     dimension min(d + 1, r) - min(d + 1, |subset|): non-decreasing, and
     r - |subset|, the rank of the ideal over Q[v], from the default degree on.
     """
-    size = len(_positions(cr, subset))
+    size = len(labels(subset, cr.r, "fixed-point labels"))
     bound = degree_bound(max_degree, default_degree_bound(cr))
     return [dim - min(d + 1, size) for d, dim in enumerate(cr.algebra.hilbert_function(bound))]

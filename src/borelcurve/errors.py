@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the two integer rules.
+"""Exception hierarchy shared by all modules, and the integer and label rules.
 
 The CLI maps InputError to exit code 2 and InternalError to exit code 3.
 """
@@ -12,11 +12,23 @@ class InternalError(RuntimeError):
     """An exact identity that must hold has failed; indicates a bug, not bad input."""
 
 
-def to_int(x) -> int:
-    """Accept a genuine int only; bools, floats and strings are rejected."""
+def to_int(x, low=None, high=None, name="") -> int:
+    """Accept a genuine int only (bools, floats and strings are rejected), in
+    low..high when low is given; without high, low is 0 or 1."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError(f"expected an integer, got {x!r}")
+    if low is not None and (x < low or high is not None and x > high):
+        raise InputError(f"{name} must lie in {low}..{high}" if high is not None
+                         else f"{name} must be {'positive' if low else 'non-negative'}")
     return x
+
+
+def labels(subset, r: int, name: str) -> list[int]:
+    """The sorted distinct labels of a nonempty subset of 1..r."""
+    out = sorted(set(map(to_int, subset)))
+    if not out or out[0] < 1 or out[-1] > r:
+        raise InputError(f"{name} must lie in 1..{r}" if out else f"{name} must be nonempty")
+    return out
 
 
 def ascii_int(text: str) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError, InternalError, to_int
+from .errors import InputError, InternalError, labels, to_int
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
     HomTuple, Poly, Vec, _hadamard, format_fraction, to_fraction)
 
@@ -173,9 +173,7 @@ class GradedSubalgebra:
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
-        if to_int(r) < 1:
-            raise InputError("component count must be positive")
-        self.r = r
+        self.r = to_int(r, 1, name="component count")
         gens = tuple(generators)
         for g in gens:
             if g.r != self.r:
@@ -199,8 +197,7 @@ class GradedSubalgebra:
 
     def _slice(self, d: int) -> RowSpace:
         """The degree-d slice; missing degrees are built bottom-up."""
-        if to_int(d) < 0:
-            raise InputError("degree must be non-negative")
+        to_int(d, 0, name="degree")
         while len(self._slices) <= d:
             k = len(self._slices)
             space = RowSpace(self.r)
@@ -223,8 +220,7 @@ class GradedSubalgebra:
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]; with v a generator no slice past the
         first full one is built (the chain above)."""
-        if to_int(max_degree) < 0:
-            raise InputError("degree bound must be non-negative")
+        to_int(max_degree, 0, name="degree bound")
         chain = HomTuple.ones(self.r, 1) in self.generators
         out: list[int] = []
         for d in range(max_degree + 1):
@@ -262,17 +258,13 @@ class GradedSubalgebra:
             raise InternalError("chain property violated: Hilbert function decreased")
         return out
 
-    def kernel_basis(self, labels: Iterable[int], d: int) -> list[HomTuple]:
-        """Basis of {x in V_d : x_i = 0 for all i in labels} (labels are 1-based).
+    def kernel_basis(self, subset: Iterable[int], d: int) -> list[HomTuple]:
+        """Basis of {x in V_d : x_i = 0 for all i in subset} (labels are 1-based).
 
         This is the degree-d piece of the ideal of the sub-curve over the given
         components.
         """
-        pos = sorted(set(map(to_int, labels)))
-        if not pos:
-            raise InputError("component subset must be nonempty")
-        if pos[0] < 1 or pos[-1] > self.r:
-            raise InputError(f"component labels must lie in 1..{self.r}")
+        pos = labels(subset, self.r, "component labels")
         basis = self._slice(d).basis_vectors()
         if not basis:
             return []

@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 
 from .curve import CurveRing, restrict
-from .errors import InputError, to_int
+from .errors import InputError, labels, to_int
 from .rational import MAX_DEGREE, HomTuple, degree_bound
 from .record import Record
 
@@ -37,11 +37,9 @@ class GKMGraph(Record):
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        verts = sorted(set(to_int(x) for x in self.vertices))
+        verts = sorted(set(to_int(x, 1, name="vertex labels") for x in self.vertices))
         if not verts:
             raise InputError("graph needs at least one vertex")
-        if verts[0] < 1:
-            raise InputError("vertex labels must be positive integers")
         vset = set(verts)
         edges = []
         for edge in self.edges:
@@ -52,11 +50,7 @@ class GKMGraph(Record):
                 raise InputError("self-loops are not allowed")
             if i not in vset or j not in vset:
                 raise InputError(f"edge ({i},{j}) mentions an unknown vertex")
-            if m < 1:
-                raise InputError("edge multiplicity must be >= 1")
-            if m > MAX_DEGREE:
-                raise InputError(f"edge multiplicity must be <= {MAX_DEGREE}")
-            edges.append((min(i, j), max(i, j), m))
+            edges.append((min(i, j), max(i, j), to_int(m, 1, MAX_DEGREE, "edge multiplicity")))
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
@@ -108,15 +102,12 @@ class GKMRing:
         return [HomTuple(d, [int(v in comp) for v in self.graph.vertices]) for comp in comps]
 
     def dim(self, d: int) -> int:
-        if to_int(d) < 0:
-            raise InputError("degree must be non-negative")
-        return len(self.graph.connected_components(d))
+        return len(self.graph.connected_components(to_int(d, 0, name="degree")))
 
     def hilbert(self, max_degree: int) -> list[int]:
         """dim(0..max_degree): the count changes only at the edge multiplicities,
         so one count per multiplicity fills the run of degrees up to the next."""
-        if to_int(max_degree) < 0:
-            raise InputError("degree bound must be non-negative")
+        to_int(max_degree, 0, name="degree bound")
         cuts = sorted({0, *(m for _, _, m in self.graph.edges)})
         out: list[int] = []
         for start, stop in zip(cuts, cuts[1:] + [max_degree + 1]):
@@ -221,10 +212,8 @@ def principal_verdict(cr: CurveRing, graph: GKMGraph,
     subalgebra of the subvariety, so restriction is surjective exactly when
     that image already fills the modeled congruence ring.
     """
-    if graph.vertices[0] < 1 or graph.vertices[-1] > cr.r:
-        raise InputError(f"vertex set mismatch: graph vertices must be fixed-point "
-                         f"labels in 1..{cr.r}")
+    image = restrict(cr, labels(graph.vertices, cr.r, "graph vertices"))
     notes = () if 1 in graph.vertices else (
         "label 1 (the unipotent fixed point o) is not among the vertices; a nonempty "
         "invariant subvariety always contains o, so this subset is geometrically dubious",)
-    return decide(restrict(cr, graph.vertices), graph, max_degree, notes)
+    return decide(image, graph, max_degree, notes)

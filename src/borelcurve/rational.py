@@ -65,9 +65,7 @@ def degree_bound(max_degree, default: int | None) -> int | None:
     has a default bound n above it)."""
     if max_degree is None:
         return default
-    if to_int(max_degree) < 0:
-        raise InputError("degree bound must be non-negative")
-    if max_degree > MAX_DEGREE:
+    if to_int(max_degree, 0, name="degree bound") > MAX_DEGREE:
         raise InputError(f"degree bound must be <= {MAX_DEGREE}")
     return max_degree
 
@@ -109,8 +107,7 @@ class Poly(Record):
 
     @classmethod
     def monomial(cls, c, k: int) -> "Poly":
-        if to_int(k) < 0:
-            raise InputError("monomial power must be non-negative")
+        to_int(k, 0, name="monomial power")
         c = to_fraction(c)
         mono = object.__new__(cls)  # already normalized: skip __post_init__
         object.__setattr__(mono, "coeffs", (_ZERO,) * k + (c,) if c else ())
@@ -187,8 +184,7 @@ class Poly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if to_int(n) < 0:
-            raise InputError("negative polynomial power")
+        to_int(n, 0, name="polynomial power")
         out = Poly.const(1)
         base = self
         while n:
@@ -238,8 +234,7 @@ class HomTuple(Record):
     coeffs: Vec
 
     def __post_init__(self):
-        if to_int(self.degree) < 0:
-            raise InputError("tuple degree must be a non-negative integer")
+        to_int(self.degree, 0, name="tuple degree")
         object.__setattr__(self, "coeffs", tuple(to_fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise InputError("tuple needs at least one component")

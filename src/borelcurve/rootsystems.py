@@ -240,9 +240,7 @@ def poincare_from_degrees(degrees) -> PoincarePoly:
     the degrees do not come from a regular projective model.  The degrees may
     sum to at most MAX_DEGREE_SUM.
     """
-    ds = [to_int(d) for d in degrees]
-    if any(d < 1 for d in ds):
-        raise InputError("degrees must be positive integers")
+    ds = [to_int(d, 1, name="degrees") for d in degrees]
     if sum(ds) > MAX_DEGREE_SUM:
         raise InputError(f"degrees must sum to at most {MAX_DEGREE_SUM}")
     try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelcurve.action import principal_model
-from borelcurve.chern import (MatrixFibre, SplitFibre, bundle_from_json,
+from borelcurve.chern import (BundleData, MatrixFibre, SplitFibre, bundle_from_json,
                               chern_membership, chern_subalgebra_verdict,
                               chern_tuple, chern_tuples, elementary_symmetric,
                               exterior_trace, make_bundle, tangent_bundle)
@@ -234,8 +234,10 @@ def test_chern_tuples_give_every_class_at_once():
         split, matrix = tangent_bundle(cr.model), _matrix_tangent(cr.model)
         expected = [chern_tuple(split, k, cr) for k in range(size + 1)]
         assert chern_tuples(matrix, cr) == chern_tuples(split, cr) == expected
-    with pytest.raises(InputError, match="component labels"):
+    with pytest.raises(InputError, match=r"^bundle fixed points must lie in 1\.\.6$"):
         chern_tuples(make_bundle(1, {9: SplitFibre((1,))}), cr)
+    with pytest.raises(InputError, match="^bundle fixed points must be nonempty$"):
+        chern_tuples(BundleData(1, {}), cr)  # make_bundle refuses this; the record does not
 
 
 def test_chern_membership(plane_ring):

@@ -193,6 +193,15 @@ def test_chern_rejects_a_fixed_point_named_twice(capsys, specs, tmp_path):
         {"error": "fibre keys '1' and '01' both name fixed point 1"}]
 
 
+def test_negative_bundle_rank_exits_2(capsys, specs, tmp_path):
+    """The rank is range-checked before it sizes a fibre's matrices."""
+    bundle = tmp_path / "negative_rank.json"
+    bundle.write_text(json.dumps({"rank": -1, "fibres": {"1": {"rho_W": [], "rho_V": []}}}))
+    code, out, err = run(capsys, ["chern", "--spec", specs["plane"], "--bundle", str(bundle)])
+    assert (code, out) == (2, "")
+    assert err == '{"error": "bundle rank must be non-negative"}\n'
+
+
 def test_chern_tuples_run_once_per_bundle(capsys, specs, monkeypatch):
     """tuple, membership and the --gkm generators share one chern_tuples run."""
     from borelcurve import chern
@@ -372,7 +381,7 @@ def test_degree_limits_exit_2(capsys, tmp_path, specs):
     graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2, 10**12]]}))
     code, _, err = run(capsys, ["principal", "--spec", specs["plane"], "--gkm", str(graph)])
     assert code == 2
-    assert "multiplicity must be <= 1000" in err
+    assert json.loads(err) == {"error": "bad graph spec: edge multiplicity must lie in 1..1000"}
     for argv in (["curve", "ideal", "--spec", specs["plane"], "--components", "2"],
                  ["principal", "--spec", specs["plane"], "--gkm", specs["graph"]],
                  ["chern", "--spec", specs["plane"], "--bundle", "tangent",

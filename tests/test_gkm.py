@@ -115,7 +115,7 @@ def test_principal_verdict_inconclusive_at_tiny_bound(plane_ring, curves_union_g
 
 
 def test_principal_verdict_vertex_mismatch(plane_ring):
-    with pytest.raises(InputError, match="vertex set mismatch"):
+    with pytest.raises(InputError, match=r"^graph vertices must lie in 1\.\.3$"):
         principal_verdict(plane_ring, GKMGraph((1, 2, 7)))
 
 
@@ -231,7 +231,7 @@ def test_negative_degree_bound_is_an_input_error(plane_ring, curves_union_graph)
 
 def test_multiplicity_limit():
     assert GKMRing(GKMGraph((1, 2), ((1, 2, 1000),))).stabilization_degree == 1000
-    with pytest.raises(InputError, match="<= 1000"):
+    with pytest.raises(InputError, match=r"^edge multiplicity must lie in 1\.\.1000$"):
         GKMGraph((1, 2), ((1, 2, 1001),))
 
 

@@ -1,15 +1,16 @@
 """Semantics of the package's value classes: construction, equality, hashing
 and immutability."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from borelcurve.action import (ActionModel, CurveComponent, component_parametrization,
-                               principal_model)
-from borelcurve.chern import (BundleData, MatrixFibre, SplitFibre, chern_class,
-                              chern_subalgebra_verdict, elementary_symmetric, exterior_trace,
-                              make_bundle)
+                               principal_model, validate)
+from borelcurve.chern import (BundleData, MatrixFibre, SplitFibre, bundle_from_json,
+                              chern_class, chern_subalgebra_verdict, chern_tuples,
+                              elementary_symmetric, exterior_trace, make_bundle)
 from borelcurve.curve import CurveRing, betti_numbers, build_curve_ring, ideal_hilbert, restrict
 from borelcurve.errors import InputError
 from borelcurve.exactalg import GradedSubalgebra, HomTuple, Poly
@@ -126,6 +127,12 @@ _GRAPH = GKMGraph((1, 2, 3), ((1, 2, 1), (1, 3, 1)))
 INTEGER_PARAMETERS = {
     "make_bundle rank": lambda x: make_bundle(x, {1: SplitFibre((1, -1))}),
     "make_bundle label": lambda x: make_bundle(1, {x: SplitFibre((1,))}),
+    "bundle_from_json rank": lambda x: bundle_from_json(
+        {"rank": x, "fibres": {"1": {"rho_W": [[1, 0], [0, -1]], "rho_V": [[0, 0], [0, 0]]}}}),
+    "chern_tuples label": lambda x: chern_tuples(BundleData(1, {x: SplitFibre((1,))}), _RING),
+    "graph vertex": lambda x: principal_verdict(_RING, GKMGraph((1, x))),
+    "GKMGraph edge multiplicity": lambda x: GKMGraph((1, 2), ((1, 2, x),)),
+    "validate n": lambda x: validate(ActionModel(x, (2, 0, -2), jordan_block(3))),
     "restrict label": lambda x: restrict(_RING, [x]),
     "ideal_hilbert label": lambda x: ideal_hilbert(_RING, [x]),
     "GradedSubalgebra r": lambda x: GradedSubalgebra(x),
@@ -162,4 +169,63 @@ def test_integer_parameters_take_genuine_ints_only(name, value):
     """int() would read 2.0 and 2.5 as 2, True as 1 and "2" as 2."""
     INTEGER_PARAMETERS[name](2)  # the int itself is accepted
     with pytest.raises(InputError, match="^expected an integer, got "):
+        INTEGER_PARAMETERS[name](value)
+
+
+# the same calls just outside their ranges (errors.to_int and errors.labels):
+# the bound below, and the one above where there is one
+_BOUND = {-1: "degree bound must be non-negative", 1001: "degree bound must be <= 1000"}
+_LABELS = {0: "fixed-point labels must lie in 1..3", 4: "fixed-point labels must lie in 1..3"}
+OUT_OF_RANGE = {
+    "make_bundle rank": {-1: "bundle rank must be non-negative"},
+    "make_bundle label": {0: "fixed-point labels must be positive"},
+    "bundle_from_json rank": {-1: "bundle rank must be non-negative"},
+    "chern_tuples label": {0: "bundle fixed points must lie in 1..3",
+                           4: "bundle fixed points must lie in 1..3"},
+    "graph vertex": {0: "vertex labels must be positive",
+                     4: "graph vertices must lie in 1..3"},
+    "GKMGraph edge multiplicity": {0: "edge multiplicity must lie in 1..1000",
+                                   1001: "edge multiplicity must lie in 1..1000"},
+    "validate n": {-1: "dimension n must be non-negative"},
+    "restrict label": _LABELS,
+    "ideal_hilbert label": _LABELS,
+    "GradedSubalgebra r": {0: "component count must be positive"},
+    "kernel_basis label": {0: "component labels must lie in 1..2",
+                           3: "component labels must lie in 1..2"},
+    "positive_roots rank": {0: "A-family rank must be 1..8", 9: "A-family rank must be 1..8"},
+    "weyl_order rank": {0: "A-family rank must be 1..8", 9: "A-family rank must be 1..8"},
+    "component_parametrization j": {0: "component index must lie in 1..3",
+                                    4: "component index must lie in 1..3"},
+    "HomTuple degree": {-1: "tuple degree must be non-negative"},
+    "poincare_from_degrees degree": {0: "degrees must be positive"},
+    "elementary_symmetric k": {-1: "k must lie in 0..3", 4: "k must lie in 0..3"},
+    "exterior_trace k": {-1: "k must lie in 0..2", 3: "k must lie in 0..2"},
+    "chern_class k": {-1: "k must lie in 0..2", 3: "k must lie in 0..2"},
+    "NodeAlgebra.graded_basis degree": {-1: "degree must be non-negative"},
+    "GradedSubalgebra.graded_basis degree": {-1: "degree must be non-negative"},
+    "GKMRing.basis degree": {-1: "tuple degree must be non-negative"},
+    "Poly.monomial power": {-1: "monomial power must be non-negative"},
+    "Poly power": {-1: "polynomial power must be non-negative"},
+    "GKMRing.dim degree": {-1: "degree must be non-negative"},
+    "betti_numbers bound": _BOUND,
+    "ideal_hilbert bound": _BOUND,
+    "principal_verdict bound": _BOUND,
+    "chern_subalgebra_verdict bound": _BOUND,
+    "degree_bound": _BOUND,
+    "NodeAlgebra.hilbert_function bound": {-1: "degree bound must be non-negative"},
+    "GradedSubalgebra.hilbert_function bound": {-1: "degree bound must be non-negative"},
+    "GKMRing.hilbert bound": {-1: "degree bound must be non-negative"},
+}
+
+
+def test_every_bounded_parameter_has_out_of_range_cases():
+    unbounded = {"GKMGraph.connected_components threshold"}
+    assert set(OUT_OF_RANGE) == set(INTEGER_PARAMETERS) - unbounded
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param(name, value, message, id=f"{name}={value}")
+    for name, cases in OUT_OF_RANGE.items() for value, message in cases.items()])
+def test_out_of_range_parameters_name_their_range(name, value, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         INTEGER_PARAMETERS[name](value)
