@@ -28,7 +28,8 @@ _EXPORTS = {
     "exactalg": ("GradedSubalgebra",),
     "gkm": ("GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"),
-    "rational": ("HomTuple", "Poly", "format_fraction", "to_fraction"),
+    "poly": ("Poly",),
+    "rational": ("HomTuple", "format_fraction", "to_fraction"),
     "rootsystems": ("PoincarePoly", "RootSystem", "heights", "km_poincare",
                     "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
                     "weyl_order"),

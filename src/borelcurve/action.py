@@ -25,16 +25,23 @@ exact monomials, and its chart coordinates (ratios against the constant
 o-coordinate) are c_ij v^{d_i} with d_i = i.  exp_e computes the flow
 directly and is kept as the independent oracle for this closed form; the
 other oracles live in `oracles` and are re-exported here on first access.
+The curve ring needs no parametrization: it reads the a_t off the normal
+form (curve.build_curve_ring).  So only component_parametrization and
+exp_e load the polynomials of `poly`, when they run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError, to_int
-from .rational import Poly, format_fraction, to_fraction
+from .rational import format_fraction, to_fraction
 from .record import Record
+
+if TYPE_CHECKING:  # loaded by the two functions that build polynomials, when they run
+    from .poly import Poly
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -156,6 +163,7 @@ def exp_e(model: ActionModel, s):
     s may be a rational scalar or a Poly, and the entries come back in the
     same ring.
     """
+    from .poly import Poly
     r = model.n + 1
     if isinstance(s, Poly):
         one, zero = Poly.const(1), Poly()
@@ -205,6 +213,7 @@ def component_parametrization(model: ActionModel, j: int) -> CurveComponent:
     constant, so the component lies in the big cell for v != 0, and each chart
     coordinate homog_i / homog_0 is a monomial of degree d_i = i.
     """
+    from .poly import Poly
     r = model.n + 1
     J = to_int(j, 1, r, "component index") - 1
     e = model.e_matrix

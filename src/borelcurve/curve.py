@@ -7,7 +7,9 @@ Q[v]-module structure given by the projection to the parameter line) together
 with one degree-d_i tuple per chart coordinate, whose j-th entry is the
 monomial coefficient of that coordinate on component j.  The normal form of
 a validated action makes this ring the polynomials in one variable on the
-nodes 0..n, so every slice question has a closed-form answer (NodeAlgebra).
+nodes 0..n, so every slice question has a closed-form answer (NodeAlgebra),
+and its generators are read off the superdiagonal of e, with no
+parametrization built.
 
 A torus-invariant subvariety enters only through its fixed-point subset S:
 all the quantities computed here depend on the subvariety only through the
@@ -19,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .action import ActionModel, component_parametrization
+from .action import ActionModel, big_cell_degrees
+from .action import component_parametrization  # noqa: F401  bench/test_bench.py patches it here
 from .errors import InputError, InternalError, labels, to_int
 from .rational import HomTuple, degree_bound
 from .record import Record
@@ -43,12 +46,28 @@ class NodeAlgebra:
 
     Its slice methods are those of GradedSubalgebra, which stays the oracle;
     betti_numbers and ideal_hilbert read the quotient and kernels off dim V_d.
+    The generators, v and the chart generator of degree i with scale
+    scales[i-1] = 1 / (a_0 ... a_(i-1)), are built only when read: O(r n)
+    products, the size of what `curve ring` prints.
     """
 
-    def __init__(self, nodes: Iterable[int], generators: Iterable[HomTuple]):
+    def __init__(self, nodes: Iterable[int], scales: Iterable[Fraction]):
         self.nodes = tuple(nodes)
         self.r = len(self.nodes)
-        self.generators = tuple(generators)
+        self.scales = tuple(scales)
+        self._generators: tuple[HomTuple, ...] | None = None
+
+    @property
+    def generators(self) -> tuple[HomTuple, ...]:
+        """v, then J (J-1) ... (J-i+1) * scales[i-1] at each node J, for i = 1..n."""
+        if self._generators is None:
+            gens = [HomTuple.ones(self.r, 1)]
+            falling = [1] * self.r
+            for i, scale in enumerate(self.scales, 1):
+                falling = [f * (J - i + 1) for J, f in zip(self.nodes, falling)]
+                gens.append(HomTuple(i, [f * scale for f in falling]))
+            self._generators = tuple(gens)
+        return self._generators
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]."""
@@ -109,23 +128,21 @@ def default_degree_bound(cr: CurveRing) -> int:
 
 
 def build_curve_ring(model: ActionModel) -> CurveRing:
-    """Assemble the curve ring of a validated model from one parametrization.
+    """Assemble the curve ring of a validated model from its normal form.
 
-    The degree-i generator is J (J-1) ... (J-i+1) at node J times one scale
-    (NodeAlgebra); the last component, the only one carrying every a_t, fixes
-    it by its entry at J = n.  Checks in O(r) that the chart degrees are 1..n.
+    The degree-i generator is J (J-1) ... (J-i+1) / (a_0 ... a_(i-1)) at node
+    J (NodeAlgebra), so the ring needs only the superdiagonal a_t = e[t][t+1]
+    and no parametrization.  Checks in O(r) that the chart degrees are 1..n.
     """
     r = model.n + 1
-    last = component_parametrization(model, r)
-    if last.degrees != tuple(range(1, r)):
-        raise InternalError(f"chart degrees {list(last.degrees)} are not 1..{r - 1}")
-    gens = [HomTuple.ones(r, 1)]
-    falling = [1] * r
-    for i, chart in enumerate(last.chart_coords, 1):
-        falling = [f * (J - i + 1) for J, f in enumerate(falling)]
-        scale = chart.coeff(i) / falling[-1]
-        gens.append(HomTuple(i, [f * scale for f in falling]))
-    return CurveRing(model, NodeAlgebra(range(r), gens))
+    degrees = big_cell_degrees(model)
+    if degrees != list(range(1, r)):
+        raise InternalError(f"chart degrees {degrees} are not 1..{r - 1}")
+    scales, scale = [], Fraction(1)
+    for t in range(r - 1):
+        scale /= model.e_matrix[t][t + 1]
+        scales.append(scale)
+    return CurveRing(model, NodeAlgebra(range(r), scales))
 
 
 def betti_numbers(cr: CurveRing, max_degree: int | None = None) -> list[int]:
@@ -143,11 +160,10 @@ def restrict(cr: CurveRing, subset: Iterable[int]) -> NodeAlgebra:
 
     Projecting the generators of the ambient ring generates the whole
     restricted ring, because the sub-curve is closed in the ambient chart:
-    the polynomials on the nodes of the subset.
+    the polynomials on the nodes of the subset, with the same scales.
     """
-    pos = [lab - 1 for lab in labels(subset, cr.r, "fixed-point labels")]
-    gens = [g.project(pos) for g in cr.algebra.generators]
-    return NodeAlgebra((cr.algebra.nodes[p] for p in pos), gens)
+    subset = labels(subset, cr.r, "fixed-point labels")
+    return NodeAlgebra((cr.algebra.nodes[lab - 1] for lab in subset), cr.algebra.scales)
 
 
 def ideal_hilbert(cr: CurveRing, subset: Iterable[int],

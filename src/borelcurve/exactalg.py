@@ -2,10 +2,10 @@
 
 The ambient object everywhere is the tuple ring Q[v] + ... + Q[v] (r copies,
 componentwise operations), whose homogeneous elements (HomTuple) live in the
-scalar layer `rational` together with the rationals and polynomials; those
-names are re-exported here.  Every ring-theoretic question about a finitely
-generated graded subalgebra reduces to exact linear algebra over Q^r, one
-degree slice at a time.
+scalar layer `rational` together with the rationals; those names are
+re-exported here, and the polynomials of `poly` on first access (PEP 562).
+Every ring-theoretic question about a finitely generated graded subalgebra
+reduces to exact linear algebra over Q^r, one degree slice at a time.
 
 Degrees are half the cohomological degree (the torus weight convention makes
 all weights even); presentation layers double them when reporting.
@@ -18,7 +18,14 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, labels, to_int
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
-    HomTuple, Poly, Vec, _hadamard, format_fraction, to_fraction)
+    HomTuple, Vec, _hadamard, format_fraction, to_fraction)
+
+
+def __getattr__(name):
+    if name == "Poly":  # re-exported on first access, so no CLI run compiles it
+        from .poly import Poly
+        return Poly
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +177,15 @@ class GradedSubalgebra:
     When the all-ones degree-1 tuple (the element v) belongs to the algebra,
     the slices form a chain V_0 <= V_1 <= ..., so once some V_D is all of Q^r
     every later slice is too, and degrees 0..D decide every slice question.
+
+    With v a generator the slices also stop at a plateau below Q^r.  Let K be
+    the largest generator degree (K >= 1, as v has degree 1) and suppose
+    V_(e-1-K) = ... = V_(e-1) = W (equal dimensions mean equal spaces on a
+    chain).  A generator g of degree 1 <= k <= K gives
+    g o V_(e-k) = g o V_(e-1-k) <= V_(e-1) = W, and W is already saturated
+    under the degree-0 generators, so V_e <= W; v o W = W gives V_e >= W.
+    So V_e = W, and by induction every later slice is W: K + 1 equal
+    dimensions in a row certify the rest of the Hilbert function.
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
@@ -219,14 +235,15 @@ class GradedSubalgebra:
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]; with v a generator no slice past the
-        first full one is built (the chain above)."""
+        first full one, or past K + 1 equal ones, is built (the chain above)."""
         to_int(max_degree, 0, name="degree bound")
         chain = HomTuple.ones(self.r, 1) in self.generators
+        plateau = max(g.degree for g in self.generators) + 1 if chain else 0
         out: list[int] = []
         for d in range(max_degree + 1):
             out.append(self._slice(d).dim)
-            if chain and out[-1] == self.r:
-                return out + [self.r] * (max_degree - d)
+            if chain and (out[-1] == self.r or out[-plateau:] == [out[-1]] * plateau):
+                return out + [out[-1]] * (max_degree - d)
         return out
 
     def member(self, t: HomTuple) -> bool:

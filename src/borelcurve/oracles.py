@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .action import ActionModel, _mat_mul, component_parametrization
 from .errors import InputError, InternalError
-from .rational import Poly, to_fraction
+from .poly import Poly
+from .rational import to_fraction
 from .rootsystems import PoincarePoly, positive_roots, weyl_order
 
 WEYL_ENUMERATION_GUARD = 10**6

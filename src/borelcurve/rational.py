@@ -1,12 +1,12 @@
-"""The scalar layer: exact rationals, univariate polynomials over Q and
-homogeneous tuples of the tuple ring Q[v] + ... + Q[v] (r copies,
-componentwise operations).
+"""The scalar layer: exact rationals and homogeneous tuples of the tuple ring
+Q[v] + ... + Q[v] (r copies, componentwise operations).
 
 A homogeneous element of degree d is a tuple (c_1 v^d, ..., c_r v^d) and is
 stored as the pair (d, (c_1, ..., c_r)); the product of homogeneous elements
 multiplies coefficient vectors componentwise (Hadamard product) and adds
 degrees.  Kept apart from the linear algebra in exactalg, so that a run that
-needs only values (action, curve) does not load or compile it.
+needs only values (action, curve) does not load or compile it, and from the
+polynomials in `poly`, which only parametrizations and oracles use.
 
 No floating point exists anywhere in this package: coefficients are
 fractions.Fraction throughout and float inputs are rejected.
@@ -22,7 +22,6 @@ from .errors import InputError, to_int
 from .record import Record
 
 Vec = tuple[Fraction, ...]
-_ZERO = Fraction(0)
 
 # Largest degree accepted from input (edge multiplicities, degree_bound).
 # Answers stop changing at degree n (curve) or the largest multiplicity.
@@ -78,148 +77,6 @@ def format_fraction(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
-
-
-class Poly(Record):
-    """Dense univariate polynomial over Q in the variable v.
-
-    coeffs[k] is the coefficient of v**k.  Trailing zeros are stripped on
-    construction, so the zero polynomial has empty coeffs and degree -1
-    (the sentinel value for "degree of zero").
-    """
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        cs = [to_fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((to_fraction(c),))
-
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Poly":
-        to_int(k, 0, name="monomial power")
-        c = to_fraction(c)
-        mono = object.__new__(cls)  # already normalized: skip __post_init__
-        object.__setattr__(mono, "coeffs", (_ZERO,) * k + (c,) if c else ())
-        return mono
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def valuation(self) -> int | None:
-        """Index of the lowest nonzero coefficient; None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def as_monomial(self) -> tuple[Fraction, int] | None:
-        """(coefficient, power) if self is a single nonzero term, else None."""
-        nz = [(c, i) for i, c in enumerate(self.coeffs) if c != 0]
-        if len(nz) != 1:
-            return None
-        c, i = nz[0]
-        return c, i
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction, str)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(tuple(self.coeff(k) + o.coeff(k) for k in range(n)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        to_int(n, 0, name="polynomial power")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __call__(self, x):
-        x = to_fraction(x) if not isinstance(x, Fraction) else x
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_fraction(c))
-            elif i == 1:
-                parts.append(f"{format_fraction(c)}*v" if c != 1 else "v")
-            else:
-                parts.append(f"{format_fraction(c)}*v^{i}" if c != 1 else f"v^{i}")
-        return " + ".join(parts)
-
-
-
-
-# ---------------------------------------------------------------------------
 # homogeneous tuples
 
 
@@ -262,10 +119,6 @@ class HomTuple(Record):
         if other.degree != self.degree:
             raise InputError("cannot add tuples of different degrees")
         return HomTuple(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def project(self, positions: Sequence[int]) -> "HomTuple":
-        """Restrict to the given 0-based component positions."""
-        return HomTuple(self.degree, tuple(self.coeffs[p] for p in positions))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [format_fraction(c) for c in self.coeffs]}

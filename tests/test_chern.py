@@ -444,7 +444,7 @@ def test_default_chern_verdict_matches_former_truncation(model, data):
     vertices = sorted([1] + others)
     graph = GKMGraph(tuple(vertices), tuple((1, j, 1) for j in others))
     bundle = tangent_bundle(model)
-    gens = [chern_tuple(bundle, k, cr).project([v - 1 for v in vertices])
+    gens = [HomTuple(k, [chern_tuple(bundle, k, cr).coeffs[v - 1] for v in vertices])
             for k in range(1, model.n + 1)]
     s = 1 if others else 0
     default = chern_subalgebra_verdict(gens, graph)

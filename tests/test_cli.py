@@ -395,27 +395,46 @@ def test_degree_limits_exit_2(capsys, tmp_path, specs):
     assert len(json.loads(out)["result"]["hilbert"]) == 1001
 
 
+def write_principal_spec(tmp_path, n: int) -> str:
+    path = tmp_path / f"principal_{n}.json"
+    path.write_text(json.dumps({"n": n, "h_weights": [n - 2 * i for i in range(n + 1)],
+                                "e_matrix": "principal"}))
+    return str(path)
+
+
 @pytest.mark.parametrize("what", [["ring"], ["betti"], ["restrict", "--components", "1,5"],
                                   ["ideal", "--components", "1,5"]])
-def test_curve_default_bound_may_pass_the_cap(capsys, specs, monkeypatch, what):
+def test_curve_default_bound_may_pass_the_cap(capsys, tmp_path, monkeypatch, what):
     """Without --max-degree a ring on 1,002 nodes is read to its default bound
-    1001; only a given bound is capped.  The ring is swapped in unvalidated, as
-    a principal spec with n = 1001 takes about 8 s end to end (2.7 s to parse
-    and validate, 4.2 s to build the ring; 2-core host, Python 3.11)."""
-    from borelcurve import curve
-    from borelcurve.action import ActionModel
-    big = curve.CurveRing(ActionModel(1001, (), ()), curve.NodeAlgebra(range(1002), ()))
-    monkeypatch.setattr(curve, "build_curve_ring", lambda model: big)
-    argv = ["curve", *what, "--spec", specs["plane"]]
-    code, out, err = run(capsys, argv)
+    1001; only a given bound is capped.  `ring` and `restrict` print O(n^2)
+    generators, so for them the ring is swapped in unvalidated; `betti` and
+    `ideal` run on the principal spec with n = 1001, about 2 s end to end,
+    nearly all of it to parse and validate (2-core host, Python 3.11).  The
+    cap does not depend on the spec, so a given bound is refused on the plane."""
+    if what[0] in ("ring", "restrict"):
+        from borelcurve import curve
+        from borelcurve.action import ActionModel
+        big = curve.CurveRing(ActionModel(1001, (), ()), curve.NodeAlgebra(range(1002), ()))
+        monkeypatch.setattr(curve, "build_curve_ring", lambda model: big)
+    plane = str(write_plane_inputs(tmp_path)["spec"])
+    big_spec = plane if what[0] in ("ring", "restrict") else write_principal_spec(tmp_path, 1001)
+    code, out, err = run(capsys, ["curve", *what, "--spec", big_spec])
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["max_degree"] == report["result"]["truncation_degree"] == 1001
     for key in ("hilbert", "betti", "ideal_hilbert"):
         assert len(report["result"].get(key, [0] * 1002)) == 1002
-    code, out, err = run(capsys, argv + ["--max-degree", "1001"])
+    code, out, err = run(capsys, ["curve", *what, "--spec", plane, "--max-degree", "1001"])
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "degree bound must be <= 1000"}
+
+
+def test_curve_betti_reads_1002_nodes_unpatched(capsys, tmp_path):
+    """The Betti numbers of P^1001 need no generator and no parametrization."""
+    code, out, err = run(capsys, ["curve", "betti", "--spec",
+                                  write_principal_spec(tmp_path, 1001)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["betti"] == [1] * 1002
 
 
 def test_graph_edge_of_four_entries_exits_2(capsys, tmp_path, specs):
@@ -692,7 +711,8 @@ EXPORTS = {
     "exactalg": ["GradedSubalgebra"],
     "gkm": ["GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"],
-    "rational": ["HomTuple", "Poly", "format_fraction", "to_fraction"],
+    "poly": ["Poly"],
+    "rational": ["HomTuple", "format_fraction", "to_fraction"],
     "rootsystems": ["PoincarePoly", "RootSystem", "heights", "km_poincare",
                     "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
                     "weyl_order"],
@@ -879,6 +899,23 @@ def test_chern_without_gkm_loads_no_congruence_ring(tmp_path):
                             "--test-membership"])
     assert "borelcurve.chern" in loaded
     assert not {"borelcurve.exactalg", "borelcurve.gkm"} & loaded
+
+
+def test_only_parametrizations_load_the_polynomials(tmp_path):
+    """The curve ring is read off the normal form, so curve, principal and
+    chern runs load no `poly`; `action curve` prints parametrizations and does."""
+    paths = write_plane_inputs(tmp_path)
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    runs = [["curve", "betti", "--spec", spec],
+            ["curve", "ring", "--spec", spec],
+            ["curve", "restrict", "--spec", spec, "--components", "1,3"],
+            ["curve", "ideal", "--spec", spec, "--components", "2"],
+            ["principal", "--spec", spec, "--gkm", graph],
+            ["chern", "--spec", spec, "--bundle", "tangent", "--test-membership"],
+            ["chern", "--spec", spec, "--bundle", "tangent", "--gkm", graph]]
+    for argv in runs:
+        assert "borelcurve.poly" not in loaded_by_run(argv), argv
+    assert "borelcurve.poly" in loaded_by_run(["action", "curve", "--spec", spec])
 
 
 BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelcurve import curve
+from borelcurve import action, curve
 from borelcurve.action import ActionModel, component_parametrization, principal_model
 from borelcurve.chern import chern_tuples, tangent_bundle
 from borelcurve.curve import (CurveRing, NodeAlgebra, betti_numbers, build_curve_ring,
                               default_degree_bound, ideal_hilbert, restrict)
 from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import GradedSubalgebra, HomTuple
+from borelcurve.gkm import GKMGraph, principal_verdict
 from borelcurve.rational import MAX_DEGREE
 from borelcurve.rootsystems import poincare_from_degrees
 
@@ -173,7 +174,8 @@ def test_closed_form_matches_generated_algebra(model, data):
     for labels in (drawn, list(range(1, r + 1, 2))):  # a random and a gapped subset
         pos = [lab - 1 for lab in labels]
         sub = restrict(cr, labels)
-        sub_oracle = GradedSubalgebra(len(labels), [g.project(pos) for g in cr.algebra.generators])
+        sub_oracle = GradedSubalgebra(len(labels), [HomTuple(g.degree, [g.coeffs[p] for p in pos])
+                                                    for g in cr.algebra.generators])
         assert sub.generators == sub_oracle.generators
         _check_against_oracle(sub, sub_oracle, bound, data)
         assert ideal_hilbert(cr, labels, bound) == [len(oracle.kernel_basis(labels, d))
@@ -223,17 +225,25 @@ def test_generators_match_every_parametrization(model):
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 64])
-def test_build_parametrizes_one_component(monkeypatch, n):
+def test_ring_and_verdicts_parametrize_no_component(monkeypatch, n):
+    """The ring is read off the normal form, so neither building it nor its
+    Betti numbers, restrictions or principal verdict parametrize a component."""
     calls = []
 
     def counted(model, j):
         calls.append(j)
         return real(model, j)
 
-    real = curve.component_parametrization
-    monkeypatch.setattr(curve, "component_parametrization", counted)
-    build_curve_ring(principal_model(n))
-    assert calls == [n + 1]
+    real = action.component_parametrization
+    for module in (action, curve):
+        monkeypatch.setattr(module, "component_parametrization", counted)
+    cr = build_curve_ring(principal_model(n))
+    assert betti_numbers(cr) == [1] * (n + 1)
+    assert restrict(cr, [1, n + 1]).hilbert_function(n) == [min(d + 1, len({1, n + 1}))
+                                                             for d in range(n + 1)]
+    path = GKMGraph(tuple(range(1, n + 2)), tuple((j, j + 1, 1) for j in range(1, n + 1)))
+    assert principal_verdict(cr, path).status == ("Principal" if n <= 1 else "NotPrincipal")
+    assert calls == []
 
 
 def test_default_bound_may_pass_the_cap_on_given_bounds():

@@ -348,7 +348,45 @@ def test_hilbert_function_is_the_slice_dims(r, with_v, max_degree, data):
     hilbert = alg.hilbert_function(max_degree)
     dims = [len(GradedSubalgebra(r, gens).graded_basis(d)) for d in range(max_degree + 1)]
     assert hilbert == dims
-    if HomTuple.ones(r, 1) in gens and r in dims:
-        assert len(alg._slices) == dims.index(r) + 1
-    else:
+    if HomTuple.ones(r, 1) not in gens:
         assert len(alg._slices) == max_degree + 1
+    elif r in dims:  # a plateau is final, so none comes before full rank
+        assert len(alg._slices) == dims.index(r) + 1
+
+
+def _plateau_degree(dims, k):
+    """First p with dims[p] = ... = dims[p + k] (equal ends suffice on a chain)."""
+    return next(p for p in range(len(dims) - k) if dims[p] == dims[p + k])
+
+
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 14), st.data())
+@settings(max_examples=80, deadline=None)
+def test_plateau_stop_matches_a_loop_without_stop(r, zero_degree, bound, data):
+    """With v a generator, K + 1 equal dimensions in a row fill the rest of the
+    Hilbert function (K the largest generator degree); a loop that builds every
+    slice agrees, and at most (first plateau degree) + K + 1 slices are built.
+    Generators constant on random blocks of positions plateau below r."""
+    block = [data.draw(st.integers(0, r - 1)) for _ in range(r)]
+    degrees = st.integers(0 if zero_degree else 1, 4)
+    gens = [HomTuple(data.draw(degrees),
+                     tuple(values[b] for b in block))
+            for values in (data.draw(st.lists(small_fractions, min_size=r, max_size=r))
+                           for _ in range(data.draw(st.integers(0, 3))))]
+    gens.append(HomTuple.ones(r, 1))
+    k = max(g.degree for g in gens)
+    alg = GradedSubalgebra(r, gens)
+    unstopped = GradedSubalgebra(r, gens)
+    dims = [unstopped._slice(d).dim for d in range(max(bound, 0) + 2 * k + 2 * r + 1)]
+    assert alg.hilbert_function(bound) == dims[:bound + 1]
+    assert len(alg._slices) <= _plateau_degree(dims, k) + k + 1
+
+
+def test_plateau_builds_plateau_plus_k_slices():
+    """Classes constant on the pairs {1, 2}, {3, 4}, {5, 6} span at most three
+    dimensions: the Hilbert function is [1, 2, 3, 3, ...], first constant from
+    degree 2, and with K = 3 the slices built are degrees 0..2 + K, not 0..bound."""
+    gens = [tup(1, 1, 1, 2, 2, 5, 5), tup(3, 0, 0, 1, 1, 7, 7), tup(1, 1, 1, 1, 1, 1, 1)]
+    alg = GradedSubalgebra(6, gens)
+    assert alg.hilbert_function(200) == [1, 2] + [3] * 199
+    assert len(alg._slices) == 2 + 3 + 1
+    assert GradedSubalgebra(6, gens).hilbert_function(4) == [1, 2, 3, 3, 3]
