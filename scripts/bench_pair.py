@@ -20,7 +20,9 @@ source lines of the package a fresh `python -m borelcurve.cli` run of each
 subcommand compiles (its module files plus cli.py, which runs as
 `__main__`); and fresh-process times of a poincare and a principal job with
 a filled bytecode cache (`PYTHONPYCACHEPREFIX` per side, one warm-up run,
-then WARM_RUNS alternating runs).
+then WARM_RUNS alternating runs), each bracketed by `bench/reference.py`
+processes and recorded raw and adjusted to the reference as `bench/run.py`
+adjusts its timed jobs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+sys.path.insert(0, str(ROOT / "bench"))
+from run import REF_SECONDS, REFERENCE  # noqa: E402  the benchmark's reference process
 
 PLANE_SPEC = {"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal"}
 STAR_GRAPH = {"vertices": [1, 2, 3], "edges": [[1, 2, 1], [1, 3, 1]]}
@@ -145,7 +149,9 @@ def workload_record(pairs: list[dict], e2e: list[dict]) -> dict:
 
 
 def warm_cache_times(dirs: dict, inputs: dict, scratch: Path) -> dict:
-    """Fresh-process seconds of each WARM_JOBS line with a filled bytecode cache."""
+    """Fresh-process seconds of each WARM_JOBS line with a filled bytecode cache,
+    raw and adjusted: each run divided by the mean of the reference processes
+    before and after it, times REF_SECONDS."""
     envs = {}
     for side, path in dirs.items():
         env = dict(os.environ, PYTHONPATH=str(path / "src"),
@@ -154,21 +160,33 @@ def warm_cache_times(dirs: dict, inputs: dict, scratch: Path) -> dict:
         envs[side] = env
     lines = {job: [a.format(**inputs) for a in COMPILED[job]] for job in WARM_JOBS}
 
-    def once(side, argv):
+    def timed(args, env):
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "borelcurve.cli", *argv], env=envs[side],
+        subprocess.run([sys.executable, *args], env=env,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
         return time.perf_counter() - start
 
+    def reference():
+        return timed([str(REFERENCE)], os.environ)
+
     for side in SIDES:  # the warm-up run fills the cache
         for argv in lines.values():
-            once(side, argv)
-    times = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
+            timed(["-m", "borelcurve.cli", *argv], envs[side])
+    raw = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
+    adjusted = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
+    before = reference()
     for index in range(WARM_RUNS):
         for side in pair_order(index):
             for job, argv in lines.items():
-                times[job][side].append(once(side, argv))
-    return {job: {side: summary(times[job][side]) for side in SIDES} for job in WARM_JOBS}
+                seconds = timed(["-m", "borelcurve.cli", *argv], envs[side])
+                after = reference()
+                raw[job][side].append(seconds)
+                adjusted[job][side].append(seconds / ((before + after) / 2) * REF_SECONDS)
+                before = after
+    return {job: {**{side: summary(adjusted[job][side]) for side in SIDES},
+                  "change_won": sum(c < p for p, c in zip(*adjusted[job].values())),
+                  "raw": {side: summary(raw[job][side]) for side in SIDES}}
+            for job in WARM_JOBS}
 
 
 def main(argv=None) -> int:
@@ -202,7 +220,7 @@ def main(argv=None) -> int:
         record["src_lines"] = {side: src_lines(path) for side, path in dirs.items()}
         record["compiled_lines"] = {side: compiled_lines(path, inputs)
                                     for side, path in dirs.items()}
-        record["warm_cache_s"] = {"runs": WARM_RUNS, "jobs": {
+        record["warm_cache_s"] = {"runs": WARM_RUNS, "reference_s": REF_SECONDS, "jobs": {
             job: " ".join(COMPILED[job]) for job in WARM_JOBS},
             **warm_cache_times(dirs, inputs, scratch)}
         record["workloads"] = {}

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # loaded by the two functions that build polynomials, when th
     from .poly import Poly
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ActionModel(Record):
@@ -90,7 +91,7 @@ def _as_list(x):
 
 
 def _as_matrix(rows, size: int) -> Matrix:
-    m = tuple(tuple(to_fraction(x) for x in _as_list(row)) for row in _as_list(rows))
+    m = tuple(tuple(map(to_fraction, _as_list(row))) for row in _as_list(rows))
     if len(m) != size or any(len(row) != size for row in m):
         raise InputError(f"expected a {size}x{size} matrix")
     return m
@@ -115,13 +116,17 @@ def validate(model: ActionModel) -> ActionModel:
 
     order = sorted(range(r), key=lambda i: -h[i])
     h_sorted = tuple(h[i] for i in order)
-    e_sorted = tuple(tuple(e[order[i]][order[j]] for j in range(r)) for i in range(r))
+    e_sorted = tuple(tuple(map(e[i].__getitem__, order)) for i in order)
 
-    for i in range(r):
-        for j in range(r):
-            if e_sorted[i][j] != 0 and h_sorted[i] - h_sorted[j] != 2:
-                raise InputError("commutation failure: [h, e] != 2e")
-    rank = sum(1 for row in e_sorted for x in row if x != 0)
+    # row i may be nonzero only in the column of weight h_i - 2, if there is one
+    column = {w: j for j, w in enumerate(h_sorted)}
+    rank = 0
+    for w, row in zip(h_sorted, e_sorted):
+        nonzero = r - row.count(_ZERO)  # identity first: the shared zero costs no __eq__
+        j = column.get(w - 2)
+        if nonzero > 1 or nonzero and (j is None or row[j] == 0):
+            raise InputError("commutation failure: [h, e] != 2e")
+        rank += nonzero
     if rank != n:
         raise InputError(f"not regular: dim ker e = {r - rank}, expected 1")
     return ActionModel(n, h_sorted, e_sorted)
@@ -142,8 +147,9 @@ def model_from_json(data: dict) -> ActionModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action spec: {exc}") from exc
     if e_spec == "principal":  # sized by h, so a huge n cannot allocate
-        e = tuple(tuple(Fraction(1) if j == i + 1 else Fraction(0) for j in range(len(h)))
-                  for i in range(len(h)))
+        r = len(h)
+        line = (_ZERO,) * r + (_ONE,) + (_ZERO,) * r  # row i: the window with its 1 at i + 1
+        e = tuple(line[r - 1 - i:2 * r - 1 - i] for i in range(r))
     else:
         e = _as_matrix(e_spec, n + 1)
     return validate(ActionModel(n, h, e))

@@ -1,6 +1,6 @@
-"""`borelcurve poincare`: Kostant-Macdonald Poincare polynomials."""
+"""`borelcurve poincare`: Poincare polynomials from the exponents or from degrees."""
 
-from . import rootsystems
+from . import exponents
 from .cmd_common import _parse_int_list, _report
 from .errors import InputError
 
@@ -10,16 +10,14 @@ def run(args) -> dict:
         raise InputError("choose either --family/--rank or --degrees, not both")
     if args.degrees is not None:
         degrees = _parse_int_list(args.degrees, "degree")
-        poly = rootsystems.poincare_from_degrees(degrees)
+        poly = exponents.poincare_from_degrees(degrees)
         options = {"degrees": degrees}
         result = {"poly": list(poly.coeffs)}
     else:
         if args.family is None or args.rank is None:
             raise InputError("poincare needs --family and --rank, or --degrees")
-        rs = rootsystems.positive_roots(args.family, args.rank)
-        poly = rootsystems.km_poincare(rs)
+        poly, heights = exponents.poincare(args.family, args.rank)
         options = {"family": args.family, "rank": args.rank}
-        result = {"poly": list(poly.coeffs),
-                  "weyl_order": poly.value_at_one,
-                  "heights": sorted(rootsystems.heights(rs))}
+        result = {"poly": list(poly.coeffs), "weyl_order": poly.value_at_one,
+                  "heights": heights}
     return _report("poincare", options, {}, result, None)

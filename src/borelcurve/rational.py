@@ -14,7 +14,6 @@ fractions.Fraction throughout and float inputs are rejected.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,8 +26,10 @@ Vec = tuple[Fraction, ...]
 # Answers stop changing at degree n (curve) or the largest multiplicity.
 MAX_DEGREE = 1000
 
-# The accepted string forms: an integer or p/q, optional sign, ASCII digits.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+def _digits(text: str) -> bool:
+    """Whether text is a nonempty run of ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 def to_fraction(x) -> Fraction:
@@ -48,10 +49,10 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        match = _RATIONAL.fullmatch(x.strip())
-        if match is not None:
+        p, slash, q = x.strip().partition("/")
+        if _digits(p[1:] if p.startswith(("+", "-")) else p) and (not slash or _digits(q)):
             try:
-                return Fraction(int(match[1]), int(match[2] or 1))
+                return Fraction(int(p), int(q or 1))
             except (ValueError, ZeroDivisionError):  # past the int digit limit, or p/0
                 pass
         raise InputError(f"cannot parse rational {x!r}")

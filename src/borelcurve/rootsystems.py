@@ -13,7 +13,11 @@ heights,
 
     prod_{a > 0} (1 - t^(ht(a)+1)) / (1 - t^(ht(a))),
 
-with exact polynomial division.  weyl_length_genfun recomputes the same
+with exact polynomial division.  The rank check, `PoincarePoly`, the product
+formula and `poincare_from_degrees` live in `exponents` and are imported back
+here.  The CLI reads its answers off the exponent table there; these root
+tables, the walk and the classical root counts and Weyl group orders are the
+independent oracle for it.  weyl_length_genfun recomputes the same
 polynomial by breadth-first enumeration of the Weyl group acting on a regular
 vector, and serves as an independent oracle; it lives in `oracles` and is
 re-exported here on first access (PEP 562).  Everything here is integer
@@ -24,16 +28,10 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import InputError, InternalError, to_int
+from .errors import InternalError
+from .exponents import MAX_DEGREE_SUM, MAX_RANK, poincare_from_degrees  # noqa: F401
+from .exponents import PoincarePoly, _product_formula, exponents
 from .record import Record
-
-MAX_RANK = 8
-
-# Largest total degree sum(d) accepted by poincare_from_degrees.  The product
-# formula works on lists of sum(d + 1) integers in O(len(d) * sum(d)) steps,
-# so the cap bounds both before anything is allocated; the root systems up to
-# MAX_RANK need at most 372 (B8, C8).
-MAX_DEGREE_SUM = 1000
 
 
 class RootSystem(Record):
@@ -41,26 +39,6 @@ class RootSystem(Record):
     rank: int
     simple_roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-
-
-class PoincarePoly(Record):
-    """Polynomial with non-negative integer coefficients, palindromic, constant term 1."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", cs)
-        if not cs or cs[0] != 1:
-            raise InternalError("Poincare polynomial must have constant term 1")
-        if any(c < 0 for c in cs):
-            raise InternalError("Poincare polynomial has a negative coefficient")
-        if cs != cs[::-1]:
-            raise InternalError("Poincare polynomial is not palindromic")
-
-    @property
-    def value_at_one(self) -> int:
-        return sum(self.coeffs)
 
 
 def _unit(dim: int, i: int, scale: int = 1) -> tuple[int, ...]:
@@ -116,33 +94,28 @@ def _type_f4(n):
     return simple, [_unit(4, i, 2) for i in range(4)] + _pairs(4, scale=2) + halves
 
 
-# family: (lowest rank, highest rank, positive-root count, Weyl group order, builder);
-# the count and the order are functions of the rank
+# family: (positive-root count, Weyl group order, builder); the count and the
+# order are the classical functions of the rank, independent of the exponents
 _FAMILIES = {
-    "A": (1, MAX_RANK, lambda n: n * (n + 1) // 2, lambda n: factorial(n + 1), _type_a),
-    "B": (1, MAX_RANK, lambda n: n * n, lambda n: 2**n * factorial(n), _type_b),
-    "C": (1, MAX_RANK, lambda n: n * n, lambda n: 2**n * factorial(n), _type_c),
-    "D": (2, MAX_RANK, lambda n: n * (n - 1), lambda n: 2 ** (n - 1) * factorial(n), _type_d),
-    "G2": (2, 2, lambda n: 6, lambda n: 12, _type_g2),
-    "F4": (4, 4, lambda n: 24, lambda n: 1152, _type_f4),
+    "A": (lambda n: n * (n + 1) // 2, lambda n: factorial(n + 1), _type_a),
+    "B": (lambda n: n * n, lambda n: 2**n * factorial(n), _type_b),
+    "C": (lambda n: n * n, lambda n: 2**n * factorial(n), _type_c),
+    "D": (lambda n: n * (n - 1), lambda n: 2 ** (n - 1) * factorial(n), _type_d),
+    "G2": (lambda n: 6, lambda n: 12, _type_g2),
+    "F4": (lambda n: 24, lambda n: 1152, _type_f4),
 }
 
 
 def _family(family: str, rank: int):
-    """The table row of a supported family at a rank it has; InputError otherwise."""
-    row = _FAMILIES.get(family) if isinstance(family, str) else None
-    if row is None:
-        raise InputError(f"unsupported family {family!r} (expected A, B, C, D, G2 or F4)")
-    low, high = row[:2]
-    if not low <= to_int(rank) <= high:
-        raise InputError(f"{family} has rank {low}" if low == high
-                         else f"{family}-family rank must be {low}..{high}")
-    return row
+    """The table row of a supported family at a rank it has; the InputError of
+    `exponents.exponents` otherwise."""
+    exponents(family, rank)
+    return _FAMILIES[family]
 
 
 def positive_roots(family: str, rank: int) -> RootSystem:
     """Complete positive-root list in the standard integer realization."""
-    _, _, count, _, build = _family(family, rank)
+    count, _, build = _family(family, rank)
     simple, pos = build(rank)
     if len(pos) != count(rank):
         raise InternalError("positive root count does not match the classical value")
@@ -151,7 +124,7 @@ def positive_roots(family: str, rank: int) -> RootSystem:
 
 def weyl_order(family: str, rank: int) -> int:
     """Order of the Weyl group; the same InputError as positive_roots otherwise."""
-    return _family(family, rank)[3](rank)
+    return _family(family, rank)[1](rank)
 
 
 def heights(rs: RootSystem) -> list[int]:
@@ -193,28 +166,6 @@ def heights(rs: RootSystem) -> list[int]:
     return out
 
 
-def _product_formula(degrees: list[int]) -> list[int]:
-    """Expand prod_i (1 - t^(d_i+1)) / (1 - t^(d_i)); ArithmeticError on remainder.
-
-    The full numerator is multiplied out first; when the total quotient is a
-    polynomial every intermediate division below is then exact as well.
-    Dividing by 1 - t^d is the integer recurrence q[k] = num[k] + q[k-d],
-    exact when the last d terms of q vanish.
-    """
-    num = [1]
-    for d in degrees:
-        num = num + [0] * (d + 1)
-        for k in range(len(num) - 1, d, -1):
-            num[k] -= num[k - d - 1]
-    for d in degrees:
-        for k in range(d, len(num)):
-            num[k] += num[k - d]
-        if any(num[-d:]):
-            raise ArithmeticError("product formula has a nonzero remainder")
-        del num[-d:]
-    return num
-
-
 def km_poincare(rs: RootSystem) -> PoincarePoly:
     """Kostant-Macdonald product over the heights of the positive roots.
 
@@ -230,27 +181,6 @@ def km_poincare(rs: RootSystem) -> PoincarePoly:
     if poly.value_at_one != weyl_order(rs.family, rs.rank):
         raise InternalError("product formula does not sum to the Weyl group order")
     return poly
-
-
-def poincare_from_degrees(degrees) -> PoincarePoly:
-    """Poincare polynomial of a model with the given positive weight degrees.
-
-    Degrees are the half-weights of the attracting-cell coordinates (deg v = 1
-    convention).  Not every degree list yields a polynomial; a remainder means
-    the degrees do not come from a regular projective model.  The degrees may
-    sum to at most MAX_DEGREE_SUM.
-    """
-    ds = [to_int(d, 1, name="degrees") for d in degrees]
-    if sum(ds) > MAX_DEGREE_SUM:
-        raise InputError(f"degrees must sum to at most {MAX_DEGREE_SUM}")
-    try:
-        coeffs = _product_formula(ds)
-    except ArithmeticError as exc:
-        raise InputError(f"degrees {ds} do not come from a regular action: {exc}") from exc
-    if any(c < 0 for c in coeffs):
-        raise InputError(f"degrees {ds} do not come from a regular action: "
-                         "negative coefficient in the expanded product")
-    return PoincarePoly(tuple(coeffs))
 
 
 _ORACLES = ("WEYL_ENUMERATION_GUARD", "weyl_length_genfun")

@@ -74,6 +74,60 @@ def test_model_from_json_principal_shorthand(plane_model):
             model_from_json({"n": 1, "h_weights": [1, -1], "e_matrix": e})
 
 
+PLANE_E = [[0, 1, 0], [0, 0, 2], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("spec,message", [
+    # n out of range, and h too long for it
+    ({"n": -1, "h_weights": [1, -1], "e_matrix": "principal"},
+     "dimension n must be non-negative"),
+    # n a string, and no e_matrix
+    ({"n": "2", "h_weights": [2, 0, -2]}, "bad action spec: expected an integer, got '2'"),
+    # no h_weights, and n a float
+    ({"n": 2.0, "e_matrix": "principal"}, "bad action spec: expected an integer, got 2.0"),
+    # an explicit matrix is read before the weights
+    ({"n": 2, "h_weights": [2, 0.5, -2], "e_matrix": [[0, 1, 0], [0, 0, 1.5], [0, 0, 0]]},
+     "floating point values are not accepted; pass ints or 'p/q' strings"),
+    ({"n": 2, "h_weights": [2, 0], "e_matrix": [[0, 1], [0, 0]]}, "expected a 3x3 matrix"),
+    # entries are read row by row, every row before the size
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[0, "x"], [0, 0, "1/0"], [0, 0, 0]]},
+     "cannot parse rational 'x'"),
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[0, 1], 7, [0, 0, 0]]},
+     "expected a list, got 7"),
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[0, 1], [0, 0, 1], [0, 0, True]]},
+     "cannot interpret True as a rational number"),
+    # the weights in turn: an entry, the length, a repeat
+    ({"n": 2, "h_weights": [2, True, 2, 0], "e_matrix": "principal"},
+     "expected an integer, got True"),
+    ({"n": 2, "h_weights": [2, 2], "e_matrix": PLANE_E}, "h_weights must have length n+1 = 3"),
+    ({"n": 2, "h_weights": [2, 2, -2], "e_matrix": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]},
+     "repeated h-weights: torus fixed points are not isolated"),
+    # the commutation, in any row, before the rank
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[0, 0, 0], [0, 0, 0], [1, 0, 0]]},
+     "commutation failure: [h, e] != 2e"),
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+     "commutation failure: [h, e] != 2e"),
+    ({"n": 2, "h_weights": [2, 0, -2], "e_matrix": [[0, 1, 1], [0, 0, 0], [0, 0, 0]]},
+     "commutation failure: [h, e] != 2e"),
+    ({"n": 2, "h_weights": [4, 1, 2], "e_matrix": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]},
+     "not regular: dim ker e = 2, expected 1"),
+    ({"n": 2, "h_weights": [3, 1, 0], "e_matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]},
+     "not regular: dim ker e = 2, expected 1"),
+])
+def test_spec_malformed_twice_reports_the_first_fault(spec, message):
+    """Each spec breaks two rules; the error names the one read first."""
+    with pytest.raises(InputError) as exc:
+        model_from_json(spec)
+    assert str(exc.value) == message
+
+
+def test_validate_reads_exact_and_raw_entries_alike(plane_model):
+    raw = ActionModel(2, (0, 2, -2), ((0, 0, "2"), ("1/1", 0, 0), (0, 0, 0)))
+    assert validate(raw) == validate(ActionModel(2, (0, 2, -2), tuple(
+        tuple(Fraction(x) for x in row) for row in raw.e_matrix)))
+    assert validate(raw).e_matrix == ((0, 1, 0), (0, 0, 2), (0, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # the unipotent exponential
 

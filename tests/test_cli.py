@@ -815,7 +815,7 @@ def test_poincare_run_loads_only_root_systems():
                        "main(['poincare', '--family', 'A', '--rank', '2'])")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
         "borelcurve", "borelcurve.cli", "borelcurve.cmd_common", "borelcurve.cmd_poincare",
-        "borelcurve.errors", "borelcurve.record", "borelcurve.rootsystems"]
+        "borelcurve.errors", "borelcurve.exponents", "borelcurve.record"]
     assert not {"fractions", "decimal", "hashlib"} & set(loaded)
 
 

@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelcurve.errors import InputError
@@ -40,6 +41,48 @@ def test_to_fraction_accepts_only_integers_and_p_over_q():
                  "\u0663", "1 / 2", "1/-2", "1/0", "inf", "nan", "0x10", "", "9" * 5000):
         with pytest.raises(InputError, match="cannot parse rational"):
             to_fraction(text)
+
+
+def _pattern_reader(text: str) -> Fraction:
+    """The string branch of to_fraction as a regular expression."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())
+    if match is not None:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot parse rational {text!r}")
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except InputError as exc:
+        return str(exc)
+
+
+# pieces of strings: digits, signs, slashes, whitespace, underscores, exponents
+# and non-ASCII digits (Arabic-Indic three, superscript two, fullwidth one)
+PIECES = ["0", "1", "7", "09", "42", "+", "-", "/", " ", "\t", "\n", "\u3000", "_", "e",
+          "\u0663", "\u00b2", "\uff11"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=7).map("".join))
+@example("7/-1")
+@example("7/+1")
+@example("1/ 2")
+@example("1 /2")
+@example("\t-0/09 ")
+@example("+-1")
+@example("/")
+@example("1/")
+@example("1/0")
+@example("1/2/3")
+def test_to_fraction_reads_strings_as_the_pattern_does(text):
+    """Digits, signs, slashes, whitespace, underscores, non-ASCII digits and
+    exponents: the same Fraction or the same error as the pattern."""
+    assert _outcome(to_fraction, text) == _outcome(_pattern_reader, text)
 
 
 def test_poly_basics():
