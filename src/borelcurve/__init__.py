@@ -30,9 +30,9 @@ _EXPORTS = {
             "principal_verdict"),
     "poly": ("Poly",),
     "rational": ("HomTuple", "format_fraction", "to_fraction"),
-    "rootsystems": ("PoincarePoly", "RootSystem", "heights", "km_poincare",
-                    "poincare_from_degrees", "positive_roots", "weyl_length_genfun",
-                    "weyl_order"),
+    "rootsystems": ("PoincarePoly", "RootSystem", "WEYL_ENUMERATION_GUARD", "heights",
+                    "km_poincare", "poincare_from_degrees", "positive_roots",
+                    "weyl_length_genfun", "weyl_order"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_MODULE_OF]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import to_int
-from .rational import format_fraction, to_fraction
+from .rational import to_fraction
 from .record import Record
 
 _ZERO = Fraction(0)
@@ -136,18 +136,3 @@ class Poly(Record):
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_fraction(c))
-            elif i == 1:
-                parts.append(f"{format_fraction(c)}*v" if c != 1 else "v")
-            else:
-                parts.append(f"{format_fraction(c)}*v^{i}" if c != 1 else f"v^{i}")
-        return " + ".join(parts)

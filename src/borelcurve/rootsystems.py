@@ -17,18 +17,17 @@ with exact polynomial division.  The rank check, `PoincarePoly`, the product
 formula and `poincare_from_degrees` live in `exponents` and are imported back
 here.  The CLI reads its answers off the exponent table there; these root
 tables, the walk and the classical root counts and Weyl group orders are the
-independent oracle for it.  weyl_length_genfun recomputes the same
-polynomial by breadth-first enumeration of the Weyl group acting on a regular
-vector, and serves as an independent oracle; it lives in `oracles` and is
-re-exported here on first access (PEP 562).  Everything here is integer
-arithmetic.
+independent oracle for it.  weyl_length_genfun recounts the same
+polynomial by walking the Weyl group on the Cartan integers of a regular
+weight.  Everything here is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from operator import mul
 
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .exponents import MAX_DEGREE_SUM, MAX_RANK, poincare_from_degrees  # noqa: F401
 from .exponents import PoincarePoly, _product_formula, exponents
 from .record import Record
@@ -183,11 +182,45 @@ def km_poincare(rs: RootSystem) -> PoincarePoly:
     return poly
 
 
-_ORACLES = ("WEYL_ENUMERATION_GUARD", "weyl_length_genfun")
+# Weyl-group enumeration, the oracle for the Kostant-Macdonald product
+
+WEYL_ENUMERATION_GUARD = 10**6
 
 
-def __getattr__(name):
-    if name in _ORACLES:  # loaded on first use, so no CLI run compiles them
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def weyl_length_genfun(family: str, rank: int) -> PoincarePoly:
+    """Length generating function of the Weyl group by enumeration.
+
+    An element w is kept as the integers p_k = <w rho, a_k^v> over the simple
+    coroots: they start at (1, ..., 1), and s_k subtracts p_k times row k of
+    the Cartan matrix, <a_k, a_j^v> = 2(a_k, a_j)/(a_j, a_j).  s_k w is one
+    step longer than w exactly when p_k > 0.  Every w != 1 has a negative
+    entry, and is reached once, from its parent s_k w with k its first
+    negative entry, so the walk keeps no record of elements already seen.
+    """
+    rs = positive_roots(family, rank)
+    order = weyl_order(family, rank)
+    if order > WEYL_ENUMERATION_GUARD:
+        raise InputError(f"Weyl group of order {order} exceeds the enumeration "
+                         f"guard {WEYL_ENUMERATION_GUARD}")
+    cartan = []
+    for a in rs.simple_roots:
+        row = []
+        for b in rs.simple_roots:
+            c, rem = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
+            if rem:
+                raise InternalError(f"2(a, b)/(b, b) is not an integer for a = {a}, b = {b}")
+            row.append(c)
+        cartan.append(row)
+    counts = [0] * (len(rs.positive_roots) + 1)
+    stack = [((1,) * len(cartan), 0)]
+    while stack:
+        p, length = stack.pop()
+        counts[length] += 1
+        for k, (pk, row) in enumerate(zip(p, cartan)):
+            if pk > 0:  # s_k w is one step longer
+                q = tuple([x - pk * c for x, c in zip(p, row)])
+                if k == 0 or min(q[:k]) > 0:  # k is the first negative entry of q
+                    stack.append((q, length + 1))
+    if sum(counts) != order:
+        raise InternalError("Weyl enumeration produced the wrong group order")
+    return PoincarePoly(tuple(counts))

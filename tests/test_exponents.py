@@ -9,7 +9,7 @@ import pytest
 
 from borelcurve import exponents, rootsystems
 from borelcurve.errors import InputError
-from borelcurve.oracles import WEYL_ENUMERATION_GUARD, weyl_length_genfun
+from borelcurve.rootsystems import WEYL_ENUMERATION_GUARD, weyl_length_genfun
 
 EVERY_SYSTEM = [(family, rank) for family, (low, high, _) in exponents.EXPONENTS.items()
                 for rank in range(low, high + 1)]

@@ -2,11 +2,13 @@ from collections import Counter
 
 import pytest
 
+from borelcurve import rootsystems
 from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import solve_linear_system
 from borelcurve.rootsystems import (MAX_DEGREE_SUM, MAX_RANK, PoincarePoly, RootSystem,
                                     heights, km_poincare, poincare_from_degrees, positive_roots,
                                     weyl_length_genfun, weyl_order)
+from test_cli import loaded_by
 
 SMALL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                  ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)]
@@ -185,10 +187,16 @@ def test_enumeration_guard():
         weyl_length_genfun("B", 8)
 
 
-def test_weyl_oracle_is_reexported_from_oracles():
-    from borelcurve import oracles, rootsystems
-    assert rootsystems.weyl_length_genfun is oracles.weyl_length_genfun
-    assert rootsystems.WEYL_ENUMERATION_GUARD == oracles.WEYL_ENUMERATION_GUARD == 10**6
+def test_weyl_oracle_runs_on_integers_alone():
+    """A fresh enumeration loads only the integer modules: no oracles, action,
+    poly or fractions."""
+    loaded = loaded_by("from borelcurve import rootsystems\n"
+                       "rootsystems.weyl_length_genfun('A', 3)")
+    assert [m for m in loaded if m.startswith("borelcurve")] == [
+        "borelcurve", "borelcurve.errors", "borelcurve.exponents", "borelcurve.record",
+        "borelcurve.rootsystems"]
+    assert "fractions" not in loaded
+    assert rootsystems.WEYL_ENUMERATION_GUARD == 10**6
     with pytest.raises(AttributeError):
         rootsystems.no_such_name
 
