@@ -87,26 +87,27 @@ class NodeAlgebra:
 
         return [HomTuple(d, [lagrange(s, x) for x in self.nodes]) for s in pivots]
 
-    def _newton(self, coeffs) -> list[Fraction]:
-        """Divided differences f[x_0], f[x_0, x_1], ..., f[x_0..x_(r-1)]."""
+    def _newton(self, coeffs, order: int) -> list[Fraction]:
+        """The divided differences of the given order, one per window of
+        order + 1 consecutive nodes."""
         nodes, table = self.nodes, list(coeffs)
-        for k in range(1, self.r):
+        for k in range(1, order + 1):
             for j in range(self.r - 1, k - 1, -1):
                 table[j] = (table[j] - table[j - 1]) / (nodes[j] - nodes[j - k])
-        return table
+        return table[order:]
 
     def member(self, t: HomTuple) -> bool:
-        """Exact membership: the divided differences of order > deg t vanish."""
+        """Exact membership: the divided differences of order deg t + 1 vanish on
+        every window.  Each window's interpolant then has degree <= deg t, and
+        neighbouring windows share deg t + 1 nodes, so they share one interpolant."""
         if t.r != self.r:
             raise InputError("component-count mismatch")
-        return t.degree + 1 >= self.r or not any(self._newton(t.coeffs)[t.degree + 1:])
+        return t.degree + 1 >= self.r or not any(self._newton(t.coeffs, t.degree + 1))
 
     def coordinates(self, t: HomTuple) -> list[Fraction] | None:
         """Coefficients of t over graded_basis(t.degree), or None if not a member:
         its entries at the pivot nodes."""
-        if not self.member(t):
-            return None
-        return list(t.coeffs[:t.degree + 1])
+        return list(t.coeffs[:t.degree + 1]) if self.member(t) else None
 
 
 class CurveRing(Record):

@@ -10,6 +10,11 @@ basis, and the dimension is a component count.  For the ordinary
 multiplicity-1 case the degree-0 slice is the locally constant vectors and
 every higher slice is everything.
 
+One pass over the edges by decreasing multiplicity keeps those that join two
+components, a maximum spanning forest (Kruskal).  Each kept edge removes one
+component, and once the pass has seen every edge with m > d it has seen that
+graph, so dim(d) is r minus the forest edges with m > d.
+
 The congruence ring is the user's model of the equivariant cohomology of the
 subvariety (valid when odd cohomology vanishes); the restriction image of the
 ambient ring is computed exactly from the curve.  Comparing the two Hilbert
@@ -19,6 +24,7 @@ functions decides whether restriction is surjective ("principal").
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 
 from .curve import CurveRing, restrict
 from .errors import InputError, labels, to_int
@@ -30,6 +36,14 @@ NOT_PRINCIPAL = "NotPrincipal"
 INCONCLUSIVE = "InconclusiveAtBound"
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class GKMGraph(Record):
     """Vertices are 1-based fixed-point labels; edges are (i, j, multiplicity)."""
 
@@ -37,10 +51,9 @@ class GKMGraph(Record):
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        verts = sorted(set(to_int(x, 1, name="vertex labels") for x in self.vertices))
-        if not verts:
+        vset = {to_int(x, 1, name="vertex labels") for x in self.vertices}
+        if not vset:
             raise InputError("graph needs at least one vertex")
-        vset = set(verts)
         edges = []
         for edge in self.edges:
             if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
@@ -51,26 +64,19 @@ class GKMGraph(Record):
             if i not in vset or j not in vset:
                 raise InputError(f"edge ({i},{j}) mentions an unknown vertex")
             edges.append((min(i, j), max(i, j), to_int(m, 1, MAX_DEGREE, "edge multiplicity")))
-        object.__setattr__(self, "vertices", tuple(verts))
+        object.__setattr__(self, "vertices", tuple(sorted(vset)))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def connected_components(self, threshold: int = 0) -> list[tuple[int, ...]]:
         """Sorted components of the graph on the edges of multiplicity > threshold."""
         threshold = to_int(threshold)
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j, m in self.edges:
             if m > threshold:
-                parent[find(i)] = find(j)
+                parent[_find(parent, i)] = _find(parent, j)
         groups: dict[int, list[int]] = {}
         for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         return sorted(tuple(sorted(g)) for g in groups.values())
 
     def is_connected(self) -> bool:
@@ -94,6 +100,13 @@ class GKMRing:
         self.graph = graph
         self.r = len(graph.vertices)
         self._pos = {v: i for i, v in enumerate(graph.vertices)}
+        parent = {v: v for v in graph.vertices}
+        joins = []  # the forest's multiplicities (module docstring), decreasing
+        for i, j, m in sorted(graph.edges, key=lambda e: -e[2]):
+            if (a := _find(parent, i)) != (b := _find(parent, j)):
+                parent[a] = b
+                joins.append(m)
+        self._joins = joins[::-1]
 
     def basis(self, d: int) -> list[HomTuple]:
         """Indicators of the components at degree d, in the order of their last vertex
@@ -102,49 +115,41 @@ class GKMRing:
         return [HomTuple(d, [int(v in comp) for v in self.graph.vertices]) for comp in comps]
 
     def dim(self, d: int) -> int:
-        return len(self.graph.connected_components(to_int(d, 0, name="degree")))
+        """r minus the forest edges with m > d (module docstring)."""
+        return self.r - len(self._joins) + bisect_right(self._joins, to_int(d, 0, name="degree"))
 
     def hilbert(self, max_degree: int) -> list[int]:
-        """dim(0..max_degree): the count changes only at the edge multiplicities,
-        so one count per multiplicity fills the run of degrees up to the next."""
-        to_int(max_degree, 0, name="degree bound")
-        cuts = sorted({0, *(m for _, _, m in self.graph.edges)})
-        out: list[int] = []
-        for start, stop in zip(cuts, cuts[1:] + [max_degree + 1]):
-            if start > max_degree:
-                break
-            out += [self.dim(start)] * (min(stop, max_degree + 1) - start)
-        return out
+        return [self.dim(d) for d in range(to_int(max_degree, 0, name="degree bound") + 1)]
 
     def contains(self, t: HomTuple) -> bool:
         """Direct congruence check (no linear algebra needed)."""
         if t.r != self.r:
             raise InputError("component-count mismatch with the graph vertices")
-        for i, j, m in self.graph.edges:
-            if t.degree < m and t.coeffs[self._pos[i]] != t.coeffs[self._pos[j]]:
-                return False
-        return True
+        return all(t.degree >= m or t.coeffs[self._pos[i]] == t.coeffs[self._pos[j]]
+                   for i, j, m in self.graph.edges)
 
     @property
     def stabilization_degree(self) -> int:
         """Smallest degree from which the slices are all of Q^r: the largest
-        multiplicity, since every edge active at degree d cuts the slice."""
-        return max((m for _, _, m in self.graph.edges), default=0)
+        multiplicity, which the first edge of the forest pass carries."""
+        return self._joins[-1] if self._joins else 0
 
 
 def gkm_ordinary_betti(graph: GKMGraph) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
     Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
-    applies per component and a warning is emitted.  None is negative: a
-    higher degree drops edges, so components only split.
+    applies per component and a warning is emitted.  dim(d) - dim(d - 1)
+    counts the forest edges of multiplicity d (module docstring): the list is
+    the component count, then that histogram over 1..s + 1 (s > 0 the
+    stabilization degree).
     """
     ring = GKMRing(graph)
-    if not graph.is_connected():
+    if ring.dim(0) != 1:
         warnings.warn("graph is disconnected; Betti bookkeeping applies per connected "
                       "component", stacklevel=2)
-    stab = ring.stabilization_degree
-    h = ring.hilbert(stab + 1 if stab > 0 else 0)
+    s = ring.stabilization_degree
+    h = ring.hilbert(s + 1 if s else 0)
     return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
 
 
@@ -167,14 +172,8 @@ class PrincipalityVerdict(Record):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness,
-            "bound": self.bound,
-            "image_hilbert": list(self.image_hilbert),
-            "gkm_hilbert": list(self.gkm_hilbert),
-            "notes": list(self.notes),
-        }
+        return {field: list(value) if isinstance(value, tuple) else value
+                for field, value in zip(self._fields, self._values())}
 
 
 def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,55 @@ def test_gkm_slice_matches_nullspace_oracle(graph, d):
     by_hand = GKMGraph(graph.vertices, tuple(e for e in graph.edges if e[2] > d))
     assert graph.connected_components(d) == by_hand.connected_components()
     assert graph.connected_components() == graph.connected_components(0)
+
+
+@st.composite
+def multigraphs(draw):
+    """A congruence multigraph on a subset of 1..10, multiplicities 1..8:
+    parallel edges, isolated vertices and edgeless graphs all occur."""
+    vertices = draw(st.lists(st.integers(1, 10), min_size=1, max_size=10, unique=True))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 8)),
+                          max_size=25)) if pairs else []
+    return GKMGraph(tuple(vertices), tuple((i, j, m) for (i, j), m in edges))
+
+
+@given(multigraphs(), st.integers(0, 10))
+@settings(max_examples=300, deadline=None)
+def test_forest_counts_match_component_counts(graph, bound):
+    """Oracle: the counts read off the spanning forest are the per-degree
+    component counts, for bounds below and above the stabilization degree."""
+    ring = GKMRing(graph)
+    counts = [len(graph.connected_components(d)) for d in range(bound + 1)]
+    assert ring.hilbert(bound) == counts
+    assert [ring.dim(d) for d in range(bound + 1)] == counts
+    assert ring.stabilization_degree == max((m for _, _, m in graph.edges), default=0)
+    s = ring.stabilization_degree
+    full = [len(graph.connected_components(d)) for d in range(s + 2)]
+    betti = [full[0]] + [full[d] - full[d - 1] for d in range(1, s + 2)] if s else full[:1]
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        assert gkm_ordinary_betti(graph) == betti
+
+
+def test_verdicts_count_no_components(monkeypatch, plane_ring, curves_union_graph):
+    """The verdict paths read every count off the forest: none calls the
+    per-threshold component search."""
+    from borelcurve.chern import chern_subalgebra_verdict
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict path searched the graph's components")
+
+    monkeypatch.setattr(GKMGraph, "connected_components", refuse)
+    monkeypatch.setattr(GKMGraph, "is_connected", refuse)
+    split = GKMGraph((1, 2, 3), ((1, 2, 3), (1, 2, 1)))
+    assert principal_verdict(plane_ring, curves_union_graph).status == "NotPrincipal"
+    assert principal_verdict(plane_ring, split, 5).gkm_hilbert == (2, 2, 2, 3, 3, 3)
+    assert gkm_ordinary_betti(curves_union_graph) == [1, 2, 0]
+    with pytest.warns(UserWarning, match="disconnected"):
+        assert gkm_ordinary_betti(split) == [2, 0, 0, 1, 0]
+    gens = [HomTuple(1, (1, -1, -1)), HomTuple(1, (1, 1, 1))]
+    assert chern_subalgebra_verdict(gens, curves_union_graph).witness == 1
 
 
 def test_gkm_slice_rejects_negative_degree(curves_union_graph):
