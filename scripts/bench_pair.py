@@ -81,7 +81,7 @@ def extract_parent(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     return sha
 
 

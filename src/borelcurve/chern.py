@@ -47,10 +47,17 @@ class SplitFibre(Record):
 
 class MatrixFibre(Record):
     """Fibre given by the representing matrices of the diagonal and nilpotent
-    generators; must satisfy [rho_w, rho_v] = 2 rho_v."""
+    generators.  Each entry is read once, here: rho_w as a square matrix of
+    its own row count, rho_v at that size.  make_bundle checks the rank and
+    [rho_w, rho_v] = 2 rho_v."""
 
     rho_w: Matrix
     rho_v: Matrix
+
+    def __post_init__(self):
+        w = _as_matrix(self.rho_w, len(_as_list(self.rho_w)))
+        object.__setattr__(self, "rho_w", w)
+        object.__setattr__(self, "rho_v", _as_matrix(self.rho_v, len(w)))
 
     @property
     def rank(self) -> int:
@@ -63,7 +70,8 @@ class BundleData(Record):
 
 
 def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> BundleData:
-    """Validate fibre data: common rank and [rho_w, rho_v] = 2 rho_v.
+    """Check the labels, the common rank and [rho_w, rho_v] = 2 rho_v of
+    fibres that have read their own entries (MatrixFibre).
 
     That relation makes rho_v nilpotent: [rho_w, rho_v^m] = 2m rho_v^m, so
     tr(rho_v^m) = 0 for all m >= 1, which over Q forces every eigenvalue to 0.
@@ -73,28 +81,23 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
     to_int(rank, 0, name="bundle rank")
     if not fibres:
         raise InputError("bundle needs at least one fibre")
-    checked: dict[int, SplitFibre | MatrixFibre] = {}
     for label, fibre in fibres.items():
         to_int(label, 1, name="fixed-point labels")
         if fibre.rank != rank:
             raise InputError(f"fibre at {label} has rank {fibre.rank}, expected {rank}")
         if isinstance(fibre, MatrixFibre):
-            w = _as_matrix(fibre.rho_w, rank)
-            v = _as_matrix(fibre.rho_v, rank)
-            (dw, W), (_, V) = _cleared(w), _cleared(v)
+            (dw, W), (_, V) = _cleared(fibre.rho_w), _cleared(fibre.rho_v)
             WV, VW = _mat_mul(W, V), _mat_mul(V, W)
             if any(WV[i][j] - VW[i][j] != 2 * dw * V[i][j]
                    for i in range(rank) for j in range(rank)):
                 raise InputError(f"fibre at {label} violates [rho_w, rho_v] = 2 rho_v")
-            fibre = MatrixFibre(w, v)
-        checked[label] = fibre
-    return BundleData(rank, checked)
+    return BundleData(rank, dict(fibres))
 
 
 def bundle_from_json(data: dict) -> BundleData:
     """Parse {"rank":, "fibres": {"j": {"weights":[...]} | {"rho_W":, "rho_V":}}}."""
     try:
-        rank = to_int(data["rank"], 0, name="bundle rank")  # before a fibre is sized by it
+        rank = to_int(data["rank"], 0, name="bundle rank")  # a bad rank is reported first
         raw = data["fibres"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad bundle spec: {exc}") from exc
@@ -114,8 +117,7 @@ def bundle_from_json(data: dict) -> BundleData:
         if "weights" in val:
             fibres[label] = SplitFibre(tuple(to_int(w) for w in _as_list(val["weights"])))
         elif "rho_W" in val and "rho_V" in val:
-            fibres[label] = MatrixFibre(_as_matrix(val["rho_W"], rank),
-                                        _as_matrix(val["rho_V"], rank))
+            fibres[label] = MatrixFibre(val["rho_W"], val["rho_V"])
         else:
             raise InputError(f"fibre {key} needs either weights or rho_W/rho_V")
     return make_bundle(rank, fibres)
@@ -182,11 +184,8 @@ def _exterior_traces(m: Matrix) -> list[Fraction]:
 
 def exterior_trace(matrix, k: int) -> Fraction:
     """Trace on the k-th exterior power: e_k of the eigenvalues, over Q."""
-    m = tuple(tuple(to_fraction(x) for x in row) for row in matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InputError("matrix must be square")
-    return _exterior_traces(m)[to_int(k, 0, n, "k")]
+    m = _as_matrix(matrix, len(_as_list(matrix)))
+    return _exterior_traces(m)[to_int(k, 0, len(m), "k")]
 
 
 def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
@@ -245,11 +244,9 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
     ring = GKMRing(graph)
     gens = list(generators)
     for t in gens:
-        if t.r != ring.r:
-            raise InputError("generator component count does not match the graph")
-        if not ring.contains(t):
+        if not ring.contains(t):  # raises on a component-count mismatch
             raise InputError(f"generator {t.to_json()} violates the graph congruences")
     notes = ("comparison of the subalgebra generated by the given classes against "
              "the congruence ring",)
-    return decide(GradedSubalgebra(ring.r, gens + [HomTuple.ones(ring.r, 1)]), graph,
+    return decide(GradedSubalgebra(ring.r, gens + [HomTuple.ones(ring.r, 1)]), ring,
                   max_degree, notes)

@@ -12,6 +12,10 @@ def run(args) -> dict:
     ring = curve.build_curve_ring(model)
     bound = degree_bound(args.max_degree, curve.default_degree_bound(ring))
     options = {"what": args.what, "components": args.components}
+    if args.what in ("restrict", "ideal"):
+        if args.components is None:
+            raise InputError(f"curve {args.what} needs --components")
+        subset = _parse_int_list(args.components, "component")
     if args.what == "ring":
         result = {
             "generators": [g.to_json() for g in ring.algebra.generators],
@@ -22,9 +26,6 @@ def run(args) -> dict:
     elif args.what == "betti":
         result = {"betti": curve.betti_numbers(ring, args.max_degree), "truncation_degree": bound}
     elif args.what == "restrict":
-        if args.components is None:
-            raise InputError("curve restrict needs --components")
-        subset = _parse_int_list(args.components, "component")
         sub = curve.restrict(ring, subset)
         result = {
             "components": sorted(set(subset)),
@@ -33,9 +34,6 @@ def run(args) -> dict:
             "truncation_degree": bound,
         }
     else:  # ideal
-        if args.components is None:
-            raise InputError("curve ideal needs --components")
-        subset = _parse_int_list(args.components, "component")
         dims = curve.ideal_hilbert(ring, subset, args.max_degree)
         result = {
             "components": sorted(set(subset)),

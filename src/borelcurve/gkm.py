@@ -192,15 +192,14 @@ def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,
     return PrincipalityVerdict(status, witness, bound, tuple(image), tuple(gkm), notes)
 
 
-def decide(image, graph: GKMGraph, max_degree: int | None,
+def decide(image, ring: GKMRing, max_degree: int | None,
            notes: tuple[str, ...]) -> PrincipalityVerdict:
-    """Compare the Hilbert function of `image`, an algebra over the graph vertices
-    containing v, with the congruence ring's, by default up to the stabilization
-    degree, which certifies the verdict (PrincipalityVerdict)."""
-    ring = GKMRing(graph)
+    """Compare the Hilbert function of `image`, an algebra over the ring's
+    vertices containing v, with the congruence ring's, by default up to the
+    stabilization degree, which certifies the verdict (PrincipalityVerdict)."""
     bound = degree_bound(max_degree, ring.stabilization_degree)
-    return compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound),
-                            len(graph.vertices), bound, notes)
+    return compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound), ring.r,
+                            bound, notes)
 
 
 def principal_verdict(cr: CurveRing, graph: GKMGraph,
@@ -215,4 +214,4 @@ def principal_verdict(cr: CurveRing, graph: GKMGraph,
     notes = () if 1 in graph.vertices else (
         "label 1 (the unipotent fixed point o) is not among the vertices; a nonempty "
         "invariant subvariety always contains o, so this subset is geometrically dubious",)
-    return decide(image, graph, max_degree, notes)
+    return decide(image, GKMRing(graph), max_degree, notes)

@@ -127,6 +127,6 @@ class HomTuple(Record):
     @classmethod
     def from_json(cls, data: dict) -> "HomTuple":
         try:
-            return cls(data["degree"], tuple(to_fraction(c) for c in data["coeffs"]))
+            return cls(data["degree"], data["coeffs"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad tuple serialization: {data!r}") from exc

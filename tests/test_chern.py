@@ -106,6 +106,16 @@ def test_exterior_trace_range_errors():
         exterior_trace(m, -1)
 
 
+def test_exterior_trace_reads_through_the_matrix_reader():
+    """exterior_trace reads its matrix as fibres and models do: every entry
+    through to_fraction, square at its own row count."""
+    with pytest.raises(InputError, match=r"^expected a list, got 5$"):
+        exterior_trace(5, 1)
+    with pytest.raises(InputError, match=r"^expected a 2x2 matrix$"):
+        exterior_trace([[1, 0, 0], [0, 1, 0]], 1)
+    assert exterior_trace([["1/2", 0], [0, 3]], 2) == Fraction(3, 2)
+
+
 def test_elementary_symmetric():
     assert elementary_symmetric((2, 4), 1) == 6
     assert elementary_symmetric((2, 4), 2) == 8
@@ -129,6 +139,43 @@ def test_make_bundle_validates_matrix_fibres():
         make_bundle(2, {1: MatrixFibre(w, bad_n)})
     with pytest.raises(InputError):
         make_bundle(2, {1: SplitFibre((1,))})  # rank mismatch
+
+
+_W3 = [[2, 0, 0], [0, 0, 0], [0, 0, -2]]
+_V3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_matrix_fibre_reads_its_own_matrices():
+    with pytest.raises(InputError, match=r"^expected a list, got 5$"):
+        MatrixFibre(5, 5)
+    with pytest.raises(InputError, match=r"^expected a 3x3 matrix$"):
+        MatrixFibre(_W3, [[0, 1], [0, 0]])  # rho_v is read at rho_w's size
+    fibre = MatrixFibre(_W3, [["0", "1/2", 0], [0, 0, 1], [0, 0, 0]])
+    assert fibre.rank == 3
+    assert fibre.rho_v == frac_matrix([[0, Fraction(1, 2), 0], [0, 0, 1], [0, 0, 0]])
+
+
+def test_bundle_from_json_reads_each_matrix_entry_once(monkeypatch):
+    """Two rank-3 matrix fibres hold 36 entries; each goes through
+    to_fraction once, and make_bundle checks the fibres it is given."""
+    import borelcurve.action
+    calls = []
+    real = borelcurve.action.to_fraction
+    monkeypatch.setattr(borelcurve.action, "to_fraction", lambda x: calls.append(x) or real(x))
+    fibre = {"rho_W": _W3, "rho_V": _V3}
+    bundle = bundle_from_json({"rank": 3, "fibres": {"1": fibre, "2": fibre}})
+    assert len(calls) == 36
+    assert bundle.fibres[1] == bundle.fibres[2] == MatrixFibre(_W3, _V3)
+
+
+def test_json_fibre_rows_are_checked_against_the_rank():
+    """A fibre matrix is sized by its own rows; make_bundle compares the rank."""
+    zero = [[0] * 3] * 3
+    with pytest.raises(InputError, match=r"^fibre at 1 has rank 3, expected 2$"):
+        bundle_from_json({"rank": 2, "fibres": {"1": {"rho_W": _W3, "rho_V": zero}}})
+    with pytest.raises(InputError, match=r"^expected a 3x3 matrix$"):
+        bundle_from_json({"rank": 2, "fibres": {"1": {"rho_W": [row[:2] for row in _W3],
+                                                      "rho_V": zero}}})
 
 
 def test_bundle_from_json():
@@ -269,28 +316,29 @@ def _satisfies_relation(w, v) -> bool:
 
 
 @st.composite
-def _fibre_pairs(draw):
-    """Random square rational pairs of rank 1-6, valid pairs, and valid pairs
-    with one entry moved.  A valid pair is built like the matrix-fibre tangent
-    bundle: rho_w diagonal with decreasing weights, rho_v nonzero only just
-    above the diagonal where neighbouring weights differ by 2, then both
-    conjugated by shears so every entry can fill in."""
+def _fibre_pairs(draw, values=_RATIONALS):
+    """Random square pairs of rank 1-6 with entries drawn from `values`,
+    valid pairs, and valid pairs with one entry moved.  A valid pair is
+    built like the matrix-fibre tangent bundle: rho_w diagonal with
+    decreasing weights, rho_v nonzero only just above the diagonal where
+    neighbouring weights differ by 2, then both conjugated by shears so
+    every entry can fill in."""
     k = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(("random", "valid", "perturbed")))
-    square = st.lists(st.lists(_RATIONALS, min_size=k, max_size=k), min_size=k, max_size=k)
+    square = st.lists(st.lists(values, min_size=k, max_size=k), min_size=k, max_size=k)
     if kind == "random":
         return frac_matrix(draw(square)), frac_matrix(draw(square))
-    weights = [draw(_RATIONALS)]
+    weights = [draw(values)]
     for step in draw(st.lists(st.sampled_from((2, 2, 2, 1, 3)), min_size=k - 1,
                               max_size=k - 1)):
         weights.append(weights[-1] - step)
     w = [[weights[a] if a == b else Fraction(0) for b in range(k)] for a in range(k)]
-    v = [[draw(_RATIONALS) if b == a + 1 and weights[a] - weights[b] == 2 else Fraction(0)
+    v = [[draw(values) if b == a + 1 and weights[a] - weights[b] == 2 else Fraction(0)
           for b in range(k)] for a in range(k)]
     if k > 1:
         for _ in range(draw(st.integers(0, 3))):
             p, q = draw(st.permutations(range(k)))[:2]
-            c = draw(_RATIONALS)
+            c = draw(values)
             shear = [[Fraction(a == b) + (c if (a, b) == (p, q) else 0) for b in range(k)]
                      for a in range(k)]
             unshear = [[Fraction(a == b) - (c if (a, b) == (p, q) else 0) for b in range(k)]
@@ -300,7 +348,7 @@ def _fibre_pairs(draw):
     if kind == "perturbed":
         target = draw(st.sampled_from((w, v)))
         target[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] += draw(
-            _RATIONALS.filter(bool))
+            values.filter(bool))
     return frac_matrix(w), frac_matrix(v)
 
 
@@ -317,6 +365,32 @@ def test_integer_commutator_check_matches_fraction_definition(pair):
         assert str(exc) == "fibre at 1 violates [rho_w, rho_v] = 2 rho_v"
         accepted = False
     assert accepted == _satisfies_relation(w, v)
+
+
+def _entry_forms(pair):
+    """The pair as Fractions, as "p/q" strings and, when every entry is whole, as ints."""
+    def each(make):
+        return tuple(tuple(tuple(make(x) for x in row) for row in m) for m in pair)
+
+    forms = [pair, each(lambda x: f"{x.numerator}/{x.denominator}")]
+    if all(x.denominator == 1 for m in pair for row in m for x in row):
+        forms.append(each(lambda x: x.numerator))
+    return forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans().flatmap(
+    lambda whole: _fibre_pairs(st.integers(-6, 6).map(Fraction) if whole else _RATIONALS)))
+def test_matrix_fibre_reads_ints_strings_and_fractions_alike(pair):
+    """However its entries are written, a matrix gives one fibre and one set
+    of Chern tuples (which read rho_w alone, so the pair need not be valid)."""
+    cr = build_curve_ring(principal_model(1))
+    expected = MatrixFibre(*pair)
+    tuples = chern_tuples(BundleData(expected.rank, {1: expected}), cr)
+    for form in _entry_forms(pair):
+        fibre = MatrixFibre(*form)
+        assert fibre == expected
+        assert chern_tuples(BundleData(fibre.rank, {1: fibre}), cr) == tuples
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +498,27 @@ def test_unit_generates_point():
 def test_verdict_rejects_congruence_violation(curves_union_graph):
     with pytest.raises(InputError, match="congruence"):
         chern_subalgebra_verdict([HomTuple(0, (1, 0, 0))], curves_union_graph)
+
+
+def test_verdict_rejects_a_generator_of_the_wrong_length(curves_union_graph):
+    with pytest.raises(InputError, match="^component-count mismatch with the graph vertices$"):
+        chern_subalgebra_verdict([HomTuple(1, (1, 1))], curves_union_graph)
+
+
+def test_chern_verdict_builds_one_congruence_ring(monkeypatch, curves_union_graph):
+    """The ring that checks the generators' congruences also decides."""
+    import borelcurve.gkm
+    built = []
+
+    class CountedRing(borelcurve.gkm.GKMRing):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(borelcurve.gkm, "GKMRing", CountedRing)
+    verdict = chern_subalgebra_verdict([HomTuple(1, (1, -1, -1))], curves_union_graph)
+    assert verdict.status == "NotPrincipal"
+    assert built == [curves_union_graph]
 
 
 def test_verdict_rejects_negative_bound(curves_union_graph):

@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import borelcurve
-from borelcurve import argparser, cli
+from borelcurve import argparser, cli, curve
 from borelcurve.argparser import build_parser
 from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, integer, main
 from borelcurve.cmd_common import _sha256
+from borelcurve.errors import InternalError
 from borelcurve.gkm import GKMGraph
 from test_action import regular_models
 
@@ -134,6 +135,36 @@ def test_curve_restrict_requires_components(capsys, specs):
     code, _, err = run(capsys, ["curve", "restrict", "--spec", specs["plane"]])
     assert code == 2
     assert "components" in err
+
+
+def _broken_ring(model):
+    raise InternalError("curve ring invariant failed")
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["chern"], 2, {"error": "chern needs at least one --bundle (a JSON path or 'tangent')"}),
+    (["curve", "ideal"], 2, {"error": "curve ideal needs --components"}),
+    (["poincare", "--family", "A"], 2,
+     {"error": "poincare needs --family and --rank, or --degrees"}),
+    (["poincare", "--rank", "2"], 2,
+     {"error": "poincare needs --family and --rank, or --degrees"}),
+    (["chern", "--bundle", "tangent", "--gkm", "{pair}"], 2,
+     {"error": "bundle tangent fixed points [1, 2, 3] do not match graph vertices [1, 2]"}),
+    (["curve", "ring"], 3, {"internal_error": "curve ring invariant failed"}),
+], ids=["chern-no-bundle", "ideal-no-components", "family-alone", "rank-alone",
+        "bundle-off-graph", "internal-error"])
+def test_exit_paths_print_one_json_line(capsys, monkeypatch, specs, tmp_path, argv, code,
+                                        line):
+    """Exit 2 for input the command cannot use, exit 3 for a broken invariant
+    (here a patched ring builder), each with one JSON line on stderr."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))
+    if code == 3:
+        monkeypatch.setattr(curve, "build_curve_ring", _broken_ring)
+    argv = [a.format(pair=pair) for a in argv]
+    if argv[0] != "poincare":
+        argv += ["--spec", specs["plane"]]
+    assert run(capsys, argv) == (code, "", json.dumps(line, sort_keys=True) + "\n")
 
 
 def test_principal_command(capsys, specs):
