@@ -15,6 +15,15 @@ from borelcurve.chern import (chern_membership, chern_subalgebra_verdict,
 from borelcurve.curve import betti_numbers, build_curve_ring, default_degree_bound
 from borelcurve.exactalg import HomTuple
 from borelcurve.gkm import GKMGraph, gkm_ordinary_betti, principal_verdict
+from borelcurve.rational import format_fraction
+
+
+def show(poly) -> str:
+    """A polynomial in v as text, term by term: 0, v, 2*v^2, 1/2 + v."""
+    terms = [format_fraction(c) if k == 0 else
+             ("" if c == 1 else f"{format_fraction(c)}*") + ("v" if k == 1 else f"v^{k}")
+             for k, c in enumerate(poly.coeffs) if c]
+    return " + ".join(terms) or "0"
 
 
 def main() -> None:
@@ -26,7 +35,7 @@ def main() -> None:
 
     for j in (1, 2, 3):
         comp = component_parametrization(model, j)
-        charts = ", ".join(str(p) for p in comp.chart_coords)
+        charts = ", ".join(show(p) for p in comp.chart_coords)
         print(f"component over fixed point {j}: (w1, w2) = ({charts})")
 
     ring = build_curve_ring(model)

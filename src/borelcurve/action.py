@@ -79,7 +79,7 @@ class CurveComponent(Record):
 
 
 def _mat_mul(a, b):
-    """The exact product a b, over int, Fraction or any ring whose elements add to 0."""
+    """The exact product a b of two int or Fraction matrices."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 

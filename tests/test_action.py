@@ -1,15 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borelcurve import oracles
 from borelcurve.action import (ActionModel, CurveComponent, big_cell_degrees,
                                check_fixed_point_return,
                                component_parametrization, exp_e, fixed_points,
                                model_from_json, principal_model,
                                sl2_family_checks, validate)
-from borelcurve.errors import InputError
+from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import Poly
 
 from conftest import jordan_block
@@ -276,7 +278,7 @@ def test_fixed_point_return_random(model, data):
 
 
 # ---------------------------------------------------------------------------
-# symbolic 2x2 identities
+# 2x2 identities
 
 
 def test_sl2_family_checks_pass():
@@ -284,6 +286,41 @@ def test_sl2_family_checks_pass():
     assert set(report.values()) == {"ok"}
     assert "torus_conjugation_identity" in report
     assert "family_limits_unipotent_up_to_sign" in report
+
+
+_PRODUCT = oracles._mat_mul
+
+
+@pytest.mark.parametrize("wrong", [lambda a, b: _PRODUCT(b, a),
+                                   lambda a, b: tuple(zip(*_PRODUCT(a, b)))],
+                         ids=["reversed", "transposed"])
+def test_sl2_family_checks_catch_a_wrong_product(monkeypatch, wrong):
+    """b a in place of a b, or the transpose of a b, breaks the torus
+    conjugation identity at the grid points."""
+    monkeypatch.setattr(oracles, "_mat_mul", wrong)
+    with pytest.raises(InternalError, match="^torus conjugation identity failed$"):
+        oracles.sl2_family_checks()
+
+
+@pytest.mark.parametrize("num, den, limit", [
+    ((), (0, 1), 0),               # zero numerator
+    ((0, 0, 2), (0, 0, 1, 1), 2),  # 2v^2 / (v^2 + v^3): the common v^2 cancels
+    ((3, 1), (2, 5), Fraction(3, 2)),
+    ((0, -1, 4), (0, 3), Fraction(-1, 3)),
+])
+def test_limit_at_zero_cancels_the_common_power(num, den, limit):
+    got = oracles._limit_at_zero(Poly(num), Poly(den))
+    assert got == limit and type(got) is Fraction
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ((1,), (), "limit of division by the zero polynomial"),
+    ((0, 1), (0, 0, 1), "pole at v = 0; limit does not exist"),
+    ((0, 0, 1), (0, 0, 0, 1), "pole at v = 0; limit does not exist"),
+])
+def test_limit_at_zero_rejects_a_zero_denominator_and_a_pole(num, den, message):
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        oracles._limit_at_zero(Poly(num), Poly(den))
 
 
 def test_conjugated_w_at_u_equal_one():

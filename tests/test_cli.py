@@ -1106,6 +1106,17 @@ def test_console_entry_is_the_module_entry():
     assert callable(getattr(cli, function))
 
 
+def test_plane_demo_prints_the_parametrizations_as_text(capsys):
+    """scripts/plane_demo.py renders its polynomials itself; Poly has no __str__."""
+    runpy.run_path(str(ROOT / "scripts" / "plane_demo.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if line.startswith("component over")]
+    assert lines == ["component over fixed point 1: (w1, w2) = (0, 0)",
+                     "component over fixed point 2: (w1, w2) = (v, 0)",
+                     "component over fixed point 3: (w1, w2) = (2*v, 2*v^2)"]
+    assert "Fraction(" not in out and "Poly(" not in out
+
+
 def load_bench_jobs():
     """bench/jobs.py, imported as it stands (bench/ is not a package)."""
     spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")

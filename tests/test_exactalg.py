@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelcurve.errors import InputError
+from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace,
-                                 format_fraction, nullspace, rref, to_fraction)
+                                 format_fraction, nullspace, rref, solve_linear_system,
+                                 to_fraction)
 
 
 def tup(degree, *coeffs):
@@ -188,6 +189,30 @@ def test_homtuple_product_and_errors():
         HomTuple(-1, (Fraction(1),))
 
 
+# name -> (a call that must fail, its exception, its exact message)
+REJECTED = {
+    "empty tuple": (lambda: HomTuple(0, ()), InputError,
+                    "tuple needs at least one component"),
+    "tuple sum across r": (lambda: tup(1, 1, 2) + tup(1, 1, 2, 3), InputError,
+                           "component-count mismatch"),
+    "generators of another r": (lambda: GradedSubalgebra(2, [tup(1, 1, 1, 1)]), InputError,
+                                "component-count mismatch between generators"),
+    "coordinates at another r": (lambda: make_plane_algebra().coordinates(tup(1, 1, 1)),
+                                 InputError, "component-count mismatch"),
+    "inconsistent system": (lambda: solve_linear_system([[1, 1], [1, 1]], [1, 2]),
+                            InternalError, "inconsistent linear system"),
+    "underdetermined system": (lambda: solve_linear_system([[1, 1]], [1]), InternalError,
+                               "linear system does not have a unique solution"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_inputs_name_the_fault(name):
+    call, error, message = REJECTED[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -267,6 +292,7 @@ def test_kernel_basis_examples():
         alg.kernel_basis([], 1)
     with pytest.raises(InputError):
         alg.kernel_basis([0], 1)
+    assert GradedSubalgebra(1, []).kernel_basis([1], 1) == []  # V_1 = 0
 
 
 def test_kernel_dims_stabilize_at_complement_count():
