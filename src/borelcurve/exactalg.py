@@ -32,53 +32,31 @@ def __getattr__(name):
 # exact linear algebra over Q
 
 
-def _pivot_weight(q: Fraction) -> int:
-    # simplest fraction wins the pivot, which keeps intermediate entries small
-    return abs(q.numerator) * q.denominator
-
-
 def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Pivots are chosen among candidate rows by smallest |numerator|*denominator,
-    ties broken by row order, so the result is deterministic.
+    A subspace has one reduced echelon basis: its pivots are the columns at
+    which the span's projection onto the leading coordinates grows, and each
+    row is the one vector of the span that is 1 at its pivot and 0 at the
+    others.  So it is the basis a RowSpace of the rows keeps.
     """
-    m = [[to_fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        best = None
-        for i in range(top, len(m)):
-            if m[i][col] != 0:
-                w = _pivot_weight(m[i][col])
-                if best is None or w < best[0]:
-                    best = (w, i)
-        if best is None:
-            continue
-        i = best[1]
-        m[top], m[i] = m[i], m[top]
-        inv = 1 / m[top][col]
-        m[top] = [x * inv for x in m[top]]
-        for j in range(len(m)):
-            if j != top and m[j][col] != 0:
-                f = m[j][col]
-                m[j] = [a - f * b if b else a for a, b in zip(m[j], m[top])]
-        pivots.append(col)
-        top += 1
-        if top == len(m):
-            break
-    return m[:top], pivots
+    m = [list(row) for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise InputError("matrix rows differ in length")
+    space = RowSpace(len(m[0]) if m else 0)
+    for row in m:
+        space.add(row)
+    return space.rows, space.pivots
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     """Canonical basis of {x in Q^ncols : A x = 0} for the matrix with given rows."""
+    rows = list(rows)
+    if any(len(row) != ncols for row in rows):
+        raise InputError(f"matrix rows must have {ncols} entries")
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, p in zip(red, pivots):
@@ -200,16 +178,15 @@ class GradedSubalgebra:
     # -- slice construction --------------------------------------------------
 
     def _saturate_degree_zero(self, space: RowSpace) -> None:
-        zero_gens = [g for g in self.generators if g.degree == 0]
-        if not zero_gens:
-            return
-        changed = True
-        while changed:
-            changed = False
+        # each vector that enlarges the span is multiplied by every degree-0
+        # generator once, so the span ends closed under all of them
+        zero_gens = [g.coeffs for g in self.generators if g.degree == 0]
+        queue = list(space.rows) if zero_gens else []
+        while queue:
+            w = queue.pop()
             for g in zero_gens:
-                for row in [list(r) for r in space.rows]:
-                    if space.add(_hadamard(g.coeffs, row)):
-                        changed = True
+                if space.add(product := _hadamard(g, w)):
+                    queue.append(product)
 
     def _slice(self, d: int) -> RowSpace:
         """The degree-d slice; missing degrees are built bottom-up."""
@@ -276,22 +253,16 @@ class GradedSubalgebra:
         return out
 
     def kernel_basis(self, subset: Iterable[int], d: int) -> list[HomTuple]:
-        """Basis of {x in V_d : x_i = 0 for all i in subset} (labels are 1-based).
+        """Canonical basis of {x in V_d : x_i = 0 for i in subset} (1-based
+        labels), the degree-d piece of the ideal of the sub-curve over them.
 
-        This is the degree-d piece of the ideal of the sub-curve over the given
-        components.
+        The reduced echelon rows of the span of (x on the subset, x), x in V_d,
+        with a pivot past the first |subset| columns are 0 there and span every
+        such vector; dropping those columns leaves them reduced, so canonical.
         """
         pos = labels(subset, self.r, "component labels")
-        basis = self._slice(d).basis_vectors()
-        if not basis:
-            return []
-        constraint = [[row[p - 1] for row in basis] for p in pos]
-        combos = nullspace(constraint, len(basis))
-        space = RowSpace(self.r)
-        for c in combos:
-            vec = [Fraction(0)] * self.r
-            for a, row in zip(c, basis):
-                if a != 0:
-                    vec = [x + a * y for x, y in zip(vec, row)]
-            space.add(vec)
-        return [HomTuple(d, v) for v in space.basis_vectors()]
+        space = RowSpace(len(pos) + self.r)
+        for row in self._slice(d).rows:
+            space.add([row[p - 1] for p in pos] + row)
+        return [HomTuple(d, row[len(pos):])
+                for row, p in zip(space.rows, space.pivots) if p >= len(pos)]

@@ -321,31 +321,3 @@ def test_limit_at_zero_cancels_the_common_power(num, den, limit):
 def test_limit_at_zero_rejects_a_zero_denominator_and_a_pole(num, den, message):
     with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
         oracles._limit_at_zero(Poly(num), Poly(den))
-
-
-def test_conjugated_w_at_u_equal_one():
-    # phi(1) W phi(-1) with plain rational 2x2 arithmetic
-    def mul(a, b):
-        return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2))
-                     for i in range(2))
-
-    phi1 = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    phim1 = ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
-    w = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    got = mul(mul(phi1, w), phim1)
-    assert got == ((Fraction(1), Fraction(-2)), (Fraction(0), Fraction(-1)))
-
-
-def test_torus_conjugation_at_sample_values():
-    # a = 2, v = 1: off-diagonal entry must be (1 - a^2)/(a v) = -3/2
-    a, v = Fraction(2), Fraction(1)
-
-    def mul(x, y):
-        return tuple(tuple(sum(x[i][t] * y[t][j] for t in range(2)) for j in range(2))
-                     for i in range(2))
-
-    phi = lambda s: ((Fraction(1), s), (Fraction(0), Fraction(1)))
-    torus = ((a, Fraction(0)), (Fraction(0), 1 / a))
-    got = mul(mul(phi(1 / v), torus), phi(-1 / v))
-    assert got == ((Fraction(2), Fraction(-3, 2)), (Fraction(0), Fraction(1, 2)))
-    assert got[0][1] == (1 - a * a) / (a * v)

@@ -124,15 +124,15 @@ def test_rref_and_nullspace():
 @given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, "1/2"]), min_size=4, max_size=4),
                 max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_rref_is_the_canonical_basis(rows):
-    """rref and RowSpace both give the unique reduced echelon basis; sparse
-    rows exercise the zero entries that rref skips."""
-    space = RowSpace(4)
-    for row in rows:
-        space.add(row)
+def test_rref_is_a_reduced_echelon_basis_of_the_span(rows):
+    """rref against the independent reduction below: its rows are in reduced
+    echelon form and span what the input rows span; sparse rows give zero
+    entries and zero rows."""
     red, pivots = rref(rows)
-    assert [tuple(row) for row in red] == space.basis_vectors()
-    assert pivots == space.pivots
+    assert pivots == _assert_reduced_echelon(red)
+    rows = [[to_fraction(x) for x in row] for row in rows]
+    assert all(_in_span(red, row) for row in rows)
+    assert all(_in_span(_span_basis(rows), row) for row in red)
 
 
 def test_rowspace_is_canonical_under_insertion_order():
@@ -203,6 +203,14 @@ REJECTED = {
                             InternalError, "inconsistent linear system"),
     "underdetermined system": (lambda: solve_linear_system([[1, 1]], [1]), InternalError,
                                "linear system does not have a unique solution"),
+    "rref row shorter than the first": (lambda: rref([[1, 2], [3]]), InputError,
+                                        "matrix rows differ in length"),
+    "rref row longer than the first": (lambda: rref([[1], [2, 3]]), InputError,
+                                       "matrix rows differ in length"),
+    "nullspace row shorter than ncols": (lambda: nullspace([[1, 2]], 3), InputError,
+                                         "matrix rows must have 3 entries"),
+    "nullspace row longer than ncols": (lambda: nullspace([[1, 2, 3]], 2), InputError,
+                                        "matrix rows must have 2 entries"),
 }
 
 
@@ -295,6 +303,12 @@ def test_kernel_basis_examples():
     assert GradedSubalgebra(1, []).kernel_basis([1], 1) == []  # V_1 = 0
 
 
+def test_degree_zero_saturation_multiplies_what_it_adds():
+    """g = (0, 1, 2) of degree 0 puts g and g o g = (0, 1, 4) into V_0 beside
+    the unit, so V_0 = Q^3; multiplying only the unit by g stops at dim 2."""
+    assert GradedSubalgebra(3, [HomTuple(0, (0, 1, 2))]).hilbert_function(0) == [3]
+
+
 def test_kernel_dims_stabilize_at_complement_count():
     alg = make_plane_algebra()
     for labels in ([1], [2], [3], [1, 2], [2, 3], [1, 3]):
@@ -339,6 +353,16 @@ def _reduce(basis, vec):
     return v
 
 
+def _span_basis(vectors):
+    """An echelon basis of the span of the vectors, by the reduction above."""
+    basis = []
+    for vec in vectors:
+        v = _reduce(basis, vec)
+        if any(x != 0 for x in v):
+            basis.append(v)
+    return basis
+
+
 def _oracle_dim_and_span(r, gens, d):
     vectors = []
 
@@ -358,21 +382,27 @@ def _oracle_dim_and_span(r, gens, d):
     # any power of a degree-0 generator keeps the degree: multiply them into
     # the span until it stops growing
     zero_gens = [g.coeffs for g in gens if g.degree == 0]
-    basis = []
-    grew = True
-    while grew:
-        grew = False
-        for vec in vectors:
-            v = _reduce(basis, vec)
-            if any(x != 0 for x in v):
-                basis.append(v)
-                grew = True
-        vectors = [[a * c for a, c in zip(b, g)] for g in zero_gens for b in basis]
-    return basis
+    basis = _span_basis(vectors)
+    while True:
+        grown = _span_basis(basis + [[a * c for a, c in zip(b, g)]
+                                     for g in zero_gens for b in basis])
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
 
 
 def _in_span(basis, vec):
     return all(x == 0 for x in _reduce(basis, vec))
+
+
+def _assert_reduced_echelon(rows):
+    """The pivots (first nonzero entries) strictly increase, each is 1 and its
+    column is 0 in every other row; returns the pivots."""
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in rows] == [int(i == j) for j in range(len(rows))]
+    return pivots
 
 
 def test_dp_matches_brute_force_on_plane_generators():
@@ -401,6 +431,31 @@ def test_dp_matches_brute_force_randomized(r, data):
     assert len(dp) == len(oracle)
     for t in dp:
         assert _in_span(oracle, t.coeffs)
+
+
+PLANE_SPECS = [(1, [1, 1, 1, 0]), (1, [0, 1, 2, 0]), (2, [0, 0, 2, 0])]
+
+
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 3),  # degree 0 runs the saturation
+                          st.lists(small_fractions, min_size=4, max_size=4)), max_size=3),
+       st.sets(st.integers(1, 4), min_size=1), st.integers(0, 6))
+@example(3, PLANE_SPECS, {1, 2, 3}, 5)  # every label past full rank: no kernel
+@example(3, PLANE_SPECS, {2}, 4)  # past full rank: every x with x_2 = 0
+@settings(max_examples=100, deadline=None)
+def test_kernel_basis_is_the_canonical_kernel(r, specs, subset, d):
+    """The rows lie in V_d and are 0 on the subset, are in reduced echelon
+    form, and number dim V_d minus the rank of V_d's subset columns, all read
+    off the brute-force slice (a subset with no label <= r means every label)."""
+    gens = [HomTuple(degree, coeffs[:r]) for degree, coeffs in specs]
+    subset = sorted(p for p in subset if p <= r) or list(range(1, r + 1))
+    slice_d = _oracle_dim_and_span(r, gens, d)
+    kernel = [t.coeffs for t in GradedSubalgebra(r, gens).kernel_basis(subset, d)]
+    _assert_reduced_echelon(kernel)
+    for x in kernel:
+        assert _in_span(slice_d, x) and all(x[p - 1] == 0 for p in subset)
+    on_subset = _span_basis([[x[p - 1] for p in subset] for x in slice_d])
+    assert len(kernel) == len(slice_d) - len(on_subset)
 
 
 @given(st.integers(1, 4), st.booleans(), st.integers(0, 8), st.data())

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no top-level
+private helper is left that no module of the package names.
 
 A statement marked `# noqa: F401` re-exports on purpose and is exempt, and so
 is `from __future__ import ...`.
@@ -41,3 +42,39 @@ def test_the_guard_sees_a_stale_import():
               "from .errors import labels, InternalError\n"
               "raise InternalError(os.sep)\n")
     assert unused_imports(source) == ["line 4: labels"]
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Top-level `_`-prefixed functions and classes (dunders aside) whose name
+    no module uses as a name, an attribute or an imported name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in named]
+
+
+def test_every_private_helper_is_named():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(sources) == []
+
+
+def test_the_guard_sees_a_dead_helper():
+    sources = {"a.py": ("def _called():\n    pass\n"
+                        "def _imported():\n    pass\n"
+                        "def _dead():\n    pass\n"
+                        "class _Dead:\n    pass\n"
+                        "def __getattr__(name):\n    raise AttributeError(name)\n"
+                        "_called()\n"),
+               "b.py": "from .a import _imported\n"}
+    assert dead_helpers(sources) == ["a.py: _dead", "a.py: _Dead"]
