@@ -3,13 +3,18 @@
 Every run emits a report with the command echo, sha256 digests of the file
 inputs, the truncation degree used (when one applies) and the results; two
 runs on identical inputs produce identical bytes.  Exit codes: 0 success,
-2 invalid input, 3 internal invariant violation, 141 closed stdout.  Each
-subcommand's body is `run` in `cmd_<subcommand>`; a run compiles only its own.
+2 invalid input, 3 internal invariant violation, 141 closed stdout.
+`main` alone reads input files and builds the report.  A subcommand's body is
+`run(args, load)` in `cmd_<subcommand>` (a run compiles only its own), which
+returns (options, result, truncation degree) and reads each file through the
+`load(name, path)` it is given: no `cmd_*` module imports `borelcurve.cli`,
+which `python -m` runs as `__main__`, so an import would run it a second time.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import sys
@@ -17,6 +22,31 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError, ascii_int
+
+
+def _sha256(data: bytes) -> str:
+    # Only runs that read input files need it.  The builtin module (`_sha2` from
+    # Python 3.12) costs a tenth of `hashlib`, which loads OpenSSL's `_hashlib` first.
+    for module in ("_sha256", "_sha2", "hashlib"):
+        try:
+            return import_module(module).sha256(data).hexdigest()
+        except ImportError:
+            continue
+
+
+def _load_json(inputs: dict, name: str, path: str) -> dict:
+    """Parse the JSON file at path, read once; inputs[name] records the path and the
+    sha256 of the bytes parsed, which decode as a text-mode UTF-8 read decodes them."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    inputs[name] = {"path": path, "sha256": _sha256(data)}
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, int digits, nesting depth
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -161,19 +191,22 @@ def _quick_parse(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    inputs: dict = {}
     try:
         args = _quick_parse(argv)
         if args is None:
             from .argparser import build_parser
             args = build_parser(GRAMMAR, _COMMON).parse_args(argv)
-        report = import_module(f".cmd_{args.subcommand}", __package__).run(args)
+        options, result, bound = import_module(f".cmd_{args.subcommand}", __package__).run(
+            args, lambda name, path: _load_json(inputs, name, path))
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     except InternalError as exc:
         print(json.dumps({"internal_error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 3
-    print(_render(report, args.table))
+    print(_render({"command": args.subcommand, "options": options, "inputs": inputs,
+                   "result": result, "max_degree": bound, "exact_arithmetic": True}, args.table))
     return 0
 
 

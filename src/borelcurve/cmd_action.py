@@ -1,12 +1,10 @@
 """`borelcurve action`: validate a model, its fixed points, its curve."""
 
 from . import action
-from .cmd_common import _load_json, _report
 
 
-def run(args) -> dict:
-    inputs: dict = {}
-    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
+def run(args, load) -> tuple:
+    model = action.model_from_json(load("spec", args.spec))
     options = {"what": args.what}
     if args.what == "validate":
         result = {"valid": True,
@@ -18,4 +16,4 @@ def run(args) -> dict:
         comps = [action.component_parametrization(model, j)
                  for j in range(1, model.n + 2)]
         result = {"components": [c.to_json() for c in comps]}
-    return _report("action", options, inputs, result, None)
+    return options, result, None

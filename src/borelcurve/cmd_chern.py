@@ -1,21 +1,19 @@
 """`borelcurve chern`: Chern class tuples, membership, generation verdicts."""
 
 from . import action, chern, curve
-from .cmd_common import _load_json, _report
 from .errors import InputError
 from .rational import degree_bound
 
 
-def run(args) -> dict:
-    inputs: dict = {}
-    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
+def run(args, load) -> tuple:
+    model = action.model_from_json(load("spec", args.spec))
     ring = curve.build_curve_ring(model)
     bundles = []
     for idx, spec in enumerate(args.bundle or []):
         if spec == "tangent":
             bundles.append(("tangent", chern.tangent_bundle(model)))
         else:
-            data = _load_json(inputs, f"bundle{idx}", spec)
+            data = load(f"bundle{idx}", spec)
             bundles.append((spec, chern.bundle_from_json(data)))
     if not bundles:
         raise InputError("chern needs at least one --bundle (a JSON path or 'tangent')")
@@ -32,7 +30,7 @@ def run(args) -> dict:
     bound = None
     if args.gkm is not None:
         from . import gkm
-        graph = gkm.GKMGraph.from_json(_load_json(inputs, "gkm", args.gkm))
+        graph = gkm.GKMGraph.from_json(load("gkm", args.gkm))
         generators = []
         for (name, bundle), classes in zip(bundles, tuples):
             if set(bundle.fibres) != set(graph.vertices):
@@ -42,5 +40,5 @@ def run(args) -> dict:
         verdict = chern.chern_subalgebra_verdict(generators, graph, args.max_degree)
         result["subalgebra_verdict"] = verdict.to_json()
         bound = verdict.bound
-    return _report("chern", {"k": args.k, "test_membership": args.test_membership,
-                             "max_degree": args.max_degree}, inputs, result, bound)
+    return ({"k": args.k, "test_membership": args.test_membership,
+             "max_degree": args.max_degree}, result, bound)

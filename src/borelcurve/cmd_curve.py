@@ -1,21 +1,19 @@
 """`borelcurve curve`: the curve ring, Betti numbers, restrictions, ideals."""
 
 from . import action, curve
-from .cmd_common import _load_json, _parse_int_list, _report
-from .errors import InputError
+from .errors import InputError, int_list
 from .rational import degree_bound
 
 
-def run(args) -> dict:
-    inputs: dict = {}
-    model = action.model_from_json(_load_json(inputs, "spec", args.spec))
+def run(args, load) -> tuple:
+    model = action.model_from_json(load("spec", args.spec))
     ring = curve.build_curve_ring(model)
     bound = degree_bound(args.max_degree, curve.default_degree_bound(ring))
     options = {"what": args.what, "components": args.components}
     if args.what in ("restrict", "ideal"):
         if args.components is None:
             raise InputError(f"curve {args.what} needs --components")
-        subset = _parse_int_list(args.components, "component")
+        subset = int_list(args.components, "component")
     if args.what == "ring":
         result = {
             "generators": [g.to_json() for g in ring.algebra.generators],
@@ -41,4 +39,4 @@ def run(args) -> dict:
             "stabilized_rank": ring.r - len(set(subset)),
             "truncation_degree": bound,
         }
-    return _report("curve", options, inputs, result, bound)
+    return options, result, bound

@@ -1,15 +1,14 @@
 """`borelcurve poincare`: Poincare polynomials from the exponents or from degrees."""
 
 from . import exponents
-from .cmd_common import _parse_int_list, _report
-from .errors import InputError
+from .errors import InputError, int_list
 
 
-def run(args) -> dict:
+def run(args, load) -> tuple:
     if args.degrees is not None and (args.family, args.rank) != (None, None):
         raise InputError("choose either --family/--rank or --degrees, not both")
     if args.degrees is not None:
-        degrees = _parse_int_list(args.degrees, "degree")
+        degrees = int_list(args.degrees, "degree")
         poly = exponents.poincare_from_degrees(degrees)
         options = {"degrees": degrees}
         result = {"poly": list(poly.coeffs)}
@@ -20,4 +19,4 @@ def run(args) -> dict:
         options = {"family": args.family, "rank": args.rank}
         result = {"poly": list(poly.coeffs), "weyl_order": poly.value_at_one,
                   "heights": heights}
-    return _report("poincare", options, {}, result, None)
+    return options, result, None

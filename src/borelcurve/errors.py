@@ -37,3 +37,11 @@ def ascii_int(text: str) -> int:
     if "_" in text or not text.strip().isascii():
         raise ValueError(f"not an ASCII integer: {text!r}")
     return int(text)
+
+
+def int_list(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated option value; empty items are skipped."""
+    try:
+        return [ascii_int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc

@@ -66,7 +66,11 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
 
 
 def solve_linear_system(rows: Iterable[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Unique exact solution x of A x = b; raises InternalError otherwise."""
+    """Unique exact solution x of A x = b, b one entry per row; InternalError otherwise."""
+    rows = list(rows)
+    if not rows or len(rows) != len(rhs):
+        raise InputError(f"linear system has {len(rows)} equations and {len(rhs)} right-hand "
+                         "sides" if rows else "linear system needs at least one equation")
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     ncols = len(aug[0]) - 1
     red, pivots = rref(aug)

@@ -1,10 +1,38 @@
+import contextlib
+import importlib.util
+import io
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from borelcurve import cli
 from borelcurve.action import ActionModel, principal_model, validate
 from borelcurve.curve import build_curve_ring
 from borelcurve.gkm import GKMGraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench_jobs():
+    """bench/jobs.py, imported as it stands (bench/ is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `cli.main(argv)`, its streams redirected."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def jordan_block(size: int):

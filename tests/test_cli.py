@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 import borelcurve
 from borelcurve import argparser, cli, curve
 from borelcurve.argparser import build_parser
-from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, integer, main
-from borelcurve.cmd_common import _sha256
+from borelcurve.cli import _COMMON, GRAMMAR, _quick_parse, _sha256, integer, main
 from borelcurve.errors import InternalError
 from borelcurve.gkm import GKMGraph
+from conftest import load_bench_jobs
 from test_action import regular_models
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,18 +150,27 @@ def _broken_ring(model):
      {"error": "poincare needs --family and --rank, or --degrees"}),
     (["chern", "--bundle", "tangent", "--gkm", "{pair}"], 2,
      {"error": "bundle tangent fixed points [1, 2, 3] do not match graph vertices [1, 2]"}),
+    (["poincare", "--degrees", "2,5,6,7,8,9"], 2,
+     {"error": "degrees [2, 5, 6, 7, 8, 9] do not come from a regular action: "
+               "negative coefficient in the expanded product"}),
+    (["chern", "--bundle", "{no_fibres}"], 2, {"error": "bundle needs at least one fibre"}),
+    (["principal", "--gkm", "{no_vertices}"], 2,
+     {"error": "bad graph spec: graph needs at least one vertex"}),
     (["curve", "ring"], 3, {"internal_error": "curve ring invariant failed"}),
 ], ids=["chern-no-bundle", "ideal-no-components", "family-alone", "rank-alone",
-        "bundle-off-graph", "internal-error"])
+        "bundle-off-graph", "degrees-negative-coefficient", "bundle-no-fibres",
+        "graph-no-vertices", "internal-error"])
 def test_exit_paths_print_one_json_line(capsys, monkeypatch, specs, tmp_path, argv, code,
                                         line):
     """Exit 2 for input the command cannot use, exit 3 for a broken invariant
     (here a patched ring builder), each with one JSON line on stderr."""
-    pair = tmp_path / "pair.json"
-    pair.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))
+    files = {"pair": {"vertices": [1, 2], "edges": [[1, 2]]},
+             "no_fibres": {"rank": 1, "fibres": {}}, "no_vertices": {"vertices": []}}
+    for name, blob in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
     if code == 3:
         monkeypatch.setattr(curve, "build_curve_ring", _broken_ring)
-    argv = [a.format(pair=pair) for a in argv]
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     if argv[0] != "poincare":
         argv += ["--spec", specs["plane"]]
     assert run(capsys, argv) == (code, "", json.dumps(line, sort_keys=True) + "\n")
@@ -811,14 +820,13 @@ def cli_modules(loaded) -> set[str]:
 def test_plain_runs_never_load_argparse(tmp_path):
     """argparse, and the gettext and locale it loads, are for help and
     errors; importing the CLI and a well-formed run of each subcommand take
-    the quick parser, which loads the shared helpers and the subcommand's
-    own module, not another one nor the argparse builder."""
+    the quick parser, which loads the subcommand's own module, not another
+    one nor the argparse builder."""
     assert not STARTUP_ONLY & set(loaded_by("import borelcurve.cli"))
     for argv in plain_runs(tmp_path):
         loaded = loaded_by_run(argv)
         assert not STARTUP_ONLY & loaded, argv
-        assert cli_modules(loaded) == {"borelcurve.cli", "borelcurve.cmd_common",
-                                       f"borelcurve.cmd_{argv[0]}"}, argv
+        assert cli_modules(loaded) == {"borelcurve.cli", f"borelcurve.cmd_{argv[0]}"}, argv
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["chern", "--help"]])
@@ -845,8 +853,8 @@ def test_poincare_run_loads_only_root_systems():
     loaded = loaded_by("from borelcurve.cli import main\n"
                        "main(['poincare', '--family', 'A', '--rank', '2'])")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
-        "borelcurve", "borelcurve.cli", "borelcurve.cmd_common", "borelcurve.cmd_poincare",
-        "borelcurve.errors", "borelcurve.exponents", "borelcurve.record"]
+        "borelcurve", "borelcurve.cli", "borelcurve.cmd_poincare", "borelcurve.errors",
+        "borelcurve.exponents", "borelcurve.record"]
     assert not {"fractions", "decimal", "hashlib"} & set(loaded)
 
 
@@ -861,7 +869,7 @@ def test_module_runs_never_import_the_cli_by_name(tmp_path):
                            "        runpy.run_module('borelcurve.cli', run_name='__main__')\n"
                            "    except SystemExit as exc:\n"
                            "        assert exc.code == 0, exc.code")
-        assert cli_modules(loaded) == {"borelcurve.cmd_common", f"borelcurve.cmd_{argv[0]}"}, argv
+        assert cli_modules(loaded) == {f"borelcurve.cmd_{argv[0]}"}, argv
 
 
 def test_package_has_no_subpackages():
@@ -974,7 +982,7 @@ def test_no_run_loads_the_oracles_or_openssl(tmp_path):
 
 @pytest.mark.parametrize("builtin", [True, False])
 def test_input_digest_matches_hashlib(monkeypatch, builtin):
-    """Both branches of cmd_common._sha256 give hashlib's digest; hiding the builtin
+    """Both branches of cli._sha256 give hashlib's digest; hiding the builtin
     modules forces the hashlib fallback."""
     data = bytes(range(256)) * 33
     expected = hashlib.sha256(data).hexdigest()
@@ -1115,18 +1123,6 @@ def test_plane_demo_prints_the_parametrizations_as_text(capsys):
                      "component over fixed point 2: (w1, w2) = (v, 0)",
                      "component over fixed point 3: (w1, w2) = (2*v, 2*v^2)"]
     assert "Fraction(" not in out and "Poly(" not in out
-
-
-def load_bench_jobs():
-    """bench/jobs.py, imported as it stands (bench/ is not a package)."""
-    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks its module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def run_process(argv, flags=()) -> tuple:

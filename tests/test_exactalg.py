@@ -203,6 +203,12 @@ REJECTED = {
                             InternalError, "inconsistent linear system"),
     "underdetermined system": (lambda: solve_linear_system([[1, 1]], [1]), InternalError,
                                "linear system does not have a unique solution"),
+    "right-hand side too long": (lambda: solve_linear_system([[1]], [1, 5]), InputError,
+                                 "linear system has 1 equations and 2 right-hand sides"),
+    "right-hand side too short": (lambda: solve_linear_system([[1], [2]], [1]), InputError,
+                                  "linear system has 2 equations and 1 right-hand sides"),
+    "system of no equations": (lambda: solve_linear_system([], []), InputError,
+                               "linear system needs at least one equation"),
     "rref row shorter than the first": (lambda: rref([[1, 2], [3]]), InputError,
                                         "matrix rows differ in length"),
     "rref row longer than the first": (lambda: rref([[1], [2, 3]]), InputError,

@@ -10,8 +10,6 @@ Each run must exit with 0 or with 2 and one JSON error line: never an
 uncaught exception (exit 1) or a broken internal invariant (exit 3).
 """
 
-import contextlib
-import io
 import json
 import os
 import tempfile
@@ -19,7 +17,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcurve.cli import main
+from conftest import run_cli
 
 VALID = {
     "spec": {"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal"},
@@ -76,13 +74,6 @@ SLOT_BLOBS = {"spec": spec_blobs | blobs, "graph": graph_blobs | blobs,
               "bundle": bundle_blobs | blobs}
 
 
-def _run(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_any_json_file_exits_0_or_2(data):
@@ -96,7 +87,7 @@ def test_any_json_file_exits_0_or_2(data):
             paths[name] = os.path.join(tmp, f"{name}.json")
             with open(paths[name], "w", encoding="utf-8") as handle:
                 json.dump(blob if name == slot else VALID[name], handle)
-        code, out, err = _run([arg.format(**paths) for arg in command])
+        code, out, err = run_cli([arg.format(**paths) for arg in command])
     assert code in (0, 2), (code, err)
     if code == 2:
         assert out == ""
@@ -163,7 +154,7 @@ def test_any_option_string_exits_0_or_2(data):
             values[name] = os.path.join(tmp, f"{name}.json")
             with open(values[name], "w", encoding="utf-8") as handle:
                 json.dump(blob, handle)
-        code, out, err = _run([arg.format(**values) for arg in command])
+        code, out, err = run_cli([arg.format(**values) for arg in command])
     assert code in (0, 2), (code, err)
     if code == 2:
         assert out == ""

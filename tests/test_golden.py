@@ -16,35 +16,21 @@ and names every changed key in CHANGES.md.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import importlib.util
-import io
 import json
 import os
 import random
-import sys
 import tempfile
 from pathlib import Path
 
-from borelcurve import cli
+from conftest import load_bench_jobs, run_cli
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
 SEEDS = (3, 47)
 
 
-def _bench_jobs():
-    """bench/jobs.py, imported by path under a name of its own."""
-    spec = importlib.util.spec_from_file_location("golden_bench_jobs",
-                                                  HERE.parent / "bench" / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
-jobs = _bench_jobs()
+jobs = load_bench_jobs()
 
 
 def _write(path: Path, data) -> str:
@@ -109,14 +95,12 @@ def cases(root: Path) -> dict[str, list[str]]:
 
 
 def digest(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    code, out, err = run_cli(argv)
 
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    return {"exit": code, "stdout": sha(out.getvalue()), "stderr": sha(err.getvalue())}
+    return {"exit": code, "stdout": sha(out), "stderr": sha(err)}
 
 
 def test_outputs_match_the_corpus(tmp_path, monkeypatch):

@@ -78,3 +78,42 @@ def test_the_guard_sees_a_dead_helper():
                         "_called()\n"),
                "b.py": "from .a import _imported\n"}
     assert dead_helpers(sources) == ["a.py: _dead", "a.py: _Dead"]
+
+
+def file_access(source: str) -> list[str]:
+    """Calls of `open`, and imports of `io`, `hashlib` or a `cli` module: the
+    ways a module could read an input file itself or reach the CLI."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):  # the called name: open, io.open, builtins.open
+            names = [getattr(node.func, "id", None) or getattr(node.func, "attr", "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if {"open", "io", "hashlib", "cli"} & set(name.split("."))]
+    return found
+
+
+def test_subcommands_read_no_file_and_import_no_cli():
+    """`cli.main` alone reads input files: each subcommand gets its reader
+    passed in, and none imports `borelcurve.cli`, which `python -m` runs as
+    `__main__`."""
+    offences = {path.name: file_access(path.read_text(encoding="utf-8"))
+                for path in sorted(PACKAGE.glob("cmd_*.py"))}
+    assert offences and {name: lines for name, lines in offences.items() if lines} == {}
+
+
+def test_the_guard_sees_file_access():
+    source = ("import io, json\n"
+              "import hashlib as h\n"
+              "from . import cli, action\n"
+              "from borelcurve.cli import main\n"
+              "from .errors import InputError\n"
+              "with open('x') as f, io.open('y') as g:\n"
+              "    json.load(f)\n")
+    assert file_access(source) == ["line 1: io", "line 2: hashlib", "line 3: cli",
+                                   "line 4: borelcurve.cli", "line 6: open", "line 6: open"]
