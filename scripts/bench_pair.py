@@ -18,11 +18,15 @@ pair's values, each side's median and quartiles, and the pairs the change
 won (ties count for neither side).  Per side: the `src/` line count; the
 source lines of the package a fresh `python -m borelcurve.cli` run of each
 subcommand compiles (its module files plus cli.py, which runs as
-`__main__`); and fresh-process times of a poincare and a principal job with
-a filled bytecode cache (`PYTHONPYCACHEPREFIX` per side, one warm-up run,
-then WARM_RUNS alternating runs), each bracketed by `bench/reference.py`
-processes and recorded raw and adjusted to the reference as `bench/run.py`
-adjusts its timed jobs.
+`__main__`); and fresh-process times with a filled bytecode cache
+(`PYTHONPYCACHEPREFIX` per side, one warm-up run, then alternating runs),
+each bracketed by `bench/reference.py` processes and recorded raw and
+adjusted to the reference as `bench/run.py` adjusts its timed jobs.  Those
+times cover a poincare, a principal and a curve ring job on P^2 (WARM_RUNS
+runs each) and the scaling probe (PROBE_RUNS runs per line, see
+`probe_lines`): jobs from P^32 to P^256, where computing, not start-up,
+decides the time, and the host floor, `python -S -c pass` and
+`python -c pass`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import io
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -44,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 sys.path.insert(0, str(ROOT / "bench"))
+import jobs  # noqa: E402  the benchmark's seeded input builders
 from run import REF_SECONDS, REFERENCE  # noqa: E402  the benchmark's reference process
 
 PLANE_SPEC = {"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal"}
@@ -57,21 +63,28 @@ COMPILED = {
     "chern": ["chern", "--spec", "{spec}", "--bundle", "tangent", "--test-membership"],
     "chern --gkm": ["chern", "--spec", "{spec}", "--bundle", "tangent", "--gkm", "{graph}"],
 }
-WARM_JOBS = ("poincare", "principal")
+WARM_JOBS = ("poincare", "principal", "curve")
 WARM_RUNS = 40
+# the scaling probe's sizes: P^n of the table rows, (n, m) of the plateau
+# jobs, P^n of the dense principal job and of the matrix-fibre tangent
+PROBE_SIZES = {"table": (64, 128, 256), "plateau": ((32, 12), (32, 50), (32, 200), (64, 50)),
+               "dense": (200,), "matrix": (32, 48)}
+PROBE_RUNS = 3
+HOST_FLOOR = {"python -S -c pass": ["-S", "-c", "pass"], "python -c pass": ["-c", "pass"]}
 
 # Runs one command line as `python -m borelcurve.cli` does, then prints the
 # package files it loaded.  cli.py runs as __main__, so it is not among them.
+# The process ends inside the entry, so the list is printed at exit; the exit
+# code is the run's, which `check=True` checks.
 PROBE = """
-import contextlib, io, json, runpy, sys
+import atexit, contextlib, io, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m.__file__ for m in list(sys.modules.values())
+    if getattr(m, "__file__", None) and m.__name__.startswith("borelcurve"))),
+    file=sys.__stdout__, flush=True))
 sys.argv = ["borelcurve", *ARGV]
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        runpy.run_module("borelcurve.cli", run_name="__main__")
-    except SystemExit as exc:
-        assert exc.code == 0, exc.code
-print(json.dumps(sorted(m.__file__ for m in list(sys.modules.values())
-                        if getattr(m, "__file__", None) and m.__name__.startswith("borelcurve"))))
+    runpy.run_module("borelcurve.cli", run_name="__main__")
 """
 
 
@@ -112,6 +125,63 @@ def compiled_lines(side: Path, inputs: dict) -> dict:
     return out
 
 
+def probe_lines(dest: Path, sizes: dict = PROBE_SIZES) -> dict[str, list[str]]:
+    """Write the scaling probe's inputs under dest; return each line's command line.
+
+    The table rows run on the `"principal"` shorthand spec of P^n, against the
+    multiplicity-1 star graph from label 1.  A plateau job is
+    tests/test_golden.py's: `chern --gkm` with three rank-3 split bundles
+    constant on the label pairs {1,2}, {3,4}, ... (weights from
+    random.Random(n)), against the path whose odd edges have multiplicity m.
+    The dense job is `principal` against the complete graph on the n + 1
+    labels, multiplicities 1..1000 from random.Random(5).  The matrix-fibre
+    tangent is `jobs.matrix_tangent` of `jobs.regular_model` at seed 3.
+    """
+    def write(name: str, data) -> str:
+        path = dest / name
+        path.write_text(json.dumps(data, sort_keys=True) + "\n", encoding="utf-8")
+        return str(path)
+
+    def principal_spec(n: int) -> str:
+        return write(f"p{n}.json", {"n": n, "h_weights": [n - 2 * i for i in range(n + 1)],
+                                    "e_matrix": "principal"})
+
+    lines = {}
+    for n in sizes.get("table", ()):
+        spec, star = principal_spec(n), write(f"star{n}.json", jobs.star_graph(n + 1))
+        tangent = ["chern", "--spec", spec, "--bundle", "tangent", "--k", "1"]
+        lines.update({f"curve betti P^{n}": ["curve", "betti", "--spec", spec],
+                      f"curve ring P^{n}": ["curve", "ring", "--spec", spec],
+                      f"principal P^{n}": ["principal", "--spec", spec, "--gkm", star],
+                      f"chern tangent --gkm P^{n}": [*tangent, "--gkm", star],
+                      f"chern tangent --test-membership P^{n}": [*tangent, "--test-membership"]})
+    for n, m in sizes.get("plateau", ()):
+        rng = random.Random(n)
+        path = {"vertices": list(range(1, n + 2)),
+                "edges": [[i, i + 1, m if i % 2 else 1] for i in range(1, n + 1)]}
+        argv = ["chern", "--spec", principal_spec(n),
+                "--gkm", write(f"plateau_p{n}_m{m}.json", path)]
+        for b in range(3):
+            weights = {p: [rng.randint(-20, 20) for _ in range(3)] for p in range(n // 2 + 1)}
+            bundle = {"rank": 3, "fibres": {str(j): {"weights": weights[(j - 1) // 2]}
+                                            for j in range(1, n + 2)}}
+            argv += ["--bundle", write(f"plateau_p{n}_bundle{b}.json", bundle)]
+        lines[f"plateau P^{n} m={m}"] = argv
+    for n in sizes.get("dense", ()):
+        rng = random.Random(5)
+        dense = {"vertices": list(range(1, n + 2)),
+                 "edges": [[i, j, rng.randint(1, 1000)] for i in range(1, n + 2)
+                           for j in range(i + 1, n + 2)]}
+        lines[f"principal dense P^{n}"] = ["principal", "--spec", principal_spec(n),
+                                           "--gkm", write(f"dense{n}.json", dense)]
+    for n in sizes.get("matrix", ()):
+        model = jobs.regular_model(random.Random(3), n)
+        lines[f"chern matrix tangent P^{n}"] = [
+            "chern", "--spec", write(f"model{n}.json", model),
+            "--bundle", write(f"matrix_tangent{n}.json", jobs.matrix_tangent(model)), "--k", "1"]
+    return lines
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -148,17 +218,16 @@ def workload_record(pairs: list[dict], e2e: list[dict]) -> dict:
             "metrics": metrics}
 
 
-def warm_cache_times(dirs: dict, inputs: dict, scratch: Path) -> dict:
-    """Fresh-process seconds of each WARM_JOBS line with a filled bytecode cache,
-    raw and adjusted: each run divided by the mean of the reference processes
-    before and after it, times REF_SECONDS."""
+def fresh_process_times(dirs: dict, scratch: Path, lines: dict, runs: int) -> dict:
+    """Fresh-process seconds of each line (interpreter arguments) on each side, with
+    a filled bytecode cache, raw and adjusted: each run divided by the mean of the
+    reference processes before and after it, times REF_SECONDS."""
     envs = {}
     for side, path in dirs.items():
         env = dict(os.environ, PYTHONPATH=str(path / "src"),
                    PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{side}"))
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         envs[side] = env
-    lines = {job: [a.format(**inputs) for a in COMPILED[job]] for job in WARM_JOBS}
 
     def timed(args, env):
         start = time.perf_counter()
@@ -170,23 +239,23 @@ def warm_cache_times(dirs: dict, inputs: dict, scratch: Path) -> dict:
         return timed([str(REFERENCE)], os.environ)
 
     for side in SIDES:  # the warm-up run fills the cache
-        for argv in lines.values():
-            timed(["-m", "borelcurve.cli", *argv], envs[side])
-    raw = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
-    adjusted = {job: {side: [] for side in SIDES} for job in WARM_JOBS}
+        for args in lines.values():
+            timed(args, envs[side])
+    raw = {name: {side: [] for side in SIDES} for name in lines}
+    adjusted = {name: {side: [] for side in SIDES} for name in lines}
     before = reference()
-    for index in range(WARM_RUNS):
+    for index in range(runs):
         for side in pair_order(index):
-            for job, argv in lines.items():
-                seconds = timed(["-m", "borelcurve.cli", *argv], envs[side])
+            for name, args in lines.items():
+                seconds = timed(args, envs[side])
                 after = reference()
-                raw[job][side].append(seconds)
-                adjusted[job][side].append(seconds / ((before + after) / 2) * REF_SECONDS)
+                raw[name][side].append(seconds)
+                adjusted[name][side].append(seconds / ((before + after) / 2) * REF_SECONDS)
                 before = after
-    return {job: {**{side: summary(adjusted[job][side]) for side in SIDES},
-                  "change_won": sum(c < p for p, c in zip(*adjusted[job].values())),
-                  "raw": {side: summary(raw[job][side]) for side in SIDES}}
-            for job in WARM_JOBS}
+    return {name: {**{side: summary(adjusted[name][side]) for side in SIDES},
+                   "change_won": sum(c < p for p, c in zip(*adjusted[name].values())),
+                   "raw": {side: summary(raw[name][side]) for side in SIDES}}
+            for name in lines}
 
 
 def main(argv=None) -> int:
@@ -220,9 +289,19 @@ def main(argv=None) -> int:
         record["src_lines"] = {side: src_lines(path) for side, path in dirs.items()}
         record["compiled_lines"] = {side: compiled_lines(path, inputs)
                                     for side, path in dirs.items()}
+        warm = {job: ["-m", "borelcurve.cli", *(a.format(**inputs) for a in COMPILED[job])]
+                for job in WARM_JOBS}
         record["warm_cache_s"] = {"runs": WARM_RUNS, "reference_s": REF_SECONDS, "jobs": {
             job: " ".join(COMPILED[job]) for job in WARM_JOBS},
-            **warm_cache_times(dirs, inputs, scratch)}
+            **fresh_process_times(dirs, scratch, warm, WARM_RUNS)}
+        probe_dir = scratch / "probe"
+        probe_dir.mkdir()
+        probe = {name: ["-m", "borelcurve.cli", *argv]
+                 for name, argv in probe_lines(probe_dir).items()}
+        record["probe_s"] = {"runs": PROBE_RUNS, "reference_s": REF_SECONDS, "lines": {
+            name: " ".join(args).replace(f"{probe_dir}{os.sep}", "")
+            for name, args in {**probe, **HOST_FLOOR}.items()},
+            **fresh_process_times(dirs, scratch, {**probe, **HOST_FLOOR}, PROBE_RUNS)}
         record["workloads"] = {}
         for workload, count in pairs.items():
             done = []

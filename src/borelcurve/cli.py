@@ -1,19 +1,20 @@
 """Command-line front end: JSON specs in, deterministic JSON (or a flat table) out.
 
 Every run emits a report with the command echo, sha256 digests of the file
-inputs, the truncation degree used (when one applies) and the results; two
-runs on identical inputs produce identical bytes.  Exit codes: 0 success,
-2 invalid input, 3 internal invariant violation, 141 closed stdout.
-`main` alone reads input files and builds the report.  A subcommand's body is
-`run(args, load)` in `cmd_<subcommand>` (a run compiles only its own), which
-returns (options, result, truncation degree) and reads each file through the
-`load(name, path)` it is given: no `cmd_*` module imports `borelcurve.cli`,
-which `python -m` runs as `__main__`, so an import would run it a second time.
+inputs, the truncation degree used (when one applies) and the results; two runs
+on identical inputs produce identical bytes.  Exit codes: 0 success, 2 invalid
+input, 3 internal invariant violation, 141 closed stdout; a process ends in
+`run`, by `os._exit` after atexit and a last flush.  `main` alone reads input
+files and builds the report.  A subcommand's body is `run(args, load)` in
+`cmd_<subcommand>` (a run compiles only its own), which returns (options,
+result, truncation degree) and reads each file through the `load(name, path)`
+it is given: no `cmd_*` module imports `borelcurve.cli`, which `python -m`
+runs as `__main__`, so an import would run it a second time.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
 import io
 import json
 import os
@@ -25,13 +26,13 @@ from .errors import InputError, InternalError, ascii_int
 
 
 def _sha256(data: bytes) -> str:
-    # Only runs that read input files need it.  The builtin module (`_sha2` from
-    # Python 3.12) costs a tenth of `hashlib`, which loads OpenSSL's `_hashlib` first.
-    for module in ("_sha256", "_sha2", "hashlib"):
+    # Imported on use: the builtin (`_sha2` from 3.12) costs a tenth of `hashlib`+OpenSSL.
+    for module in ("_sha256", "_sha2"):
         try:
             return import_module(module).sha256(data).hexdigest()
         except ImportError:
             continue
+    return import_module("hashlib").sha256(data).hexdigest()
 
 
 def _load_json(inputs: dict, name: str, path: str) -> dict:
@@ -189,8 +190,7 @@ def _quick_parse(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     inputs: dict = {}
     try:
         args = _quick_parse(argv)
@@ -213,11 +213,10 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry (console script and `python -m`): exit with main's code.
 
-    Before it exits, `gc.freeze()` moves every object still alive (the loaded
-    modules, classes and functions) into the permanent generation, which the
-    interpreter's shutdown collections skip; streams are still flushed and
-    atexit handlers still run.  `main` itself leaves the collector alone, as
-    tests and the benchmark's tracer call it many times in one process.
+    Once the report is flushed, atexit handlers run and both streams are
+    flushed again; then `os._exit` ends the process without the interpreter's
+    teardown.  `main` itself touches no process-wide state, as tests and the
+    benchmark's tracer call it many times in one process.
 
     A closed stdout ends the process with 141 (a shell's status for a writer
     killed by SIGPIPE) and no traceback; fd 1 then points at the null device,
@@ -227,11 +226,12 @@ def run() -> None:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

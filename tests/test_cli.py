@@ -760,9 +760,11 @@ EXPORTS = {
 
 
 def loaded_by(code: str) -> list[str]:
-    """Modules a fresh interpreter loads while running `code`, beyond its start-up."""
-    probe = ("import json, sys; _before = set(sys.modules)\n" + code +
-             "\nprint(json.dumps(sorted(set(sys.modules) - _before)))")
+    """Modules a fresh interpreter loads while running `code`, beyond its start-up.
+    They are read in an atexit handler, so `code` may end the process itself."""
+    probe = ("import atexit, json, sys; _before = set(sys.modules)\n"
+             "atexit.register(lambda: print(json.dumps(sorted(set(sys.modules) - _before)), "
+             "file=sys.__stdout__, flush=True))\n" + code)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
     return json.loads(out.splitlines()[-1])
@@ -860,15 +862,14 @@ def test_poincare_run_loads_only_root_systems():
 
 def test_module_runs_never_import_the_cli_by_name(tmp_path):
     """`python -m borelcurve.cli` runs cli.py as __main__; a module importing
-    `borelcurve.cli` would compile and run it a second time."""
+    `borelcurve.cli` would compile and run it a second time.  The entry ends
+    the process (with the run's code, which must be 0), so the modules are
+    read at exit."""
     for argv in plain_runs(tmp_path):
         loaded = loaded_by("import contextlib, io, runpy, sys\n"
                            f"sys.argv = {['borelcurve', *argv]!r}\n"
                            "with contextlib.redirect_stdout(io.StringIO()):\n"
-                           "    try:\n"
-                           "        runpy.run_module('borelcurve.cli', run_name='__main__')\n"
-                           "    except SystemExit as exc:\n"
-                           "        assert exc.code == 0, exc.code")
+                           "    runpy.run_module('borelcurve.cli', run_name='__main__')")
         assert cli_modules(loaded) == {f"borelcurve.cmd_{argv[0]}"}, argv
 
 
@@ -1068,7 +1069,8 @@ def test_export_list_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the exit path: a process freezes the collector before it exits, main does not
+# the exit path: a process ends in cli.run, through os._exit; main touches no
+# process-wide state
 
 
 def test_main_leaves_the_collector_alone(capsys, specs):
@@ -1082,22 +1084,59 @@ def test_main_leaves_the_collector_alone(capsys, specs):
 
 
 @pytest.mark.parametrize("argv", [["poincare", "--family", "A", "--rank", "2"],
-                                  ["poincare", "--family", "E8", "--rank", "8"]])
-def test_module_entry_freezes_the_collector_and_keeps_the_exit_code(capsys, monkeypatch,
-                                                                    argv):
-    expected = main(argv)
-    expected_out = capsys.readouterr()
-    monkeypatch.setattr(sys, "argv", ["borelcurve", *argv])
-    try:
-        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
-            warnings.simplefilter("ignore", RuntimeWarning)  # cli is already imported
-            runpy.run_module("borelcurve.cli", run_name="__main__")
-        frozen = gc.get_freeze_count()
-    finally:
-        gc.unfreeze()
-    assert frozen > 0
-    assert exc.value.code == expected
-    assert capsys.readouterr() == expected_out
+                                  ["poincare", "--family", "E8", "--rank", "8"], ["-h"]])
+def test_module_entry_runs_atexit_and_keeps_the_output_and_exit_code(capsys, monkeypatch,
+                                                                     argv):
+    """A fresh `python -m` run, with buffered streams, gives main's exit code
+    and bytes; an atexit handler registered before the entry still runs, and
+    what it writes without a newline still reaches both streams.  A malformed
+    line ends in the entry with code 2; help leaves through argparse's
+    SystemExit and the interpreter's normal exit."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    expected = run_in_process(capsys, argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: (sys.stdout.write('[atexit]'), "
+            "sys.stderr.write('[atexit]')))\n"
+            f"sys.argv = {['borelcurve', *argv]!r}\n"
+            "runpy.run_module('borelcurve.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        expected[0], expected[1] + "[atexit]", expected[2] + "[atexit]")
+
+
+def entry_calls(source: str) -> list[str]:
+    """Calls in source that enter the process entry: `cli.run`, a `run` imported
+    from borelcurve.cli, or `runpy.run_module("borelcurve.cli", ...)`.  Code in
+    a string, run by a fresh interpreter, is not a call here."""
+    tree = ast.parse(source)
+    entry = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "borelcurve.cli"
+             for alias in node.names if alias.name == "run"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = ast.unparse(node.func)
+        first = node.args[0] if node.args else None
+        if (called in entry or called.split(".")[-2:] == ["cli", "run"]
+                or called.endswith("run_module") and isinstance(first, ast.Constant)
+                and first.value == "borelcurve.cli"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_test_or_script_enters_the_process_entry():
+    """`cli.run` ends its process with os._exit, so in a test it would end the
+    whole pytest session with the CLI's exit code, which may be 0."""
+    assert entry_calls("from borelcurve import cli\nfrom borelcurve.cli import run as go\n"
+                       "import runpy\ncli.run()\ngo()\n"
+                       "runpy.run_module('borelcurve.cli', run_name='__main__')\n"
+                       "code = \"runpy.run_module('borelcurve.cli')\"\n") == [
+        "cli.run()", "go()", "runpy.run_module('borelcurve.cli', run_name='__main__')"]
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        assert entry_calls(path.read_text(encoding="utf-8")) == [], path
 
 
 def test_console_entry_is_the_module_entry():
@@ -1186,8 +1225,9 @@ RESOURCE_RUNS = [
 
 @pytest.mark.parametrize("argv", RESOURCE_RUNS, ids=lambda argv: argv[0])
 def test_no_run_leaves_a_file_open(capsys, specs, tmp_path, argv):
-    """A frozen exit never collects what a run leaves behind, so a run must
-    close every file it opens; an unclosed one raises ResourceWarning."""
+    """A process ends through os._exit, which closes no file object a run
+    leaves behind, so a run must close every file it opens; an unclosed one
+    raises ResourceWarning."""
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{")
     paths = dict(specs, missing=str(tmp_path / "missing.json"), bad_json=str(bad_json))
