@@ -248,5 +248,4 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
             raise InputError(f"generator {t.to_json()} violates the graph congruences")
     notes = ("comparison of the subalgebra generated by the given classes against "
              "the congruence ring",)
-    return decide(GradedSubalgebra(ring.r, gens + [HomTuple.ones(ring.r, 1)]), ring,
-                  max_degree, notes)
+    return decide(GradedSubalgebra(ring.r, gens), ring, max_degree, notes)

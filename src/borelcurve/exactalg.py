@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, labels, to_int
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
-    HomTuple, Vec, _hadamard, format_fraction, to_fraction)
+    HomTuple, Vec, _hadamard, to_fraction)
 
 
 def __getattr__(name):
@@ -144,30 +144,27 @@ class RowSpace:
 
 
 class GradedSubalgebra:
-    """Subalgebra of the r-component tuple ring generated by homogeneous tuples.
+    """The Q[v]-subalgebra of the r-component tuple ring generated by
+    homogeneous tuples of positive degree.
 
+    v, the all-ones tuple of degree 1, belongs whether or not it is listed.
     The degree-d slice is the linear subspace V_d of Q^r spanned by the
-    coefficient vectors of all degree-d products of generators and the unit.
-    Slices are built by dynamic programming
+    coefficient vectors of all degree-d products of v and the generators.
+    As v o V_(d-1) = V_(d-1) (o = Hadamard product), the slices form a chain
+    V_0 <= V_1 <= ...  Let N_j be the canonical rows of V_j whose pivots
+    V_(j-1) lacks (N_0 the unit); they span V_j together with V_(j-1), and
+    g o V_(k-e-1) <= V_(k-1) for a generator g of degree e, so
 
-        V_d = span( g o w : g generator of degree e <= d, w in V_{d-e} )
+        V_k = V_(k-1) + span( g o w : g a generator other than v, w in N_(k-e) ).
 
-    (o = Hadamard product), seeded by V_0, then saturated under multiplication
-    by degree-0 generators.  Slices are built bottom-up and cached as
-    canonical RREF bases.
+    Slices are built bottom-up and cached as canonical RREF bases; V_k starts
+    from a copy of V_(k-1), which is v's share, so no product by v is formed.
 
-    When the all-ones degree-1 tuple (the element v) belongs to the algebra,
-    the slices form a chain V_0 <= V_1 <= ..., so once some V_D is all of Q^r
-    every later slice is too, and degrees 0..D decide every slice question.
-
-    With v a generator the slices also stop at a plateau below Q^r.  Let K be
-    the largest generator degree (K >= 1, as v has degree 1) and suppose
-    V_(e-1-K) = ... = V_(e-1) = W (equal dimensions mean equal spaces on a
-    chain).  A generator g of degree 1 <= k <= K gives
-    g o V_(e-k) = g o V_(e-1-k) <= V_(e-1) = W, and W is already saturated
-    under the degree-0 generators, so V_e <= W; v o W = W gives V_e >= W.
-    So V_e = W, and by induction every later slice is W: K + 1 equal
-    dimensions in a row certify the rest of the Hilbert function.
+    Once some V_D is all of Q^r every later slice is too.  Below Q^r the
+    slices stop at a plateau: with K the largest generator degree (K >= 1, as
+    v has degree 1), V_e reads only N_(e-K), ..., N_(e-1), so K empty N's in a
+    row stay empty, and K + 1 equal dimensions in a row certify the rest of
+    the Hilbert function.
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
@@ -176,21 +173,18 @@ class GradedSubalgebra:
         for g in gens:
             if g.r != self.r:
                 raise InputError("component-count mismatch between generators")
+            to_int(g.degree, 1, name="generator degree")
         self.generators = gens
+        self._products = tuple(g for g in gens if g != HomTuple.ones(self.r, 1))
         self._slices: list[RowSpace] = []
 
     # -- slice construction --------------------------------------------------
 
-    def _saturate_degree_zero(self, space: RowSpace) -> None:
-        # each vector that enlarges the span is multiplied by every degree-0
-        # generator once, so the span ends closed under all of them
-        zero_gens = [g.coeffs for g in self.generators if g.degree == 0]
-        queue = list(space.rows) if zero_gens else []
-        while queue:
-            w = queue.pop()
-            for g in zero_gens:
-                if space.add(product := _hadamard(g, w)):
-                    queue.append(product)
+    def _new_rows(self, j: int) -> list[list[Fraction]]:
+        """N_j: the rows of V_j whose pivots V_(j-1) lacks."""
+        space = self._slices[j]
+        old = set(self._slices[j - 1].pivots) if j else ()
+        return [row for row, p in zip(space.rows, space.pivots) if p not in old]
 
     def _slice(self, d: int) -> RowSpace:
         """The degree-d slice; missing degrees are built bottom-up."""
@@ -200,11 +194,13 @@ class GradedSubalgebra:
             space = RowSpace(self.r)
             if k == 0:
                 space.add((Fraction(1),) * self.r)
-            for g in self.generators:
-                if 1 <= g.degree <= k:  # V_0 holds the unit, so g itself when k = deg g
-                    for row in self._slices[k - g.degree].rows:
-                        space.add(_hadamard(g.coeffs, row))
-            self._saturate_degree_zero(space)
+            else:  # v's share; RowSpace.add replaces rows and never edits one
+                below = self._slices[k - 1]
+                space.rows, space.pivots = list(below.rows), list(below.pivots)
+            for g in self._products:
+                if g.degree <= k:
+                    for w in self._new_rows(k - g.degree):
+                        space.add(_hadamard(g.coeffs, w))
             self._slices.append(space)
         return self._slices[d]
 
@@ -215,15 +211,14 @@ class GradedSubalgebra:
         return [HomTuple(d, vec) for vec in self._slice(d).basis_vectors()]
 
     def hilbert_function(self, max_degree: int) -> list[int]:
-        """[dim V_0, ..., dim V_max_degree]; with v a generator no slice past the
-        first full one, or past K + 1 equal ones, is built (the chain above)."""
+        """[dim V_0, ..., dim V_max_degree]; no slice past the first full one, or
+        past K + 1 equal ones, is built (the chain above)."""
         to_int(max_degree, 0, name="degree bound")
-        chain = HomTuple.ones(self.r, 1) in self.generators
-        plateau = max(g.degree for g in self.generators) + 1 if chain else 0
+        plateau = max((g.degree for g in self.generators), default=1) + 1
         out: list[int] = []
         for d in range(max_degree + 1):
             out.append(self._slice(d).dim)
-            if chain and (out[-1] == self.r or out[-plateau:] == [out[-1]] * plateau):
+            if out[-1] == self.r or out[-plateau:] == [out[-1]] * plateau:
                 return out + [out[-1]] * (max_degree - d)
         return out
 
@@ -240,16 +235,8 @@ class GradedSubalgebra:
         return self._slice(t.degree).coordinates(t.coeffs)
 
     def quotient_by_v_dims(self, max_degree: int) -> list[int]:
-        """Dimensions of the quotient by the ideal (v), degree by degree.
-
-        Entry d is dim V_d - dim V_{d-1}; under the chain property these are
-        the (half-degree) Betti numbers of the underlying space.  Requires the
-        all-ones degree-1 tuple to be a member, otherwise the quotient grading
-        is undefined.
-        """
-        if not self.member(HomTuple.ones(self.r, 1)):
-            raise InputError("the element v (all-ones tuple of degree 1) is not in the "
-                             "algebra; quotient by (v) is undefined")
+        """Dimensions of the quotient by the ideal (v), degree by degree: entry d is
+        dim V_d - dim V_(d-1), a (half-degree) Betti number of the underlying space."""
         h = self.hilbert_function(max_degree)
         out = [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
         if any(x < 0 for x in out):

@@ -1,5 +1,6 @@
 """Record, the base of the value classes, apart from exactalg so that a module
-needing only value classes (rootsystems) loads no `fractions`."""
+needing only value classes (exponents, on the `poincare` path) loads no
+`fractions`."""
 
 
 class Record:

@@ -10,6 +10,7 @@ import pytest
 from borelcurve import cli
 from borelcurve.action import ActionModel, principal_model, validate
 from borelcurve.curve import build_curve_ring
+from borelcurve.exactalg import HomTuple
 from borelcurve.gkm import GKMGraph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +34,57 @@ def run_cli(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: enumerate every monomial of total degree d and span
+
+
+def reduce_by(basis, vec):
+    """vec minus its multiples of the echelon basis rows, pivot by pivot."""
+    v = list(vec)
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x != 0)
+        if v[p] != 0:
+            f = v[p] / b[p]
+            v = [a - f * c for a, c in zip(v, b)]
+    return v
+
+
+def span_basis(vectors):
+    """An echelon basis of the span of the vectors, by the reduction above."""
+    basis = []
+    for vec in vectors:
+        v = reduce_by(basis, vec)
+        if any(x != 0 for x in v):
+            basis.append(v)
+    return basis
+
+
+def in_span(basis, vec):
+    return all(x == 0 for x in reduce_by(basis, vec))
+
+
+def monomial_span(r, gens, d):
+    """An echelon basis of the degree-d slice of the Q[v]-subalgebra that the
+    generators (degrees >= 1) generate: the span of every monomial of total
+    degree d in them and v."""
+    gens = [*gens, HomTuple.ones(r, 1)]
+    vectors = []
+
+    def rec(idx, remaining, current):
+        if remaining == 0:
+            vectors.append(tuple(current))
+            return
+        if idx == len(gens):
+            return
+        rec(idx + 1, remaining, current)
+        g = gens[idx]
+        if g.degree <= remaining:
+            rec(idx, remaining - g.degree, [a * b for a, b in zip(current, g.coeffs)])
+
+    rec(0, d, [Fraction(1)] * r)
+    return span_basis(vectors)
 
 
 def jordan_block(size: int):

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelcurve.errors import InputError, InternalError
-from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace,
-                                 format_fraction, nullspace, rref, solve_linear_system,
-                                 to_fraction)
+from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace, nullspace, rref,
+                                 solve_linear_system, to_fraction)
+from borelcurve.rational import format_fraction
+
+from conftest import in_span, monomial_span, span_basis
 
 
 def tup(degree, *coeffs):
@@ -131,8 +133,8 @@ def test_rref_is_a_reduced_echelon_basis_of_the_span(rows):
     red, pivots = rref(rows)
     assert pivots == _assert_reduced_echelon(red)
     rows = [[to_fraction(x) for x in row] for row in rows]
-    assert all(_in_span(red, row) for row in rows)
-    assert all(_in_span(_span_basis(rows), row) for row in red)
+    assert all(in_span(red, row) for row in rows)
+    assert all(in_span(span_basis(rows), row) for row in red)
 
 
 def test_rowspace_is_canonical_under_insertion_order():
@@ -267,7 +269,7 @@ def test_graded_basis_degree_two_fills_space():
 
 def test_hilbert_function_examples():
     assert make_plane_algebra().hilbert_function(4) == [1, 2, 3, 3, 3]
-    assert GradedSubalgebra(1, []).hilbert_function(2) == [1, 0, 0]
+    assert GradedSubalgebra(1, []).hilbert_function(2) == [1, 1, 1]  # v is implicit
 
 
 def test_member_examples():
@@ -291,9 +293,6 @@ def test_quotient_by_v_dims():
     assert alg.quotient_by_v_dims(3) == [1, 1, 1, 0]
     v_only = GradedSubalgebra(1, [tup(1, 1)])
     assert v_only.quotient_by_v_dims(2) == [1, 0, 0]
-    no_v = GradedSubalgebra(3, [tup(1, 0, 1, 2)])
-    with pytest.raises(InputError):
-        no_v.quotient_by_v_dims(2)
 
 
 def test_kernel_basis_examples():
@@ -306,13 +305,7 @@ def test_kernel_basis_examples():
         alg.kernel_basis([], 1)
     with pytest.raises(InputError):
         alg.kernel_basis([0], 1)
-    assert GradedSubalgebra(1, []).kernel_basis([1], 1) == []  # V_1 = 0
-
-
-def test_degree_zero_saturation_multiplies_what_it_adds():
-    """g = (0, 1, 2) of degree 0 puts g and g o g = (0, 1, 4) into V_0 beside
-    the unit, so V_0 = Q^3; multiplying only the unit by g stops at dim 2."""
-    assert GradedSubalgebra(3, [HomTuple(0, (0, 1, 2))]).hilbert_function(0) == [3]
+    assert GradedSubalgebra(1, []).kernel_basis([1], 1) == []  # V_1 is spanned by v = (1)
 
 
 def test_kernel_dims_stabilize_at_complement_count():
@@ -345,62 +338,6 @@ def test_coordinates_rebuild_target_exactly():
     assert alg.coordinates(tup(1, 1, 0, 0)) is None
 
 
-# ---------------------------------------------------------------------------
-# independent oracle: enumerate every monomial of total degree d and span
-
-
-def _reduce(basis, vec):
-    v = list(vec)
-    for b in basis:
-        p = next(i for i, x in enumerate(b) if x != 0)
-        if v[p] != 0:
-            f = v[p] / b[p]
-            v = [a - f * c for a, c in zip(v, b)]
-    return v
-
-
-def _span_basis(vectors):
-    """An echelon basis of the span of the vectors, by the reduction above."""
-    basis = []
-    for vec in vectors:
-        v = _reduce(basis, vec)
-        if any(x != 0 for x in v):
-            basis.append(v)
-    return basis
-
-
-def _oracle_dim_and_span(r, gens, d):
-    vectors = []
-
-    def rec(idx, remaining, current):
-        if remaining == 0:
-            vectors.append(tuple(current))
-            return
-        if idx == len(gens):
-            return
-        rec(idx + 1, remaining, current)
-        g = gens[idx]
-        if 1 <= g.degree <= remaining:
-            rec(idx, remaining - g.degree,
-                [a * b for a, b in zip(current, g.coeffs)])
-
-    rec(0, d, [Fraction(1)] * r)
-    # any power of a degree-0 generator keeps the degree: multiply them into
-    # the span until it stops growing
-    zero_gens = [g.coeffs for g in gens if g.degree == 0]
-    basis = _span_basis(vectors)
-    while True:
-        grown = _span_basis(basis + [[a * c for a, c in zip(b, g)]
-                                     for g in zero_gens for b in basis])
-        if len(grown) == len(basis):
-            return basis
-        basis = grown
-
-
-def _in_span(basis, vec):
-    return all(x == 0 for x in _reduce(basis, vec))
-
-
 def _assert_reduced_echelon(rows):
     """The pivots (first nonzero entries) strictly increase, each is 1 and its
     column is 0 in every other row; returns the pivots."""
@@ -414,11 +351,11 @@ def _assert_reduced_echelon(rows):
 def test_dp_matches_brute_force_on_plane_generators():
     alg = make_plane_algebra()
     for d in range(7):
-        oracle = _oracle_dim_and_span(3, alg.generators, d)
+        oracle = monomial_span(3, alg.generators, d)
         dp = alg.graded_basis(d)
         assert len(dp) == len(oracle)
         for t in dp:
-            assert _in_span(oracle, t.coeffs)
+            assert in_span(oracle, t.coeffs)
 
 
 @given(st.integers(1, 4), st.data())
@@ -427,24 +364,24 @@ def test_dp_matches_brute_force_randomized(r, data):
     n_gens = data.draw(st.integers(0, 3))
     gens = []
     for _ in range(n_gens):
-        deg = data.draw(st.integers(0, 3))  # degree 0 runs the saturation
+        deg = data.draw(st.integers(1, 3))
         coeffs = tuple(data.draw(small_fractions) for _ in range(r))
         gens.append(HomTuple(deg, coeffs))
     alg = GradedSubalgebra(r, gens)
     d = data.draw(st.integers(0, 5))
-    oracle = _oracle_dim_and_span(r, gens, d)
+    oracle = monomial_span(r, gens, d)
     dp = alg.graded_basis(d)
     assert len(dp) == len(oracle)
     for t in dp:
-        assert _in_span(oracle, t.coeffs)
+        assert in_span(oracle, t.coeffs)
 
 
 PLANE_SPECS = [(1, [1, 1, 1, 0]), (1, [0, 1, 2, 0]), (2, [0, 0, 2, 0])]
 
 
 @given(st.integers(1, 4),
-       st.lists(st.tuples(st.integers(0, 3),  # degree 0 runs the saturation
-                          st.lists(small_fractions, min_size=4, max_size=4)), max_size=3),
+       st.lists(st.tuples(st.integers(1, 3), st.lists(small_fractions, min_size=4, max_size=4)),
+                max_size=3),
        st.sets(st.integers(1, 4), min_size=1), st.integers(0, 6))
 @example(3, PLANE_SPECS, {1, 2, 3}, 5)  # every label past full rank: no kernel
 @example(3, PLANE_SPECS, {2}, 4)  # past full rank: every x with x_2 = 0
@@ -455,33 +392,35 @@ def test_kernel_basis_is_the_canonical_kernel(r, specs, subset, d):
     off the brute-force slice (a subset with no label <= r means every label)."""
     gens = [HomTuple(degree, coeffs[:r]) for degree, coeffs in specs]
     subset = sorted(p for p in subset if p <= r) or list(range(1, r + 1))
-    slice_d = _oracle_dim_and_span(r, gens, d)
+    slice_d = monomial_span(r, gens, d)
     kernel = [t.coeffs for t in GradedSubalgebra(r, gens).kernel_basis(subset, d)]
     _assert_reduced_echelon(kernel)
     for x in kernel:
-        assert _in_span(slice_d, x) and all(x[p - 1] == 0 for p in subset)
-    on_subset = _span_basis([[x[p - 1] for p in subset] for x in slice_d])
+        assert in_span(slice_d, x) and all(x[p - 1] == 0 for p in subset)
+    on_subset = span_basis([[x[p - 1] for p in subset] for x in slice_d])
     assert len(kernel) == len(slice_d) - len(on_subset)
 
 
 @given(st.integers(1, 4), st.booleans(), st.integers(0, 8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_hilbert_function_is_the_slice_dims(r, with_v, max_degree, data):
-    """The Hilbert function equals the per-slice dimensions; with v a generator
-    the slices form a chain, so no slice past the first full one is built."""
-    gens = [HomTuple(data.draw(st.integers(0, 3)),  # degree 0 runs the saturation
+    """The Hilbert function equals the per-slice dimensions, and the slices form
+    a chain, so no slice past the first full one is built.  v belongs whether
+    or not it is listed: listing it or not changes no dimension and no basis."""
+    gens = [HomTuple(data.draw(st.integers(1, 3)),
                      tuple(data.draw(small_fractions) for _ in range(r)))
             for _ in range(data.draw(st.integers(0, 3)))]
-    if with_v:
-        gens.append(HomTuple.ones(r, 1))
-    alg = GradedSubalgebra(r, gens)
+    listed, other = gens + [HomTuple.ones(r, 1)], gens
+    if not with_v:
+        listed, other = other, listed
+    alg = GradedSubalgebra(r, listed)
     hilbert = alg.hilbert_function(max_degree)
-    dims = [len(GradedSubalgebra(r, gens).graded_basis(d)) for d in range(max_degree + 1)]
-    assert hilbert == dims
-    if HomTuple.ones(r, 1) not in gens:
-        assert len(alg._slices) == max_degree + 1
-    elif r in dims:  # a plateau is final, so none comes before full rank
-        assert len(alg._slices) == dims.index(r) + 1
+    bases = [GradedSubalgebra(r, listed).graded_basis(d) for d in range(max_degree + 1)]
+    assert hilbert == [len(basis) for basis in bases]
+    assert GradedSubalgebra(r, other).hilbert_function(max_degree) == hilbert
+    assert [GradedSubalgebra(r, other).graded_basis(d) for d in range(max_degree + 1)] == bases
+    if r in hilbert:  # a plateau is final, so none comes before full rank
+        assert len(alg._slices) == hilbert.index(r) + 1
 
 
 def _plateau_degree(dims, k):
@@ -489,16 +428,15 @@ def _plateau_degree(dims, k):
     return next(p for p in range(len(dims) - k) if dims[p] == dims[p + k])
 
 
-@given(st.integers(1, 5), st.booleans(), st.integers(0, 14), st.data())
+@given(st.integers(1, 5), st.integers(0, 14), st.data())
 @settings(max_examples=80, deadline=None)
-def test_plateau_stop_matches_a_loop_without_stop(r, zero_degree, bound, data):
-    """With v a generator, K + 1 equal dimensions in a row fill the rest of the
-    Hilbert function (K the largest generator degree); a loop that builds every
+def test_plateau_stop_matches_a_loop_without_stop(r, bound, data):
+    """K + 1 equal dimensions in a row fill the rest of the Hilbert function
+    (K the largest generator degree, v's 1 included); a loop that builds every
     slice agrees, and at most (first plateau degree) + K + 1 slices are built.
     Generators constant on random blocks of positions plateau below r."""
     block = [data.draw(st.integers(0, r - 1)) for _ in range(r)]
-    degrees = st.integers(0 if zero_degree else 1, 4)
-    gens = [HomTuple(data.draw(degrees),
+    gens = [HomTuple(data.draw(st.integers(1, 4)),
                      tuple(values[b] for b in block))
             for values in (data.draw(st.lists(small_fractions, min_size=r, max_size=r))
                            for _ in range(data.draw(st.integers(0, 3))))]
@@ -511,12 +449,27 @@ def test_plateau_stop_matches_a_loop_without_stop(r, zero_degree, bound, data):
     assert len(alg._slices) <= _plateau_degree(dims, k) + k + 1
 
 
+# classes constant on the pairs {1, 2}, {3, 4}, {5, 6}, and v
+PAIRED = [tup(1, 1, 1, 2, 2, 5, 5), tup(3, 0, 0, 1, 1, 7, 7), tup(1, 1, 1, 1, 1, 1, 1)]
+
+
 def test_plateau_builds_plateau_plus_k_slices():
-    """Classes constant on the pairs {1, 2}, {3, 4}, {5, 6} span at most three
-    dimensions: the Hilbert function is [1, 2, 3, 3, ...], first constant from
-    degree 2, and with K = 3 the slices built are degrees 0..2 + K, not 0..bound."""
-    gens = [tup(1, 1, 1, 2, 2, 5, 5), tup(3, 0, 0, 1, 1, 7, 7), tup(1, 1, 1, 1, 1, 1, 1)]
-    alg = GradedSubalgebra(6, gens)
+    """The PAIRED classes span at most three dimensions: the Hilbert function
+    is [1, 2, 3, 3, ...], first constant from degree 2, and with K = 3 the
+    slices built are degrees 0..2 + K, not 0..bound."""
+    alg = GradedSubalgebra(6, PAIRED)
     assert alg.hilbert_function(200) == [1, 2] + [3] * 199
     assert len(alg._slices) == 2 + 3 + 1
-    assert GradedSubalgebra(6, gens).hilbert_function(4) == [1, 2, 3, 3, 3]
+    assert GradedSubalgebra(6, PAIRED).hilbert_function(4) == [1, 2, 3, 3, 3]
+
+
+def test_a_slice_past_the_plateau_adds_no_vector(monkeypatch):
+    """Past the plateau every N the slice rule reads is empty, so the next
+    slice is a copy of the last one and RowSpace.add is never called."""
+    alg = GradedSubalgebra(6, PAIRED)
+    alg.hilbert_function(200)
+    added = []
+    original = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or original(self, vec))
+    assert alg._slice(len(alg._slices)).dim == 3
+    assert added == []

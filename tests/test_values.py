@@ -136,6 +136,7 @@ INTEGER_PARAMETERS = {
     "restrict label": lambda x: restrict(_RING, [x]),
     "ideal_hilbert label": lambda x: ideal_hilbert(_RING, [x]),
     "GradedSubalgebra r": lambda x: GradedSubalgebra(x),
+    "GradedSubalgebra generator degree": lambda x: GradedSubalgebra(1, [HomTuple(x, (1,))]),
     "kernel_basis label": lambda x: _ALGEBRA.kernel_basis([x], 1),
     "positive_roots rank": lambda x: positive_roots("A", x),
     "weyl_order rank": lambda x: weyl_order("A", x),
@@ -190,6 +191,7 @@ OUT_OF_RANGE = {
     "restrict label": _LABELS,
     "ideal_hilbert label": _LABELS,
     "GradedSubalgebra r": {0: "component count must be positive"},
+    "GradedSubalgebra generator degree": {0: "generator degree must be positive"},
     "kernel_basis label": {0: "component labels must lie in 1..2",
                            3: "component labels must lie in 1..2"},
     "positive_roots rank": {0: "A-family rank must be 1..8", 9: "A-family rank must be 1..8"},
