@@ -65,30 +65,13 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     return basis
 
 
-def solve_linear_system(rows: Iterable[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Unique exact solution x of A x = b, b one entry per row; InternalError otherwise."""
-    rows = list(rows)
-    if not rows or len(rows) != len(rhs):
-        raise InputError(f"linear system has {len(rows)} equations and {len(rhs)} right-hand "
-                         "sides" if rows else "linear system needs at least one equation")
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    ncols = len(aug[0]) - 1
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise InternalError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise InternalError("linear system does not have a unique solution")
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return x
-
-
 class RowSpace:
     """Incrementally maintained canonical (RREF) basis of a subspace of Q^ncols.
 
     Rows are kept fully reduced with pivot entries 1 and pivot columns sorted,
-    so the basis does not depend on insertion order.
+    so the basis does not depend on insertion order.  `add` inserts a vector
+    and `reduce` returns its remainder: a vector lies in the span when that is
+    zero, and its coefficients over `rows` are then its entries at `pivots`.
     """
 
     def __init__(self, ncols: int):
@@ -108,9 +91,6 @@ class RowSpace:
                 v = [a - c * b for a, b in zip(v, row)]
         return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
-
     def add(self, vec: Sequence) -> bool:
         """Insert the vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
@@ -127,16 +107,6 @@ class RowSpace:
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
-
-    def coordinates(self, vec: Sequence) -> list[Fraction] | None:
-        """Coefficients of vec over self.rows, or None if vec is outside the span."""
-        v = [to_fraction(x) for x in vec]
-        if any(self.reduce(v)):
-            return None
-        return [v[p] for p in self.pivots]
-
-    def basis_vectors(self) -> list[Vec]:
-        return [tuple(row) for row in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +133,10 @@ class GradedSubalgebra:
     Once some V_D is all of Q^r every later slice is too.  Below Q^r the
     slices stop at a plateau: with K the largest generator degree (K >= 1, as
     v has degree 1), V_e reads only N_(e-K), ..., N_(e-1), so K empty N's in a
-    row stay empty, and K + 1 equal dimensions in a row certify the rest of
-    the Hilbert function.
+    row stay empty, and K + 1 equal dimensions in a row make every later slice
+    equal to the last.  So no slice past the first full one, or past K + 1
+    equal ones, is built: that last slice answers every later degree, for
+    every question below.
     """
 
     def __init__(self, r: int, generators: Iterable[HomTuple] = ()):
@@ -176,7 +148,9 @@ class GradedSubalgebra:
             to_int(g.degree, 1, name="generator degree")
         self.generators = gens
         self._products = tuple(g for g in gens if g != HomTuple.ones(self.r, 1))
+        self._k = max((g.degree for g in gens), default=1)
         self._slices: list[RowSpace] = []
+        self._stopped = False
 
     # -- slice construction --------------------------------------------------
 
@@ -187,52 +161,52 @@ class GradedSubalgebra:
         return [row for row, p in zip(space.rows, space.pivots) if p not in old]
 
     def _slice(self, d: int) -> RowSpace:
-        """The degree-d slice; missing degrees are built bottom-up."""
+        """The degree-d slice.  Missing degrees are built bottom-up, up to d or
+        the certified stop, whose slice answers every later degree."""
         to_int(d, 0, name="degree")
-        while len(self._slices) <= d:
-            k = len(self._slices)
+        built = self._slices
+        while len(built) <= d and not self._stopped:
+            k = len(built)
             space = RowSpace(self.r)
             if k == 0:
                 space.add((Fraction(1),) * self.r)
             else:  # v's share; RowSpace.add replaces rows and never edits one
-                below = self._slices[k - 1]
+                below = built[k - 1]
                 space.rows, space.pivots = list(below.rows), list(below.pivots)
             for g in self._products:
                 if g.degree <= k:
                     for w in self._new_rows(k - g.degree):
                         space.add(_hadamard(g.coeffs, w))
-            self._slices.append(space)
-        return self._slices[d]
+            built.append(space)
+            self._stopped = space.dim == self.r or (
+                k >= self._k and built[k - self._k].dim == space.dim)
+        return built[min(d, len(built) - 1)]
 
     # -- the public operations -------------------------------------------------
 
     def graded_basis(self, d: int) -> list[HomTuple]:
         """Canonical row-reduced basis of the degree-d slice."""
-        return [HomTuple(d, vec) for vec in self._slice(d).basis_vectors()]
+        return [HomTuple(d, row) for row in self._slice(d).rows]
 
     def hilbert_function(self, max_degree: int) -> list[int]:
-        """[dim V_0, ..., dim V_max_degree]; no slice past the first full one, or
-        past K + 1 equal ones, is built (the chain above)."""
+        """[dim V_0, ..., dim V_max_degree]: the dimensions of the slices built
+        up to the bound or the stop, then the last one repeated."""
         to_int(max_degree, 0, name="degree bound")
-        plateau = max((g.degree for g in self.generators), default=1) + 1
-        out: list[int] = []
-        for d in range(max_degree + 1):
-            out.append(self._slice(d).dim)
-            if out[-1] == self.r or out[-plateau:] == [out[-1]] * plateau:
-                return out + [out[-1]] * (max_degree - d)
-        return out
+        self._slice(max_degree)
+        dims = [space.dim for space in self._slices[:max_degree + 1]]
+        return dims + [dims[-1]] * (max_degree + 1 - len(dims))
 
     def member(self, t: HomTuple) -> bool:
         """Exact membership of a homogeneous tuple in its degree slice."""
-        if t.r != self.r:
-            raise InputError("component-count mismatch")
-        return self._slice(t.degree).contains(t.coeffs)
+        return self.coordinates(t) is not None
 
     def coordinates(self, t: HomTuple) -> list[Fraction] | None:
-        """Coefficients of t over graded_basis(t.degree), or None if not a member."""
+        """Coefficients of t over graded_basis(t.degree), or None if not a member:
+        t's entries at the pivots, once t reduces to zero."""
         if t.r != self.r:
             raise InputError("component-count mismatch")
-        return self._slice(t.degree).coordinates(t.coeffs)
+        space = self._slice(t.degree)
+        return None if any(space.reduce(t.coeffs)) else [t.coeffs[p] for p in space.pivots]
 
     def quotient_by_v_dims(self, max_degree: int) -> list[int]:
         """Dimensions of the quotient by the ideal (v), degree by degree: entry d is

@@ -79,9 +79,6 @@ class GKMGraph(Record):
             groups.setdefault(_find(parent, v), []).append(v)
         return sorted(tuple(sorted(g)) for g in groups.values())
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
-
     @classmethod
     def from_json(cls, data: dict) -> "GKMGraph":
         try:

@@ -68,14 +68,6 @@ class Poly(Record):
                 return i
         return None
 
-    def as_monomial(self) -> tuple[Fraction, int] | None:
-        """(coefficient, power) if self is a single nonzero term, else None."""
-        nz = [(c, i) for i, c in enumerate(self.coeffs) if c != 0]
-        if len(nz) != 1:
-            return None
-        c, i = nz[0]
-        return c, i
-
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):

@@ -87,6 +87,19 @@ def monomial_span(r, gens, d):
     return span_basis(vectors)
 
 
+def definition_slices(r, gens, bound):
+    """Echelon bases of V_0, ..., V_bound read off the definition: V_0 is
+    spanned by the unit, and V_d by g o x for every generator g (v included)
+    and every x in V_(d - deg g).  No chain rule and no stop."""
+    gens = [*gens, HomTuple.ones(r, 1)]
+    slices = [span_basis([[Fraction(1)] * r])]
+    for d in range(1, bound + 1):
+        slices.append(span_basis([[a * b for a, b in zip(g.coeffs, x)]
+                                  for g in gens if g.degree <= d
+                                  for x in slices[d - g.degree]]))
+    return slices
+
+
 def jordan_block(size: int):
     return tuple(tuple(Fraction(1) if j == i + 1 else Fraction(0) for j in range(size))
                  for i in range(size))

@@ -283,16 +283,16 @@ def test_multiplicity_1000_path_is_a_component_count(capsys, tmp_path):
 
 def test_chern_verdict_builds_no_slice_past_full_rank(capsys, tmp_path, monkeypatch):
     """The generated slices form a chain, so from the first full degree on the
-    verdict reads r without building the slice."""
+    verdict reads r without building the slice: its algebra builds full + 1."""
     from borelcurve.exactalg import GradedSubalgebra
     spec, graph = tmp_path / "p8.json", tmp_path / "star.json"
     spec.write_text(json.dumps(P8_SPEC))
     graph.write_text(json.dumps({"vertices": list(range(1, 10)),
                                  "edges": [[1, j, 1] for j in range(2, 10)]}))
-    asked = []
-    original = GradedSubalgebra._slice
-    monkeypatch.setattr(GradedSubalgebra, "_slice",
-                        lambda self, d: asked.append(d) or original(self, d))
+    made = []
+    original = GradedSubalgebra.__init__
+    monkeypatch.setattr(GradedSubalgebra, "__init__",
+                        lambda self, *args: made.append(self) or original(self, *args))
     code, out, _ = run(capsys, ["chern", "--spec", str(spec), "--bundle", "tangent",
                                 "--gkm", str(graph), "--max-degree", "1000"])
     assert code == 0
@@ -300,7 +300,7 @@ def test_chern_verdict_builds_no_slice_past_full_rank(capsys, tmp_path, monkeypa
     assert len(image) == 1001
     full = image.index(9)
     assert image[full:] == [9] * (1001 - full)
-    assert asked == list(range(full + 1))
+    assert [len(algebra._slices) for algebra in made] == [full + 1]
 
 
 @st.composite

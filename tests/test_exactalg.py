@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelcurve.errors import InputError, InternalError
+from borelcurve.errors import InputError
 from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace, nullspace, rref,
-                                 solve_linear_system, to_fraction)
+                                 to_fraction)
 from borelcurve.rational import format_fraction
 
-from conftest import in_span, monomial_span, span_basis
+from conftest import definition_slices, in_span, monomial_span, span_basis
 
 
 def tup(degree, *coeffs):
@@ -95,8 +95,6 @@ def test_poly_basics():
     assert p(Fraction(1, 2)) == Fraction(2)
     assert Poly().degree == -1
     assert (p - p).is_zero()
-    assert Poly.monomial(3, 4).as_monomial() == (Fraction(3), 4)
-    assert (v + 1).as_monomial() is None
 
 
 @pytest.mark.parametrize("c", [0, 1, -3, Fraction(2, 7), "5/4", "0"])
@@ -145,22 +143,23 @@ def test_rowspace_is_canonical_under_insertion_order():
         a.add(v)
     for v in reversed(vecs):
         b.add(v)
-    assert a.basis_vectors() == b.basis_vectors()
+    assert (a.rows, a.pivots) == (b.rows, b.pivots)
     assert a.dim == 2
 
 
 def test_rowspace_coordinates_roundtrip():
+    """A vector that reduces to zero is the sum of the rows weighted by its
+    entries at the pivots; one outside the span leaves a remainder."""
     s = RowSpace(4)
     s.add((1, 0, 2, 1))
     s.add((0, 1, 1, 1))
     target = [Fraction(3), Fraction(-2), Fraction(4), Fraction(1)]
-    coords = s.coordinates(target)
-    assert coords is not None
+    assert not any(s.reduce(target))
     recon = [Fraction(0)] * 4
-    for c, row in zip(coords, s.basis_vectors()):
-        recon = [x + c * y for x, y in zip(recon, row)]
+    for p, row in zip(s.pivots, s.rows):
+        recon = [x + target[p] * y for x, y in zip(recon, row)]
     assert recon == target
-    assert s.coordinates((1, 1, 1, 1)) is None
+    assert any(s.reduce((1, 1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +200,6 @@ REJECTED = {
                                 "component-count mismatch between generators"),
     "coordinates at another r": (lambda: make_plane_algebra().coordinates(tup(1, 1, 1)),
                                  InputError, "component-count mismatch"),
-    "inconsistent system": (lambda: solve_linear_system([[1, 1], [1, 1]], [1, 2]),
-                            InternalError, "inconsistent linear system"),
-    "underdetermined system": (lambda: solve_linear_system([[1, 1]], [1]), InternalError,
-                               "linear system does not have a unique solution"),
-    "right-hand side too long": (lambda: solve_linear_system([[1]], [1, 5]), InputError,
-                                 "linear system has 1 equations and 2 right-hand sides"),
-    "right-hand side too short": (lambda: solve_linear_system([[1], [2]], [1]), InputError,
-                                  "linear system has 2 equations and 1 right-hand sides"),
-    "system of no equations": (lambda: solve_linear_system([], []), InputError,
-                               "linear system needs at least one equation"),
     "rref row shorter than the first": (lambda: rref([[1, 2], [3]]), InputError,
                                         "matrix rows differ in length"),
     "rref row longer than the first": (lambda: rref([[1], [2, 3]]), InputError,
@@ -253,7 +242,7 @@ def test_graded_basis_degree_one():
     span = RowSpace(3)
     for t in basis:
         span.add(t.coeffs)
-    assert span.contains((1, 1, 1)) and span.contains((0, 1, 2))
+    assert not any(span.reduce((1, 1, 1))) and not any(span.reduce((0, 1, 2)))
 
 
 def test_graded_basis_unit_only():
@@ -283,9 +272,14 @@ def test_member_examples():
 
 
 def test_member_at_high_degree_on_fresh_algebra():
-    # slices are built bottom-up, so no recursion depth grows with the degree
-    assert make_plane_algebra().member(tup(5000, 1, 1, 1))
+    """Slices are built bottom-up, so no recursion depth grows with the degree,
+    and none past the stop: the plane algebra is full from degree 2, and one
+    degree-1 generator with 40 distinct entries is full from degree 39."""
+    plane = make_plane_algebra()
+    assert plane.member(tup(5000, 1, 1, 1)) and len(plane._slices) == 3
     assert not GradedSubalgebra(2, [tup(2, 1, 1)]).member(tup(5001, 1, 0))
+    points = GradedSubalgebra(40, [HomTuple(1, tuple(range(40)))])
+    assert len(points.graded_basis(3000)) == 40 and len(points._slices) == 40
 
 
 def test_quotient_by_v_dims():
@@ -401,6 +395,45 @@ def test_kernel_basis_is_the_canonical_kernel(r, specs, subset, d):
     assert len(kernel) == len(slice_d) - len(on_subset)
 
 
+@given(st.integers(1, 6), st.lists(st.integers(0, 5), min_size=6, max_size=6),
+       st.lists(st.tuples(st.integers(1, 4), st.lists(small_fractions, min_size=6, max_size=6)),
+                max_size=3),
+       st.sets(st.integers(1, 6), min_size=1), st.one_of(st.integers(0, 12), st.just(200)))
+@example(6, [0, 0, 1, 1, 2, 2], [(1, [1, 2, 5, 0, 0, 0]), (3, [0, 1, 7, 0, 0, 0])], {1, 3}, 200)
+@example(3, [0, 1, 2, 0, 0, 0], [(1, [0, 1, 2, 0, 0, 0]), (2, [0, 0, 2, 0, 0, 0])], {2}, 200)
+@settings(max_examples=100, deadline=None)
+def test_every_question_past_the_stop_reads_the_definition(r, block, specs, subset, d):
+    """graded_basis, member, coordinates and kernel_basis at degree d agree
+    with the definition's V_d, built with no stop, and the algebra builds the
+    slices up to d or the certified stop (full, or K + 1 equal dimensions),
+    whichever comes first.  Generators constant on blocks of positions
+    plateau below r; the examples are PAIRED without v and the plane."""
+    gens = [HomTuple(degree, tuple(values[b] for b in block[:r])) for degree, values in specs]
+    subset = sorted(p for p in subset if p <= r) or list(range(1, r + 1))
+    slices = definition_slices(r, gens, d)
+    dims, k = [len(basis) for basis in slices], max((g.degree for g in gens), default=1)
+    stop = next(p for p in range(d + 1)
+                if p == d or dims[p] == r or p >= k and dims[p - k] == dims[p])
+    alg = GradedSubalgebra(r, gens)
+    basis = [t.coeffs for t in alg.graded_basis(d)]
+    _assert_reduced_echelon(basis)
+    assert len(basis) == dims[d] and all(in_span(slices[d], x) for x in basis)
+    target = tuple(sum((i + 1) * x[j] for i, x in enumerate(slices[d])) for j in range(r))
+    coords = alg.coordinates(HomTuple(d, target))
+    assert alg.member(HomTuple(d, target)) and coords is not None
+    assert tuple(sum(c * x[j] for c, x in zip(coords, basis)) for j in range(r)) == target
+    for j in range(r):
+        unit = tuple(int(i == j) for i in range(r))
+        assert alg.member(HomTuple(d, unit)) == in_span(slices[d], unit)
+        assert (alg.coordinates(HomTuple(d, unit)) is None) == (not in_span(slices[d], unit))
+    kernel = [t.coeffs for t in alg.kernel_basis(subset, d)]
+    _assert_reduced_echelon(kernel)
+    assert all(in_span(slices[d], x) and all(x[p - 1] == 0 for p in subset) for x in kernel)
+    on_subset = span_basis([[x[p - 1] for p in subset] for x in slices[d]])
+    assert len(kernel) == dims[d] - len(on_subset)
+    assert len(alg._slices) == stop + 1
+
+
 @given(st.integers(1, 4), st.booleans(), st.integers(0, 8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_hilbert_function_is_the_slice_dims(r, with_v, max_degree, data):
@@ -432,9 +465,10 @@ def _plateau_degree(dims, k):
 @settings(max_examples=80, deadline=None)
 def test_plateau_stop_matches_a_loop_without_stop(r, bound, data):
     """K + 1 equal dimensions in a row fill the rest of the Hilbert function
-    (K the largest generator degree, v's 1 included); a loop that builds every
-    slice agrees, and at most (first plateau degree) + K + 1 slices are built.
-    Generators constant on random blocks of positions plateau below r."""
+    (K the largest generator degree, v's 1 included); the slices of the
+    definition, built with no stop, agree, and at most (first plateau degree)
+    + K + 1 slices are built.  Generators constant on random blocks of
+    positions plateau below r."""
     block = [data.draw(st.integers(0, r - 1)) for _ in range(r)]
     gens = [HomTuple(data.draw(st.integers(1, 4)),
                      tuple(values[b] for b in block))
@@ -443,8 +477,7 @@ def test_plateau_stop_matches_a_loop_without_stop(r, bound, data):
     gens.append(HomTuple.ones(r, 1))
     k = max(g.degree for g in gens)
     alg = GradedSubalgebra(r, gens)
-    unstopped = GradedSubalgebra(r, gens)
-    dims = [unstopped._slice(d).dim for d in range(max(bound, 0) + 2 * k + 2 * r + 1)]
+    dims = [len(basis) for basis in definition_slices(r, gens, bound + 2 * k + 2 * r)]
     assert alg.hilbert_function(bound) == dims[:bound + 1]
     assert len(alg._slices) <= _plateau_degree(dims, k) + k + 1
 
@@ -464,12 +497,15 @@ def test_plateau_builds_plateau_plus_k_slices():
 
 
 def test_a_slice_past_the_plateau_adds_no_vector(monkeypatch):
-    """Past the plateau every N the slice rule reads is empty, so the next
-    slice is a copy of the last one and RowSpace.add is never called."""
+    """Past the plateau every slice is the last one built, so a question at
+    degree 200 builds no slice and RowSpace.add is never called."""
     alg = GradedSubalgebra(6, PAIRED)
     alg.hilbert_function(200)
+    built = len(alg._slices)
     added = []
     original = RowSpace.add
     monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or original(self, vec))
-    assert alg._slice(len(alg._slices)).dim == 3
+    assert alg.member(HomTuple(200, PAIRED[0].coeffs))
+    assert len(alg.graded_basis(200)) == 3
+    assert len(alg._slices) == built
     assert added == []

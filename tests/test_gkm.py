@@ -40,7 +40,7 @@ def test_edge_is_a_pair_or_a_triple(edge):
 
 
 def test_connectivity(curves_union_graph):
-    assert curves_union_graph.is_connected()
+    assert len(curves_union_graph.connected_components()) == 1
     g = GKMGraph((1, 2, 3), ((1, 2, 1),))
     assert g.connected_components() == [(1, 2), (3,)]
 
@@ -251,7 +251,6 @@ def test_verdicts_count_no_components(monkeypatch, plane_ring, curves_union_grap
         raise AssertionError("a verdict path searched the graph's components")
 
     monkeypatch.setattr(GKMGraph, "connected_components", refuse)
-    monkeypatch.setattr(GKMGraph, "is_connected", refuse)
     split = GKMGraph((1, 2, 3), ((1, 2, 3), (1, 2, 1)))
     assert principal_verdict(plane_ring, curves_union_graph).status == "NotPrincipal"
     assert principal_verdict(plane_ring, split, 5).gkm_hilbert == (2, 2, 2, 3, 3, 3)

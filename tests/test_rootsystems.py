@@ -4,7 +4,7 @@ import pytest
 
 from borelcurve import rootsystems
 from borelcurve.errors import InputError, InternalError
-from borelcurve.exactalg import solve_linear_system
+from borelcurve.exactalg import rref
 from borelcurve.rootsystems import (MAX_DEGREE_SUM, MAX_RANK, PoincarePoly, RootSystem,
                                     heights, km_poincare, poincare_from_degrees, positive_roots,
                                     weyl_length_genfun, weyl_order)
@@ -40,7 +40,9 @@ def test_heights_match_linear_solve(family, rank):
     matrix = [[s[i] for s in rs.simple_roots] for i in range(len(rs.simple_roots[0]))]
     expected = []
     for root in rs.positive_roots:
-        coeffs = solve_linear_system(matrix, root)
+        red, pivots = rref([row + [x] for row, x in zip(matrix, root)])
+        assert pivots == list(range(rank))  # one consistent solution
+        coeffs = [row[-1] for row in red]
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         expected.append(int(sum(coeffs)))
     assert heights(rs) == expected
