@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
 from .errors import InputError, InternalError, ascii_int, labels, to_int
-from .rational import HomTuple, to_fraction
+from .rational import HomTuple, _cleared, to_fraction
 from .record import Record
 
 if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
@@ -134,12 +134,10 @@ def tangent_bundle(model) -> BundleData:
 
 
 def _elementary_all(values: Sequence) -> list[Fraction]:
-    """[e_0, ..., e_n] of a multiset, by iterated convolution (over int while
-    the values are integers, as the weights of split fibres are)."""
+    """[e_0, ..., e_n] of a multiset of ints or Fractions, by iterated
+    convolution (over int when the values are ints, as split-fibre weights are)."""
     coeffs = [1] + [0] * len(values)
-    for val in values:
-        v = to_fraction(val)
-        v = v.numerator if v.denominator == 1 else v
+    for v in values:
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
     return [Fraction(c) for c in coeffs]
@@ -147,15 +145,7 @@ def _elementary_all(values: Sequence) -> list[Fraction]:
 
 def elementary_symmetric(values: Sequence, k: int) -> Fraction:
     """e_k of a multiset."""
-    return _elementary_all(values)[to_int(k, 0, len(values), "k")]
-
-
-def _cleared(m: Matrix) -> tuple[int, Matrix]:
-    """(D, D m): D is the lcm of the entry denominators (1 if none), D m over int."""
-    d = 1
-    for q in {x.denominator for row in m for x in row}:
-        d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+    return _elementary_all([to_fraction(v) for v in values])[to_int(k, 0, len(values), "k")]
 
 
 def _exterior_traces(m: Matrix) -> list[Fraction]:

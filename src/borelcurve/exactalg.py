@@ -5,7 +5,8 @@ componentwise operations), whose homogeneous elements (HomTuple) live in the
 scalar layer `rational` together with the rationals; those names are
 re-exported here, and the polynomials of `poly` on first access (PEP 562).
 Every ring-theoretic question about a finitely generated graded subalgebra
-reduces to exact linear algebra over Q^r, one degree slice at a time.
+reduces to exact linear algebra over Q^r, one degree slice at a time, kept
+as integer echelon rows; only `rref` builds a reduced basis over Q.
 
 Degrees are half the cohomological degree (the torus weight convention makes
 all weights even); presentation layers double them when reporting.
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, labels, to_int
 from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
-    HomTuple, Vec, _hadamard, to_fraction)
+    HomTuple, Vec, _cleared, _hadamard, to_fraction)
 
 
 def __getattr__(name):
@@ -35,18 +36,25 @@ def __getattr__(name):
 def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    A subspace has one reduced echelon basis: its pivots are the columns at
-    which the span's projection onto the leading coordinates grows, and each
-    row is the one vector of the span that is 1 at its pivot and 0 at the
-    others.  So it is the basis a RowSpace of the rows keeps.
+    A subspace has one reduced echelon basis, whatever rows span it: its
+    pivots are the columns at which the span's projection onto the leading
+    coordinates grows, and each row is the one vector of the span that is 1
+    at its pivot and 0 at the others.  Back-substitution over Fraction, from
+    the last row up, reads it off the echelon rows of a RowSpace.
     """
-    m = [list(row) for row in rows]
+    m = [[to_fraction(x) for x in row] for row in rows]
     if any(len(row) != len(m[0]) for row in m):
         raise InputError("matrix rows differ in length")
     space = RowSpace(len(m[0]) if m else 0)
     for row in m:
         space.add(row)
-    return space.rows, space.pivots
+    red = [[Fraction(x, row[p]) for x in row] for row, p in zip(space.rows, space.pivots)]
+    for i in reversed(range(len(red))):
+        for j in range(i):
+            c = red[j][space.pivots[i]]
+            if c:
+                red[j] = [a - c * b for a, b in zip(red[j], red[i])]
+    return red, space.pivots
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
@@ -66,45 +74,43 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
 
 
 class RowSpace:
-    """Incrementally maintained canonical (RREF) basis of a subspace of Q^ncols.
-
-    Rows are kept fully reduced with pivot entries 1 and pivot columns sorted,
-    so the basis does not depend on insertion order.  `add` inserts a vector
-    and `reduce` returns its remainder: a vector lies in the span when that is
-    zero, and its coefficients over `rows` are then its entries at `pivots`.
+    """Fraction-free echelon basis of a subspace of Q^ncols: each row is a list
+    of ints with gcd 1, positive at its pivot and 0 before it, pivots increase
+    down the rows, and no row is edited once inserted.  `reduce` clears a
+    vector's denominators and each pivot by x <- a x - c row (a the row's pivot
+    entry, c the entry of x there): an integer multiple of its remainder, zero
+    exactly when it lies in the span.  `add` inserts that divided by its gcd.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence) -> list[Fraction]:
-        v = [to_fraction(x) for x in vec]
+    def reduce(self, vec: Sequence) -> list[int]:
+        v = list(_cleared((vec,))[1][0])
         for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
+            a, c = row[p], v[p]
+            if c:
+                v = [a * x - c * y for x, y in zip(v, row)]
         return v
 
     def add(self, vec: Sequence) -> bool:
         """Insert the vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(v) if c != 0), None)
+        pivot = next((i for i, c in enumerate(v) if c), None)
         if pivot is None:
             return False
-        inv = 1 / v[pivot]
-        v = [c * inv for c in v]
-        for i in range(len(self.rows)):
-            c = self.rows[i][pivot]
-            if c != 0:
-                self.rows[i] = [a - c * b for a, b in zip(self.rows[i], v)]
+        g = 0
+        for c in reversed(v):  # ends at the pivot: g = its sign times the gcd
+            if c:  # the denominator of g / c is |c| / gcd(g, c)
+                g = c // Fraction(g, c).denominator
         at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
+        self.rows.insert(at, [c // g for c in v])
         self.pivots.insert(at, pivot)
         return True
 
@@ -121,13 +127,13 @@ class GradedSubalgebra:
     The degree-d slice is the linear subspace V_d of Q^r spanned by the
     coefficient vectors of all degree-d products of v and the generators.
     As v o V_(d-1) = V_(d-1) (o = Hadamard product), the slices form a chain
-    V_0 <= V_1 <= ...  Let N_j be the canonical rows of V_j whose pivots
+    V_0 <= V_1 <= ...  Let N_j be the echelon rows of V_j whose pivots
     V_(j-1) lacks (N_0 the unit); they span V_j together with V_(j-1), and
     g o V_(k-e-1) <= V_(k-1) for a generator g of degree e, so
 
         V_k = V_(k-1) + span( g o w : g a generator other than v, w in N_(k-e) ).
 
-    Slices are built bottom-up and cached as canonical RREF bases; V_k starts
+    Slices are built bottom-up as RowSpaces, recording each N_j; V_k starts
     from a copy of V_(k-1), which is v's share, so no product by v is formed.
 
     Once some V_D is all of Q^r every later slice is too.  Below Q^r the
@@ -147,18 +153,15 @@ class GradedSubalgebra:
                 raise InputError("component-count mismatch between generators")
             to_int(g.degree, 1, name="generator degree")
         self.generators = gens
-        self._products = tuple(g for g in gens if g != HomTuple.ones(self.r, 1))
+        # (degree, g cleared of denominators) for each generator g but v
+        self._products = tuple((g.degree, _cleared((g.coeffs,))[1][0])
+                               for g in gens if g != HomTuple.ones(self.r, 1))
         self._k = max((g.degree for g in gens), default=1)
         self._slices: list[RowSpace] = []
+        self._new: list[list[list[int]]] = []  # N_0, N_1, ...
         self._stopped = False
 
     # -- slice construction --------------------------------------------------
-
-    def _new_rows(self, j: int) -> list[list[Fraction]]:
-        """N_j: the rows of V_j whose pivots V_(j-1) lacks."""
-        space = self._slices[j]
-        old = set(self._slices[j - 1].pivots) if j else ()
-        return [row for row, p in zip(space.rows, space.pivots) if p not in old]
 
     def _slice(self, d: int) -> RowSpace:
         """The degree-d slice.  Missing degrees are built bottom-up, up to d or
@@ -167,16 +170,17 @@ class GradedSubalgebra:
         built = self._slices
         while len(built) <= d and not self._stopped:
             k = len(built)
-            space = RowSpace(self.r)
+            below = built[-1] if built else RowSpace(self.r)  # V_(k-1), 0 below V_0
+            space = RowSpace(self.r)  # starts as v's share V_(k-1); no row is ever edited
+            space.rows, space.pivots = list(below.rows), list(below.pivots)
             if k == 0:
-                space.add((Fraction(1),) * self.r)
-            else:  # v's share; RowSpace.add replaces rows and never edits one
-                below = built[k - 1]
-                space.rows, space.pivots = list(below.rows), list(below.pivots)
-            for g in self._products:
-                if g.degree <= k:
-                    for w in self._new_rows(k - g.degree):
-                        space.add(_hadamard(g.coeffs, w))
+                space.add((1,) * self.r)
+            for e, g in self._products:
+                if e <= k:
+                    for w in self._new[k - e]:
+                        space.add(_hadamard(g, w))
+            old = set(below.pivots)
+            self._new.append([row for row, p in zip(space.rows, space.pivots) if p not in old])
             built.append(space)
             self._stopped = space.dim == self.r or (
                 k >= self._k and built[k - self._k].dim == space.dim)
@@ -185,8 +189,8 @@ class GradedSubalgebra:
     # -- the public operations -------------------------------------------------
 
     def graded_basis(self, d: int) -> list[HomTuple]:
-        """Canonical row-reduced basis of the degree-d slice."""
-        return [HomTuple(d, row) for row in self._slice(d).rows]
+        """Canonical basis of the degree-d slice: the rref of its rows."""
+        return [HomTuple(d, row) for row in rref(self._slice(d).rows)[0]]
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]: the dimensions of the slices built
@@ -221,13 +225,10 @@ class GradedSubalgebra:
         """Canonical basis of {x in V_d : x_i = 0 for i in subset} (1-based
         labels), the degree-d piece of the ideal of the sub-curve over them.
 
-        The reduced echelon rows of the span of (x on the subset, x), x in V_d,
-        with a pivot past the first |subset| columns are 0 there and span every
-        such vector; dropping those columns leaves them reduced, so canonical.
+        The rref rows of the span of (x on the subset, x), x in V_d, with a
+        pivot past the first |subset| columns are 0 there and span every such
+        vector; dropping those columns leaves them reduced, so canonical.
         """
         pos = labels(subset, self.r, "component labels")
-        space = RowSpace(len(pos) + self.r)
-        for row in self._slice(d).rows:
-            space.add([row[p - 1] for p in pos] + row)
-        return [HomTuple(d, row[len(pos):])
-                for row, p in zip(space.rows, space.pivots) if p >= len(pos)]
+        red, pivots = rref([row[p - 1] for p in pos] + row for row in self._slice(d).rows)
+        return [HomTuple(d, row[len(pos):]) for row, p in zip(red, pivots) if p >= len(pos)]

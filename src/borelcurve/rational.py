@@ -70,6 +70,14 @@ def degree_bound(max_degree, default: int | None) -> int | None:
     return max_degree
 
 
+def _cleared(m: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D m) over int: D is the lcm of the entry denominators (1 if none)."""
+    d = 1
+    for q in {x.denominator for row in m for x in row}:
+        d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+
+
 def format_fraction(q: Fraction) -> str:
     """Render as 'p' or 'p/q' (the serialization used in all JSON output)."""
     if q.denominator == 1:

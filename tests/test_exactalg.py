@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -136,6 +137,8 @@ def test_rref_is_a_reduced_echelon_basis_of_the_span(rows):
 
 
 def test_rowspace_is_canonical_under_insertion_order():
+    """The echelon rows depend on the insertion order; the pivots, the
+    dimension and the rref of the rows do not."""
     a = RowSpace(3)
     b = RowSpace(3)
     vecs = [(1, 2, 3), (0, 1, 1), (1, 3, 4)]
@@ -143,23 +146,60 @@ def test_rowspace_is_canonical_under_insertion_order():
         a.add(v)
     for v in reversed(vecs):
         b.add(v)
-    assert (a.rows, a.pivots) == (b.rows, b.pivots)
-    assert a.dim == 2
+    assert a.pivots == b.pivots and a.dim == b.dim == 2
+    assert rref(a.rows) == rref(b.rows)
 
 
 def test_rowspace_coordinates_roundtrip():
-    """A vector that reduces to zero is the sum of the rows weighted by its
-    entries at the pivots; one outside the span leaves a remainder."""
+    """A vector that reduces to zero is the sum of the rref rows weighted by
+    its entries at the pivots; one outside the span leaves a remainder.  The
+    echelon rows themselves are not reduced here."""
     s = RowSpace(4)
+    s.add((1, 1, 3, 2))
     s.add((1, 0, 2, 1))
-    s.add((0, 1, 1, 1))
     target = [Fraction(3), Fraction(-2), Fraction(4), Fraction(1)]
     assert not any(s.reduce(target))
+    red, pivots = rref(s.rows)
+    assert s.rows == [[1, 1, 3, 2], [0, 1, 1, 1]] and red == [[1, 0, 2, 1], [0, 1, 1, 1]]
     recon = [Fraction(0)] * 4
-    for p, row in zip(s.pivots, s.rows):
+    for p, row in zip(pivots, red):
         recon = [x + target[p] * y for x, y in zip(recon, row)]
     assert recon == target
     assert any(s.reduce((1, 1, 1, 1)))
+
+
+def _rationals(rows):
+    return [[to_fraction(x) for x in row] for row in rows]
+
+
+vectors = st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/6"]),
+                            min_size=4, max_size=4), max_size=7).map(_rationals)
+
+
+@given(vectors.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))), vectors)
+@example((_rationals([[0, 0, 0, 0], [1, 2, 0, 0], [1, 2, 0, 0], [-2, -4, 0, 0]]),) * 2,
+         _rationals([[2, 4, 0, 0], [0, 0, 0, 1]]))
+@settings(max_examples=300, deadline=None)
+def test_integer_echelon_matches_the_oracle(drawn, probes):
+    """RowSpace against the independent reduction of conftest, over rational
+    vectors inserted in a drawn order (denominators, negative entries, zeros,
+    repeats and the zero vector): the dimension, membership, primitive integer
+    rows with increasing pivots that no later insert edits, and an rref that
+    the insertion order does not change."""
+    rows, order = drawn
+    space = RowSpace(4)
+    for i, vec in enumerate(order):
+        kept = [(row, list(row)) for row in space.rows]
+        space.add(vec)
+        assert all(any(row is new for new in space.rows) and row == copy for row, copy in kept)
+        assert space.dim == len(span_basis(order[:i + 1]))
+    for row, p in zip(space.rows, space.pivots):
+        assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+        assert row[p] > 0 and not any(row[:p])
+    assert space.pivots == sorted(set(space.pivots))
+    for x in rows + probes:
+        assert (not any(space.reduce(x))) == in_span(span_basis(rows), x)
+    assert rref(space.rows) == rref(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +538,16 @@ def test_plateau_builds_plateau_plus_k_slices():
 
 def test_a_slice_past_the_plateau_adds_no_vector(monkeypatch):
     """Past the plateau every slice is the last one built, so a question at
-    degree 200 builds no slice and RowSpace.add is never called."""
+    degree 200 builds no slice and adds no vector to one (graded_basis adds
+    rows only to the scratch RowSpace of rref)."""
     alg = GradedSubalgebra(6, PAIRED)
     alg.hilbert_function(200)
     built = len(alg._slices)
-    added = []
+    added_to = []
     original = RowSpace.add
-    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or original(self, vec))
+    monkeypatch.setattr(RowSpace, "add",
+                        lambda self, vec: added_to.append(self) or original(self, vec))
     assert alg.member(HomTuple(200, PAIRED[0].coeffs))
     assert len(alg.graded_basis(200)) == 3
     assert len(alg._slices) == built
-    assert added == []
+    assert not any(space is s for space in added_to for s in alg._slices)
