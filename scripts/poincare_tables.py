@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print Kostant-Macdonald polynomials for the supported root systems and
 cross-check each row: the exponent route of `exponents.poincare` against the
-root tables (their height walk and product formula), and both against
+root tables (their height pairing and product formula), and both against
 brute-force Weyl group enumeration.
 
 Run:  python3 scripts/poincare_tables.py

@@ -43,8 +43,6 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     the last row up, reads it off the echelon rows of a RowSpace.
     """
     m = [[to_fraction(x) for x in row] for row in rows]
-    if any(len(row) != len(m[0]) for row in m):
-        raise InputError("matrix rows differ in length")
     space = RowSpace(len(m[0]) if m else 0)
     for row in m:
         space.add(row)
@@ -92,6 +90,8 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, vec: Sequence) -> list[int]:
+        if len(vec) != self.ncols:
+            raise InputError("matrix rows differ in length")
         v = list(_cleared((vec,))[1][0])
         for row, p in zip(self.rows, self.pivots):
             a, c = row[p], v[p]

@@ -8,7 +8,7 @@ over root heights telescopes to
 
 where [m]_t = 1 + t + ... + t^(m-1), and |W| = prod_i (m_i + 1).  A table of
 exponents therefore gives the heights, the polynomial and the Weyl group
-order; `rootsystems` keeps the root tables and the height walk as the
+order; `rootsystems` keeps the root tables and the height pairing as the
 independent oracle for this table.  Everything here is integer arithmetic.
 """
 

@@ -101,6 +101,8 @@ class HomTuple(Record):
 
     def __post_init__(self):
         to_int(self.degree, 0, name="tuple degree")
+        if isinstance(self.coeffs, str):
+            raise InputError(f"tuple coeffs must be a list, not the string {self.coeffs!r}")
         object.__setattr__(self, "coeffs", tuple(to_fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise InputError("tuple needs at least one component")

@@ -3,10 +3,9 @@
 Positive roots are kept as integer vectors in a standard orthogonal
 realization (F4 is scaled by 2 to stay integral; scaling does not change
 reflections or simple-root coefficients).  The height of a root is the sum of
-its coefficients over the simple roots.  Every positive root is reached from a
-simple root by adding simple roots one at a time with every partial sum a
-root, so a breadth-first walk over the table that carries integer coefficient
-vectors along finds every height without solving a linear system.
+its coefficients over the simple roots; it is read off Kostant's principal
+h = 2 rho^v, which pairs to 2 with every simple root, as the integer pairing
+ht(a) = a(h)/2 = sum_{b > 0} (a, b)/(b, b), without solving a linear system.
 
 km_poincare evaluates the Kostant-Macdonald product over positive-root
 heights,
@@ -16,10 +15,10 @@ heights,
 with exact polynomial division.  The rank check, `PoincarePoly`, the product
 formula and `poincare_from_degrees` live in `exponents` and are imported back
 here.  The CLI reads its answers off the exponent table there; these root
-tables, the walk and the classical root counts and Weyl group orders are the
-independent oracle for it.  weyl_length_genfun recounts the same
-polynomial by walking the Weyl group on the Cartan integers of a regular
-weight.  Everything here is integer arithmetic.
+tables, the height pairing and the classical root counts and Weyl group
+orders are the independent oracle for it.  weyl_length_genfun recounts the
+same polynomial by walking the Weyl group on the Cartan integers of a
+regular weight.  Everything here is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class RootSystem(Record):
 
 def _unit(dim: int, i: int, scale: int = 1) -> tuple[int, ...]:
     return tuple(scale * (k == i) for k in range(dim))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _pairs(dim: int, signs=(-1, 1), scale: int = 1) -> list[tuple[int, ...]]:
@@ -129,40 +124,30 @@ def weyl_order(family: str, rank: int) -> int:
 def heights(rs: RootSystem) -> list[int]:
     """Height of each positive root: sum of its simple-root coefficients.
 
-    Breadth-first from the simple roots (unit coefficient vectors): adding
-    simple root k to a reached root that sums to a listed root reaches that
-    root with coefficient k raised by one.  A root never reached, or reached
-    with two different expansions, breaks the table.
+    Kostant's principal h = 2 rho^v pairs to 2 with every simple root, so
+    ht(a) = a(h)/2 = sum_{b > 0} (a, b)/(b, b) = (a, p)/L over int, with L
+    the largest (b, b), which every (b, b) divides, and p = sum_b (L/(b, b)) b.
+    A length that does not divide L, a height that is not a positive integer,
+    or a simple root not at height 1 breaks the table.
     """
-    simple = rs.simple_roots
-    listed = set(rs.positive_roots)
-    expansion = {root: tuple(int(i == k) for i in range(len(simple)))
-                 for k, root in enumerate(simple)}
-    frontier = list(expansion)
-    while frontier:
-        reached = []
-        for root in frontier:
-            coeffs = expansion[root]
-            for k, s in enumerate(simple):
-                total = _add(root, s)
-                if total not in listed:
-                    continue
-                raised = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
-                known = expansion.get(total)
-                if known is None:
-                    expansion[total] = raised
-                    reached.append(total)
-                elif known != raised:
-                    raise InternalError(f"root {total} has two simple-root expansions "
-                                        f"{known} and {raised}")
-        frontier = reached
-    out = []
-    for root in rs.positive_roots:
-        if root not in expansion:
-            raise InternalError(f"root {root} is not a non-negative integer "
-                                "combination of simple roots")
-        out.append(sum(expansion[root]))
-    return out
+    norms = [sum(map(mul, b, b)) for b in rs.positive_roots]
+    longest = max(norms)
+    for b, n in zip(rs.positive_roots, norms):
+        if longest % n:
+            raise InternalError(f"squared length {n} of root {b} does not divide {longest}")
+    p = [sum(longest // n * x for n, x in zip(norms, col)) for col in zip(*rs.positive_roots)]
+
+    def height(a):
+        h, rem = divmod(sum(map(mul, a, p)), longest)
+        if rem or h < 1:
+            raise InternalError(f"root {a} has height {h * longest + rem}/{longest}, "
+                                "not a positive integer")
+        return h
+
+    for a in rs.simple_roots:
+        if height(a) != 1:
+            raise InternalError(f"simple root {a} is not at height 1")
+    return [height(a) for a in rs.positive_roots]
 
 
 def km_poincare(rs: RootSystem) -> PoincarePoly:

@@ -302,6 +302,35 @@ def test_sl2_family_checks_catch_a_wrong_product(monkeypatch, wrong):
         oracles.sl2_family_checks()
 
 
+_W = ((1, 0), (0, -1))
+_LIMIT = oracles._limit_at_zero
+_CALL = Poly.__call__
+
+
+def _w_after_a_fraction(a, b):
+    """a b, except W a when b is W and a has a non-integer entry."""
+    if b == _W and any(x.denominator != 1 for row in a for x in row):
+        return _PRODUCT(b, a)
+    return _PRODUCT(a, b)
+
+
+@pytest.mark.parametrize("owner, name, wrong, message", [
+    (oracles, "_mat_mul", lambda a, b: _PRODUCT(b, a) if b == _W else _PRODUCT(a, b),
+     "phi(u) W phi(-u) != W - 2u N"),
+    (oracles, "_mat_mul", _w_after_a_fraction, "v * Ad(phi(1/v)) W != v W - 2 N"),
+    (oracles, "_limit_at_zero", lambda num, den: _LIMIT(num, den) + 1,
+     "family limit has the wrong off-diagonal entry"),
+    (Poly, "__call__", lambda p, x: _CALL(p, x) + 1, "s(0) != -2N"),
+], ids=["W-on-the-right", "W-after-a-fraction", "limit-off-by-one", "value-off-by-one"])
+def test_sl2_family_checks_catch_each_broken_step(monkeypatch, owner, name, wrong, message):
+    """A product wrong only for W on the right, or only for W after a
+    non-integer matrix, breaks the first or the second identity of (ii); a
+    limit off by one breaks (iii), a polynomial value off by one s(0)."""
+    monkeypatch.setattr(owner, name, wrong)
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        oracles.sl2_family_checks()
+
+
 @pytest.mark.parametrize("num, den, limit", [
     ((), (0, 1), 0),               # zero numerator
     ((0, 0, 2), (0, 0, 1, 1), 2),  # 2v^2 / (v^2 + v^3): the common v^2 cancels

@@ -231,6 +231,12 @@ def test_homtuple_product_and_errors():
 
 
 # name -> (a call that must fail, its exception, its exact message)
+def _spanned_by(vec) -> RowSpace:
+    space = RowSpace(len(vec))
+    space.add(vec)
+    return space
+
+
 REJECTED = {
     "empty tuple": (lambda: HomTuple(0, ()), InputError,
                     "tuple needs at least one component"),
@@ -248,6 +254,15 @@ REJECTED = {
                                          "matrix rows must have 3 entries"),
     "nullspace row longer than ncols": (lambda: nullspace([[1, 2, 3]], 2), InputError,
                                         "matrix rows must have 2 entries"),
+    "RowSpace reduce of a longer vector": (lambda: _spanned_by((1, 2, 3)).reduce((1, 2, 3, 4)),
+                                           InputError, "matrix rows differ in length"),
+    "RowSpace add of a shorter vector": (lambda: _spanned_by((1, 2, 3)).add((5,)), InputError,
+                                         "matrix rows differ in length"),
+    "tuple coeffs as a string": (lambda: HomTuple(1, "123"), InputError,
+                                 "tuple coeffs must be a list, not the string '123'"),
+    "serialized tuple coeffs as a string": (
+        lambda: HomTuple.from_json({"degree": 1, "coeffs": "123"}), InputError,
+        "tuple coeffs must be a list, not the string '123'"),
 }
 
 
