@@ -33,17 +33,14 @@ exp_e load the polynomials of `poly`, when they run.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import InputError, InternalError, to_int
-from .rational import format_fraction, to_fraction
-from .record import Record
+from .errors import InputError, InternalError, Record, to_int
+from .rational import Matrix, _as_matrix, _mat_mul, format_fraction, to_fraction
 
 if TYPE_CHECKING:  # loaded by the two functions that build polynomials, when they run
     from .poly import Poly
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -76,25 +73,6 @@ class CurveComponent(Record):
             "homogeneous_coords": [[format_fraction(c) for c in p.coeffs]
                                    for p in self.homog_coords],
         }
-
-
-def _mat_mul(a, b):
-    """The exact product a b of two int or Fraction matrices."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _as_list(x):
-    if not isinstance(x, (list, tuple)):
-        raise InputError(f"expected a list, got {x!r}")
-    return x
-
-
-def _as_matrix(rows, size: int) -> Matrix:
-    m = tuple(tuple(map(to_fraction, _as_list(row))) for row in _as_list(rows))
-    if len(m) != size or any(len(row) != size for row in m):
-        raise InputError(f"expected a {size}x{size} matrix")
-    return m
 
 
 def validate(model: ActionModel) -> ActionModel:

@@ -23,16 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .action import _as_list, _as_matrix, _mat_mul
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError, ascii_int, labels, to_int
-from .rational import HomTuple, _cleared, to_fraction
-from .record import Record
+from .errors import InputError, InternalError, Record, ascii_int, labels, to_int
+from .rational import HomTuple, Matrix, _as_list, _as_matrix, _cleared, _mat_mul, to_fraction
 
 if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
     from .gkm import GKMGraph, PrincipalityVerdict
-
-Matrix = tuple[tuple, ...]
 
 
 class SplitFibre(Record):

@@ -23,9 +23,8 @@ from typing import Iterable
 
 from .action import ActionModel, big_cell_degrees
 from .action import component_parametrization  # noqa: F401  bench/test_bench.py patches it here
-from .errors import InputError, InternalError, labels, to_int
+from .errors import InputError, InternalError, Record, labels, to_int
 from .rational import HomTuple, degree_bound
-from .record import Record
 
 
 class NodeAlgebra:

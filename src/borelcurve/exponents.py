@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import InputError, InternalError, to_int
-from .record import Record
+from .errors import InputError, InternalError, Record, to_int
 
 MAX_RANK = 8
 

@@ -27,9 +27,8 @@ import warnings
 from bisect import bisect_right
 
 from .curve import CurveRing, restrict
-from .errors import InputError, labels, to_int
+from .errors import InputError, Record, labels, to_int
 from .rational import MAX_DEGREE, HomTuple, degree_bound
-from .record import Record
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"

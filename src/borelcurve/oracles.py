@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .action import ActionModel, _mat_mul, component_parametrization
+from .action import ActionModel, component_parametrization
 from .errors import InputError, InternalError
 from .poly import Poly
-from .rational import to_fraction
+from .rational import _mat_mul, to_fraction
 
 
 def check_fixed_point_return(model: ActionModel, j: int, v0) -> bool:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import to_int
+from .errors import Record, to_int
 from .rational import to_fraction
-from .record import Record
 
 _ZERO = Fraction(0)
 

@@ -4,9 +4,11 @@ Q[v] + ... + Q[v] (r copies, componentwise operations).
 A homogeneous element of degree d is a tuple (c_1 v^d, ..., c_r v^d) and is
 stored as the pair (d, (c_1, ..., c_r)); the product of homogeneous elements
 multiplies coefficient vectors componentwise (Hadamard product) and adds
-degrees.  Kept apart from the linear algebra in exactalg, so that a run that
-needs only values (action, curve) does not load or compile it, and from the
-polynomials in `poly`, which only parametrizations and oracles use.
+degrees.  The exact-matrix helpers that action, chern and the oracles share
+(`_as_matrix` reads a square matrix of rationals, `_mat_mul` multiplies two)
+live here too.  Kept apart from the linear algebra in exactalg, so that a run
+that needs only values (action, curve) does not load or compile it, and from
+the polynomials in `poly`, which only parametrizations and oracles use.
 
 No floating point exists anywhere in this package: coefficients are
 fractions.Fraction throughout and float inputs are rejected.
@@ -15,12 +17,13 @@ fractions.Fraction throughout and float inputs are rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import InputError, to_int
-from .record import Record
+from .errors import InputError, Record, to_int
 
 Vec = tuple[Fraction, ...]
+Matrix = tuple[Vec, ...]
 
 # Largest degree accepted from input (edge multiplicities, degree_bound).
 # Answers stop changing at degree n (curve) or the largest multiplicity.
@@ -76,6 +79,25 @@ def _cleared(m: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for q in {x.denominator for row in m for x in row}:
         d *= Fraction(d, q).denominator  # q / gcd(d, q): d becomes lcm(d, q)
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+
+
+def _as_list(x):
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"expected a list, got {x!r}")
+    return x
+
+
+def _as_matrix(rows, size: int) -> Matrix:
+    m = tuple(tuple(map(to_fraction, _as_list(row))) for row in _as_list(rows))
+    if len(m) != size or any(len(row) != size for row in m):
+        raise InputError(f"expected a {size}x{size} matrix")
+    return m
+
+
+def _mat_mul(a, b):
+    """The exact product a b of two int or Fraction matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def format_fraction(q: Fraction) -> str:

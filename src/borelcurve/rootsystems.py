@@ -26,10 +26,9 @@ from __future__ import annotations
 from math import factorial
 from operator import mul
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, Record
 from .exponents import MAX_DEGREE_SUM, MAX_RANK, poincare_from_degrees  # noqa: F401
 from .exponents import PoincarePoly, _product_formula, exponents
-from .record import Record
 
 
 class RootSystem(Record):

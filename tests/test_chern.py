@@ -13,7 +13,7 @@ from borelcurve.chern import (BundleData, MatrixFibre, SplitFibre, bundle_from_j
 from borelcurve.curve import build_curve_ring
 from borelcurve.errors import InputError
 from borelcurve.exactalg import HomTuple
-from borelcurve.gkm import GKMGraph
+from borelcurve.gkm import GKMGraph, GKMRing
 
 from test_action import regular_models
 
@@ -158,10 +158,10 @@ def test_matrix_fibre_reads_its_own_matrices():
 def test_bundle_from_json_reads_each_matrix_entry_once(monkeypatch):
     """Two rank-3 matrix fibres hold 36 entries; each goes through
     to_fraction once, and make_bundle checks the fibres it is given."""
-    import borelcurve.action
+    import borelcurve.rational
     calls = []
-    real = borelcurve.action.to_fraction
-    monkeypatch.setattr(borelcurve.action, "to_fraction", lambda x: calls.append(x) or real(x))
+    real = borelcurve.rational.to_fraction
+    monkeypatch.setattr(borelcurve.rational, "to_fraction", lambda x: calls.append(x) or real(x))
     fibre = {"rho_W": _W3, "rho_V": _V3}
     bundle = bundle_from_json({"rank": 3, "fibres": {"1": fibre, "2": fibre}})
     assert len(calls) == 36
@@ -547,3 +547,34 @@ def test_default_chern_verdict_matches_former_truncation(model, data):
     assert default.bound == s
     assert (default.status, default.witness) == (far.status, far.witness)
     assert default.image_hilbert == far.image_hilbert[:s + 1]
+
+
+@st.composite
+def _graphs_and_congruence_generators(draw):
+    """A random multigraph on 2-7 vertices, multiplicities 1-4, and random
+    integer combinations of its congruence ring's basis at degrees 1-5."""
+    r = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 4)), max_size=12))
+    graph = GKMGraph(tuple(range(1, r + 1)), tuple((i, j, m) for (i, j), m in edges))
+    ring = GKMRing(graph)
+    gens = []
+    for d in draw(st.lists(st.integers(1, 5), max_size=4)):
+        basis = ring.basis(d)
+        weights = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        gens.append(HomTuple(d, [sum(w * c for w, c in zip(weights, column))
+                                 for column in zip(*(t.coeffs for t in basis))]))
+    return graph, gens
+
+
+@given(_graphs_and_congruence_generators())
+@settings(max_examples=80, deadline=None)
+def test_generated_slices_never_exceed_the_congruence_ring(case):
+    """Congruences are closed under products, so classes that satisfy them
+    generate, with the unit and v, slices inside the congruence ring's: the
+    image dimension is at most the ring's at every degree, for any
+    multiplicities."""
+    graph, gens = case
+    verdict = chern_subalgebra_verdict(gens, graph, 6)
+    assert all(a <= b for a, b in zip(verdict.image_hilbert, verdict.gkm_hilbert, strict=True))
+    assert not any("exceeds the modeled ring" in note for note in verdict.notes)

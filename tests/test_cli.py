@@ -856,7 +856,7 @@ def test_poincare_run_loads_only_root_systems():
                        "main(['poincare', '--family', 'A', '--rank', '2'])")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
         "borelcurve", "borelcurve.cli", "borelcurve.cmd_poincare", "borelcurve.errors",
-        "borelcurve.exponents", "borelcurve.record"]
+        "borelcurve.exponents"]
     assert not {"fractions", "decimal", "hashlib"} & set(loaded)
 
 

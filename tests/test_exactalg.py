@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelcurve.errors import InputError
+from borelcurve.action import ActionModel, big_cell_degrees
+from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace, nullspace, rref,
                                  to_fraction)
+from borelcurve.exponents import PoincarePoly
 from borelcurve.rational import format_fraction
 
 from conftest import definition_slices, in_span, monomial_span, span_basis
@@ -263,6 +265,17 @@ REJECTED = {
     "serialized tuple coeffs as a string": (
         lambda: HomTuple.from_json({"degree": 1, "coeffs": "123"}), InputError,
         "tuple coeffs must be a list, not the string '123'"),
+    "None as a rational": (lambda: to_fraction(None), InputError,
+                           "cannot interpret None as a rational number"),
+    "unvalidated model with odd weight gaps": (
+        lambda: big_cell_degrees(ActionModel(2, (2, 1, 0), ((0,) * 3,) * 3)), InternalError,
+        "h-weight parity violation; model was not validated"),
+    "Poincare polynomial without constant term 1": (
+        lambda: PoincarePoly((2, 1, 2)), InternalError,
+        "Poincare polynomial must have constant term 1"),
+    "Poincare polynomial with a negative coefficient": (
+        lambda: PoincarePoly((1, -1, 1)), InternalError,
+        "Poincare polynomial has a negative coefficient"),
 }
 
 

@@ -1,8 +1,9 @@
 """The exponent route of `exponents` against the root tables of `rootsystems`.
 
 Kostant's duality gives the heights, the polynomial and |W| from the
-exponents alone; the root tables, their height walk, the classical Weyl group
-orders and the Weyl-group enumeration are computed without them.
+exponents alone; the root tables, their heights as the pairing with rho^v, the
+classical Weyl group orders and the Weyl-group enumeration are computed
+without them.
 """
 
 import pytest

@@ -205,8 +205,7 @@ def test_weyl_oracle_runs_on_integers_alone():
     loaded = loaded_by("from borelcurve import rootsystems\n"
                        "rootsystems.weyl_length_genfun('A', 3)")
     assert [m for m in loaded if m.startswith("borelcurve")] == [
-        "borelcurve", "borelcurve.errors", "borelcurve.exponents", "borelcurve.record",
-        "borelcurve.rootsystems"]
+        "borelcurve", "borelcurve.errors", "borelcurve.exponents", "borelcurve.rootsystems"]
     assert "fractions" not in loaded
     assert rootsystems.WEYL_ENUMERATION_GUARD == 10**6
     with pytest.raises(AttributeError):
