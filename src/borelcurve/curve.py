@@ -19,6 +19,7 @@ sub-curve over S.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .action import ActionModel, big_cell_degrees
@@ -46,7 +47,7 @@ class NodeAlgebra:
     Its slice methods are those of GradedSubalgebra, which stays the oracle;
     betti_numbers and ideal_hilbert read the quotient and kernels off dim V_d.
     The generators, v and the chart generator of degree i with scale
-    scales[i-1] = 1 / (a_0 ... a_(i-1)), are built only when read: O(r n)
+    scales[i-1] = 1 / (a_0 ... a_(i-1)), are built once, on first read: O(r n)
     products, the size of what `curve ring` prints.
     """
 
@@ -54,19 +55,16 @@ class NodeAlgebra:
         self.nodes = tuple(nodes)
         self.r = len(self.nodes)
         self.scales = tuple(scales)
-        self._generators: tuple[HomTuple, ...] | None = None
 
-    @property
+    @cached_property
     def generators(self) -> tuple[HomTuple, ...]:
         """v, then J (J-1) ... (J-i+1) * scales[i-1] at each node J, for i = 1..n."""
-        if self._generators is None:
-            gens = [HomTuple.ones(self.r, 1)]
-            falling = [1] * self.r
-            for i, scale in enumerate(self.scales, 1):
-                falling = [f * (J - i + 1) for J, f in zip(self.nodes, falling)]
-                gens.append(HomTuple(i, [f * scale for f in falling]))
-            self._generators = tuple(gens)
-        return self._generators
+        gens = [HomTuple.ones(self.r, 1)]
+        falling = [1] * self.r
+        for i, scale in enumerate(self.scales, 1):
+            falling = [f * (J - i + 1) for J, f in zip(self.nodes, falling)]
+            gens.append(HomTuple(i, [f * scale for f in falling]))
+        return tuple(gens)
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """[dim V_0, ..., dim V_max_degree]."""

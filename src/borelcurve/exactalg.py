@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, labels, to_int
-from .rational import (  # noqa: F401  the scalar layer, re-exported for existing imports
-    HomTuple, Vec, _cleared, _hadamard, to_fraction)
+from .rational import HomTuple, Vec, _cleared, _hadamard, to_fraction
 
 
 def __getattr__(name):
@@ -77,7 +76,7 @@ class RowSpace:
     down the rows, and no row is edited once inserted.  `reduce` clears a
     vector's denominators and each pivot by x <- a x - c row (a the row's pivot
     entry, c the entry of x there): an integer multiple of its remainder, zero
-    exactly when it lies in the span.  `add` inserts that divided by its gcd.
+    exactly when it lies in the span.  `add` inserts that over its gcd, and returns it.
     """
 
     def __init__(self, ncols: int):
@@ -99,20 +98,21 @@ class RowSpace:
                 v = [a * x - c * y for x, y in zip(v, row)]
         return v
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert the vector; returns True if it enlarged the span."""
+    def add(self, vec: Sequence) -> list[int] | None:
+        """Insert the vector; returns the row stored in `rows`, or None if in the span."""
         v = self.reduce(vec)
         pivot = next((i for i, c in enumerate(v) if c), None)
         if pivot is None:
-            return False
+            return None
         g = 0
         for c in reversed(v):  # ends at the pivot: g = its sign times the gcd
             if c:  # the denominator of g / c is |c| / gcd(g, c)
                 g = c // Fraction(g, c).denominator
         at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, [c // g for c in v])
+        row = [c // g for c in v]
+        self.rows.insert(at, row)
         self.pivots.insert(at, pivot)
-        return True
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +127,14 @@ class GradedSubalgebra:
     The degree-d slice is the linear subspace V_d of Q^r spanned by the
     coefficient vectors of all degree-d products of v and the generators.
     As v o V_(d-1) = V_(d-1) (o = Hadamard product), the slices form a chain
-    V_0 <= V_1 <= ...  Let N_j be the echelon rows of V_j whose pivots
-    V_(j-1) lacks (N_0 the unit); they span V_j together with V_(j-1), and
-    g o V_(k-e-1) <= V_(k-1) for a generator g of degree e, so
+    V_0 <= V_1 <= ...  Let N_j be the rows that degree j's adds stored (N_0
+    the unit): the rows of V_j whose pivots V_(j-1) lacks.  With V_(j-1) they
+    span V_j, and g o V_(k-e-1) <= V_(k-1) for a generator g of degree e, so
 
         V_k = V_(k-1) + span( g o w : g a generator other than v, w in N_(k-e) ).
 
-    Slices are built bottom-up as RowSpaces, recording each N_j; V_k starts
-    from a copy of V_(k-1), which is v's share, so no product by v is formed.
+    Slices are built bottom-up as RowSpaces, each N_j the rows `add` returned;
+    V_k starts from a copy of V_(k-1), v's share, so no product by v is formed.
 
     Once some V_D is all of Q^r every later slice is too.  Below Q^r the
     slices stop at a plateau: with K the largest generator degree (K >= 1, as
@@ -173,14 +173,10 @@ class GradedSubalgebra:
             below = built[-1] if built else RowSpace(self.r)  # V_(k-1), 0 below V_0
             space = RowSpace(self.r)  # starts as v's share V_(k-1); no row is ever edited
             space.rows, space.pivots = list(below.rows), list(below.pivots)
-            if k == 0:
-                space.add((1,) * self.r)
-            for e, g in self._products:
-                if e <= k:
-                    for w in self._new[k - e]:
-                        space.add(_hadamard(g, w))
-            old = set(below.pivots)
-            self._new.append([row for row, p in zip(space.rows, space.pivots) if p not in old])
+            new = [space.add((1,) * self.r)] if k == 0 else []
+            new += [space.add(_hadamard(g, w))
+                    for e, g in self._products if e <= k for w in self._new[k - e]]
+            self._new.append([row for row in new if row is not None])
             built.append(space)
             self._stopped = space.dim == self.r or (
                 k >= self._k and built[k - self._k].dim == space.dim)

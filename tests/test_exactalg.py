@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -522,6 +523,43 @@ def test_hilbert_function_is_the_slice_dims(r, with_v, max_degree, data):
     assert [GradedSubalgebra(r, other).graded_basis(d) for d in range(max_degree + 1)] == bases
     if r in hilbert:  # a plateau is final, so none comes before full rank
         assert len(alg._slices) == hilbert.index(r) + 1
+
+
+def _pivot(row):
+    return next(i for i, c in enumerate(row) if c)
+
+
+halves = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_each_degree_keeps_the_rows_its_adds_stored(r, data):
+    """N_k is the rows that degree k's adds returned: each is, by identity, a
+    row of V_k, and their pivots are those V_k has and V_(k-1) lacks.  `add`
+    returns the row it stored in `rows`, and None exactly when the span does
+    not grow."""
+    gens = [HomTuple(data.draw(st.integers(1, 3)),
+                     tuple(data.draw(halves) for _ in range(r)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    adds, real_add = [], RowSpace.add
+
+    def add(space, vec):
+        before = space.dim
+        row = real_add(space, vec)
+        adds.append((row, space.dim - before, any(row is kept for kept in space.rows)))
+        return row
+
+    alg = GradedSubalgebra(r, gens)
+    with mock.patch.object(RowSpace, "add", add):
+        alg.hilbert_function(3 * r)
+    assert adds and all((row is None, stored) == (grown == 0, grown == 1)
+                        for row, grown, stored in adds)
+    assert len(alg._new) == len(alg._slices)
+    for k, (new, space) in enumerate(zip(alg._new, alg._slices)):
+        assert all(any(row is kept for kept in space.rows) for row in new)
+        old = set(alg._slices[k - 1].pivots) if k else set()
+        assert sorted(map(_pivot, new)) == [p for p in space.pivots if p not in old]
 
 
 def _plateau_degree(dims, k):

@@ -95,6 +95,33 @@ def test_heights_reject_dependent_simple_roots():
         heights(doubled)
 
 
+A_COUNT, A_ORDER, A_BUILD = rootsystems._FAMILIES["A"]
+
+
+# each row breaks the A row of the table or `heights`, and names the guard that
+# catches it; no correct table reaches any of them
+@pytest.mark.parametrize("entry,fake_heights,call,message", [
+    ((lambda n: 0, A_ORDER, A_BUILD), None, lambda: positive_roots("A", 2),
+     "positive root count does not match the classical value"),
+    (None, lambda rs: [2], lambda: km_poincare(positive_roots("A", 1)),
+     "height product is not a polynomial for A1: product formula has a nonzero remainder"),
+    ((A_COUNT, lambda n: 7, A_BUILD), None, lambda: km_poincare(positive_roots("A", 2)),
+     "product formula does not sum to the Weyl group order"),
+    ((A_COUNT, A_ORDER, lambda n: ([(1, 0, 0), (1, 2, 0)], A_BUILD(n)[1])), None,
+     lambda: weyl_length_genfun("A", 2),
+     r"2\(a, b\)/\(b, b\) is not an integer for a = \(1, 0, 0\), b = \(1, 2, 0\)"),
+    ((A_COUNT, lambda n: 7, A_BUILD), None, lambda: weyl_length_genfun("A", 2),
+     "Weyl enumeration produced the wrong group order"),
+], ids=["root count", "height product", "km order", "cartan entry", "enumeration order"])
+def test_oracle_guards_catch_a_broken_table(monkeypatch, entry, fake_heights, call, message):
+    if entry:
+        monkeypatch.setitem(rootsystems._FAMILIES, "A", entry)
+    if fake_heights:
+        monkeypatch.setattr(rootsystems, "heights", fake_heights)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        call()
+
+
 def _input_error(fn, *args) -> str:
     with pytest.raises(InputError) as info:
         fn(*args)
