@@ -1,14 +1,14 @@
 """The scalar layer: exact rationals and homogeneous tuples of the tuple ring
 Q[v] + ... + Q[v] (r copies, componentwise operations).
 
-A homogeneous element of degree d is a tuple (c_1 v^d, ..., c_r v^d) and is
-stored as the pair (d, (c_1, ..., c_r)); the product of homogeneous elements
-multiplies coefficient vectors componentwise (Hadamard product) and adds
-degrees.  The exact-matrix helpers that action, chern and the oracles share
-(`_as_matrix` reads a square matrix of rationals, `_mat_mul` multiplies two)
-live here too.  Kept apart from the linear algebra in exactalg, so that a run
-that needs only values (action, curve) does not load or compile it, and from
-the polynomials in `poly`, which only parametrizations and oracles use.
+A homogeneous element of degree d is a tuple (c_1 v^d, ..., c_r v^d), stored
+as the pair (d, (c_1, ..., c_r)); products are taken on coefficient rows, by
+`_hadamard` (componentwise, degrees adding) in exactalg's slices.  The
+exact-matrix helpers that action, chern and the oracles share (`_as_matrix`
+reads a square matrix of rationals, `_mat_mul` multiplies two) live here too.
+Kept apart from the linear algebra in exactalg, so that a run that needs only
+values (action, curve) does not load or compile it, and from the polynomials
+in `poly`, which only parametrizations and oracles use.
 
 No floating point exists anywhere in this package: coefficients are
 fractions.Fraction throughout and float inputs are rejected.
@@ -116,7 +116,7 @@ def _hadamard(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 
 
 class HomTuple(Record):
-    """Homogeneous element (c_1 v^degree, ..., c_r v^degree) of a tuple ring."""
+    """Homogeneous element (c_1 v^degree, ..., c_r v^degree) of a tuple ring; no operators."""
 
     degree: int
     coeffs: Vec
@@ -137,28 +137,5 @@ class HomTuple(Record):
     def r(self) -> int:
         return len(self.coeffs)
 
-    def __mul__(self, other):
-        if not isinstance(other, HomTuple):
-            return NotImplemented
-        if other.r != self.r:
-            raise InputError("component-count mismatch")
-        return HomTuple(self.degree + other.degree, _hadamard(self.coeffs, other.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, HomTuple):
-            return NotImplemented
-        if other.r != self.r:
-            raise InputError("component-count mismatch")
-        if other.degree != self.degree:
-            raise InputError("cannot add tuples of different degrees")
-        return HomTuple(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [format_fraction(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HomTuple":
-        try:
-            return cls(data["degree"], data["coeffs"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad tuple serialization: {data!r}") from exc

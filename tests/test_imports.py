@@ -1,14 +1,20 @@
-"""No module of the package imports a name it never uses, and no top-level
-private helper is left that no module of the package names.
+"""No module of the package imports a name it never uses, no top-level
+private helper is left that no module of the package names, and every
+function that no CLI run enters is pinned, with what keeps it.
 
 A statement marked `# noqa: F401` re-exports on purpose and is exempt, and so
 is `from __future__ import ...`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_bench_jobs
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "borelcurve"
 
@@ -117,3 +123,86 @@ def test_the_guard_sees_file_access():
               "    json.load(f)\n")
     assert file_access(source) == ["line 1: io", "line 2: hashlib", "line 3: cli",
                                    "line 4: borelcurve.cli", "line 6: open", "line 6: open"]
+
+
+# Functions of the package that no CLI run enters, each with what keeps it.
+PINNED = {
+    **dict.fromkeys(["exactalg.rref", "exactalg.nullspace",
+                     "exactalg.GradedSubalgebra.graded_basis", "exactalg.GradedSubalgebra.member",
+                     "exactalg.GradedSubalgebra.coordinates",
+                     "exactalg.GradedSubalgebra.quotient_by_v_dims",
+                     "exactalg.GradedSubalgebra.kernel_basis", "gkm.GKMRing.basis",
+                     "chern.exterior_trace", "chern.chern_tuple", "chern.chern_membership",
+                     "action.exp_e"], "traced by bench/tracing.py"),
+    **dict.fromkeys(["action.principal_model", "curve.NodeAlgebra.graded_basis",
+                     "curve.NodeAlgebra.coordinates"], "used by tests/test_acceptance.py"),
+    "chern.elementary_symmetric": "in the package's export list",
+    "gkm.GKMGraph.connected_components": "called by GKMRing.basis",
+    "gkm.GKMGraph.to_json": "used by scripts/plane_demo.py",
+    "cli.run": "the process entry",
+    **dict.fromkeys(["errors.Record.__hash__", "errors.Record.__setattr__",
+                     "errors.Record.__repr__"], "the value-class protocol"),
+}
+ORACLES = {"oracles.py", "poly.py", "rootsystems.py"}
+
+# Runs each argv of argv.json through cli.main under a profiler installed before
+# the package is imported; prints the (file name, first line) of every code object
+# of the package that was entered.
+PROFILED_RUNS = """
+import contextlib, io, json, os, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from borelcurve import cli
+for argv in json.load(open(sys.argv[1])):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno) for c in entered
+                         if c.co_filename.startswith(sys.argv[2])})))
+"""
+
+
+def defined_functions(path: Path) -> dict[tuple[str, int], str]:
+    """(file name, first line) -> 'module.name' or 'module.Class.name' for each
+    module-level function and class method (nested defs aside); the first line
+    is a decorator's, as in the code object."""
+    found = {}
+    module = path.stem
+
+    def add(node, name):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        found[(path.name, first)] = name
+
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name not in ("__getattr__", "__dir__"):  # PEP 562 hooks
+                add(node, f"{module}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add(item, f"{module}.{node.name}.{item.name}")
+    return found
+
+
+def test_uncalled_functions_are_the_pinned_ones(tmp_path):
+    """Every benchmark job at seed 3, help and a malformed line, run in a fresh
+    interpreter, enter every function of the package but the pinned ones: a
+    function no run needs and nothing pins is dead code."""
+    jobs = load_bench_jobs()
+    argvs = [list(job.argv) for workload in jobs.WORKLOADS
+             for job in jobs.build(workload, 3, tmp_path / workload)]
+    argvs += [["-h"], ["poincare", "--rank", "x"]]
+    (tmp_path / "argv.json").write_text(json.dumps(argvs))
+    out = subprocess.run(
+        [sys.executable, "-c", PROFILED_RUNS, str(tmp_path / "argv.json"), str(PACKAGE)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent))).stdout
+    entered = {tuple(pair) for pair in json.loads(out)}
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ORACLES:
+            defined.update(defined_functions(path))
+    assert {name for key, name in defined.items() if key not in entered} == set(PINNED)
