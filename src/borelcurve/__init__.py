@@ -26,13 +26,13 @@ _EXPORTS = {
               "ideal_hilbert", "restrict"),
     "errors": ("InputError", "InternalError"),
     "exactalg": ("GradedSubalgebra",),
+    "exponents": ("PoincarePoly", "poincare_from_degrees"),
     "gkm": ("GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"),
     "poly": ("Poly",),
     "rational": ("HomTuple", "format_fraction", "to_fraction"),
-    "rootsystems": ("PoincarePoly", "RootSystem", "WEYL_ENUMERATION_GUARD", "heights",
-                    "km_poincare", "poincare_from_degrees", "positive_roots",
-                    "weyl_length_genfun", "weyl_order"),
+    "rootsystems": ("RootSystem", "WEYL_ENUMERATION_GUARD", "heights", "km_poincare",
+                    "positive_roots", "weyl_length_genfun", "weyl_order"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_MODULE_OF]

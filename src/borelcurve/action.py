@@ -8,6 +8,8 @@ fixes only the first coordinate point o, and the torus fixes the n+1
 coordinate points.  Models are normalized so h is strictly decreasing, which
 makes o the attracting point of lambda(t) as t -> infinity and chart
 coordinates quasi-homogeneous of positive degrees d_i = (h_0 - h_i)/2.
+`validate` alone reads a spec: each entry of an explicit e once, before the
+weights, and the "principal" shorthand only once n and the weights pass.
 
 Normal form.  With the weights sorted and distinct, [h, e] = 2e lets e_ij be
 nonzero only where h_j = h_i - 2, so each row and each column of e holds at
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError, Record, to_int
-from .rational import Matrix, _as_matrix, _mat_mul, format_fraction, to_fraction
+from .rational import Matrix, _as_list, _as_matrix, _mat_mul, format_fraction, to_fraction
 
 if TYPE_CHECKING:  # loaded by the two functions that build polynomials, when they run
     from .poly import Poly
@@ -45,7 +47,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ActionModel(Record):
-    """Raw model data; run validate() to check regularity and normalize."""
+    """Raw model data (e_matrix may be "principal"); validate() checks and normalizes it."""
 
     n: int
     h_weights: tuple[int, ...]
@@ -85,12 +87,16 @@ def validate(model: ActionModel) -> ActionModel:
     """
     n = to_int(model.n, 0, name="dimension n")
     r = n + 1
-    h = [to_int(w) for w in model.h_weights]
+    principal = model.e_matrix == "principal"
+    e = model.e_matrix if principal else _as_matrix(model.e_matrix, r)
+    h = [to_int(w) for w in _as_list(model.h_weights)]
     if len(h) != r:
         raise InputError(f"h_weights must have length n+1 = {r}")
     if len(set(h)) != r:
         raise InputError("repeated h-weights: torus fixed points are not isolated")
-    e = _as_matrix(model.e_matrix, r)
+    if principal:  # row i: the window of `line` with its 1 at column i + 1
+        line = (_ZERO,) * r + (_ONE,) + (_ZERO,) * r
+        e = tuple(line[r - 1 - i:2 * r - 1 - i] for i in range(r))
 
     order = sorted(range(r), key=lambda i: -h[i])
     h_sorted = tuple(h[i] for i in order)
@@ -119,18 +125,10 @@ def principal_model(n: int) -> ActionModel:
 def model_from_json(data: dict) -> ActionModel:
     """Parse {"n":, "h_weights":, "e_matrix":} (e_matrix may be "principal")."""
     try:
-        n = to_int(data["n"])
-        h = tuple(data["h_weights"])
-        e_spec = data["e_matrix"]
+        model = ActionModel(to_int(data["n"]), data["h_weights"], data["e_matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad action spec: {exc}") from exc
-    if e_spec == "principal":  # sized by h, so a huge n cannot allocate
-        r = len(h)
-        line = (_ZERO,) * r + (_ONE,) + (_ZERO,) * r  # row i: the window with its 1 at i + 1
-        e = tuple(line[r - 1 - i:2 * r - 1 - i] for i in range(r))
-    else:
-        e = _as_matrix(e_spec, n + 1)
-    return validate(ActionModel(n, h, e))
+    return validate(model)
 
 
 def model_to_json(model: ActionModel) -> dict:

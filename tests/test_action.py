@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,32 @@ def test_spec_malformed_twice_reports_the_first_fault(spec, message):
     with pytest.raises(InputError) as exc:
         model_from_json(spec)
     assert str(exc.value) == message
+
+
+def test_model_from_json_reads_each_matrix_entry_once(monkeypatch):
+    """validate is the one reader of an explicit e: nine entries, nine coercions."""
+    import borelcurve.rational
+    calls = []
+    real = borelcurve.rational.to_fraction
+    monkeypatch.setattr(borelcurve.rational, "to_fraction", lambda x: calls.append(x) or real(x))
+    model = model_from_json({"n": 2, "h_weights": [2, 0, -2], "e_matrix": PLANE_E})
+    assert len(calls) == 9
+    assert model.e_matrix == ((0, 1, 0), (0, 0, 2), (0, 0, 0))
+
+
+def test_refused_shorthand_builds_no_matrix():
+    """The shorthand is expanded only after the weights pass, so a P^3000 spec
+    with one repeated weight is refused before its 3001^2 entries exist."""
+    spec = {"n": 3000, "h_weights": [3000 - 2 * i for i in range(3000)] + [0],
+            "e_matrix": "principal"}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="^repeated h-weights"):
+            model_from_json(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_validate_reads_exact_and_raw_entries_alike(plane_model):

@@ -749,13 +749,13 @@ EXPORTS = {
               "ideal_hilbert", "restrict"],
     "errors": ["InputError", "InternalError"],
     "exactalg": ["GradedSubalgebra"],
+    "exponents": ["PoincarePoly", "poincare_from_degrees"],
     "gkm": ["GKMGraph", "GKMRing", "PrincipalityVerdict", "gkm_ordinary_betti",
             "principal_verdict"],
     "poly": ["Poly"],
     "rational": ["HomTuple", "format_fraction", "to_fraction"],
-    "rootsystems": ["PoincarePoly", "RootSystem", "WEYL_ENUMERATION_GUARD", "heights",
-                    "km_poincare", "poincare_from_degrees", "positive_roots",
-                    "weyl_length_genfun", "weyl_order"],
+    "rootsystems": ["RootSystem", "WEYL_ENUMERATION_GUARD", "heights", "km_poincare",
+                    "positive_roots", "weyl_length_genfun", "weyl_order"],
 }
 
 
@@ -795,6 +795,12 @@ def test_importing_the_cli_loads_no_math_module():
 def test_scalar_exports_load_no_linear_algebra():
     loaded = loaded_by("import borelcurve\nborelcurve.HomTuple")
     assert "borelcurve.rational" in loaded and "borelcurve.exactalg" not in loaded
+
+
+@pytest.mark.parametrize("name", EXPORTS["exponents"])
+def test_poincare_exports_load_no_root_tables(name):
+    loaded = loaded_by(f"import borelcurve\nborelcurve.{name}")
+    assert "borelcurve.exponents" in loaded and "borelcurve.rootsystems" not in loaded
 
 
 STARTUP_ONLY = {"argparse", "gettext", "locale"}

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 from unittest import mock
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelcurve.action import ActionModel, big_cell_degrees
+from borelcurve.action import ActionModel, big_cell_degrees, model_from_json
 from borelcurve.errors import InputError, InternalError
 from borelcurve.exactalg import (GradedSubalgebra, HomTuple, Poly, RowSpace, nullspace, rref,
                                  to_fraction)
 from borelcurve.exponents import PoincarePoly
+from borelcurve.gkm import GKMGraph
 from borelcurve.rational import format_fraction
 
 from conftest import definition_slices, in_span, monomial_span, span_basis
@@ -48,6 +50,20 @@ def test_to_fraction_accepts_only_integers_and_p_over_q():
                  "\u0663", "1 / 2", "1/-2", "1/0", "inf", "nan", "0x10", "", "9" * 5000):
         with pytest.raises(InputError, match="cannot parse rational"):
             to_fraction(text)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_poly_refuses_a_foreign_operand(op):
+    """A float or None is no ring element: Poly answers NotImplemented, so
+    Python raises TypeError from either side."""
+    p = Poly((1, 2))
+    assert getattr(p, f"__{op.__name__}__")(0.5) is NotImplemented
+    for other in (0.5, None):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
 
 
 def _pattern_reader(text: str) -> Fraction:
@@ -252,6 +268,18 @@ REJECTED = {
     "Poincare polynomial with a negative coefficient": (
         lambda: PoincarePoly((1, -1, 1)), InternalError,
         "Poincare polynomial has a negative coefficient"),
+    "h_weights as a string": (
+        lambda: model_from_json({"n": 2, "h_weights": "abc", "e_matrix": "principal"}),
+        InputError, "expected a list, got 'abc'"),
+    "h_weights as an int": (
+        lambda: model_from_json({"n": 0, "h_weights": 5, "e_matrix": "principal"}),
+        InputError, "expected a list, got 5"),
+    "graph vertices as a string": (lambda: GKMGraph.from_json({"vertices": "12"}), InputError,
+                                   "bad graph spec: expected a list, got '12'"),
+    "graph vertices as an int": (lambda: GKMGraph.from_json({"vertices": 5}), InputError,
+                                 "bad graph spec: expected a list, got 5"),
+    "graph edges as an int": (lambda: GKMGraph.from_json({"vertices": [1, 2], "edges": 5}),
+                              InputError, "bad graph spec: expected a list, got 5"),
 }
 
 
