@@ -28,8 +28,8 @@ o-coordinate) are c_ij v^{d_i} with d_i = i.  exp_e computes the flow
 directly and is kept as the independent oracle for this closed form; the
 other oracles live in `oracles` and are re-exported here on first access.
 The curve ring needs no parametrization: it reads the a_t off the normal
-form (curve.build_curve_ring).  So only component_parametrization and
-exp_e load the polynomials of `poly`, when they run.
+form (curve.build_curve_ring).  So only component_parametrization loads the
+polynomials of `poly`, when it runs; exp_e works over Q.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError, Record, to_int
-from .rational import Matrix, _as_list, _as_matrix, _mat_mul, format_fraction, to_fraction
+from .rational import (Matrix, _as_list, _as_matrix, _as_object, _mat_mul, format_fraction,
+                       to_fraction)
 
-if TYPE_CHECKING:  # loaded by the two functions that build polynomials, when they run
+if TYPE_CHECKING:  # loaded by component_parametrization, when it runs
     from .poly import Poly
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -124,9 +125,10 @@ def principal_model(n: int) -> ActionModel:
 
 def model_from_json(data: dict) -> ActionModel:
     """Parse {"n":, "h_weights":, "e_matrix":} (e_matrix may be "principal")."""
+    data = _as_object(data, "action")
     try:
         model = ActionModel(to_int(data["n"]), data["h_weights"], data["e_matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise InputError(f"bad action spec: {exc}") from exc
     return validate(model)
 
@@ -139,32 +141,16 @@ def model_to_json(model: ActionModel) -> dict:
     }
 
 
-def exp_e(model: ActionModel, s):
-    """exp(s * e) as an exact matrix; a finite sum since e is nilpotent.
-
-    s may be a rational scalar or a Poly, and the entries come back in the
-    same ring.
-    """
-    from .poly import Poly
+def exp_e(model: ActionModel, s) -> Matrix:
+    """exp(s * e) at a rational s, as an exact matrix; a finite sum since e is nilpotent."""
+    s = to_fraction(s)
     r = model.n + 1
-    if isinstance(s, Poly):
-        one, zero = Poly.const(1), Poly()
-    else:
-        s = to_fraction(s)
-        one, zero = Fraction(1), Fraction(0)
-    out = [[one if i == j else zero for j in range(r)] for i in range(r)]
-    power = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(r))
-                  for i in range(r))  # e^k / k!
-    s_pow = one
-    for k in range(1, r):
-        power = tuple(tuple(entry * Fraction(1, k) for entry in row)
-                      for row in _mat_mul(power, model.e_matrix))
-        s_pow = s_pow * s
-        for i in range(r):
-            for j in range(r):
-                if power[i][j] != 0:
-                    out[i][j] = out[i][j] + s_pow * power[i][j]
-    return tuple(tuple(row) for row in out)
+    term = tuple(tuple(_ONE if i == j else _ZERO for j in range(r)) for i in range(r))
+    out = term
+    for k in range(1, r):  # term = (s e)^k / k!
+        term = tuple(tuple(x * s / k for x in row) for row in _mat_mul(term, model.e_matrix))
+        out = tuple(tuple(a + b for a, b in zip(p, q)) for p, q in zip(out, term))
+    return out
 
 
 def fixed_points(model: ActionModel) -> list[tuple[int, ...]]:

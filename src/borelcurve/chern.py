@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .curve import CurveRing, restrict
 from .errors import InputError, InternalError, Record, ascii_int, labels, to_int
-from .rational import HomTuple, Matrix, _as_list, _as_matrix, _cleared, _mat_mul, to_fraction
+from .rational import (HomTuple, Matrix, _as_list, _as_matrix, _as_object, _cleared, _mat_mul,
+                       to_fraction)
 
 if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
     from .gkm import GKMGraph, PrincipalityVerdict
@@ -92,10 +93,11 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
 
 def bundle_from_json(data: dict) -> BundleData:
     """Parse {"rank":, "fibres": {"j": {"weights":[...]} | {"rho_W":, "rho_V":}}}."""
+    data = _as_object(data, "bundle")
     try:
         rank = to_int(data["rank"], 0, name="bundle rank")  # a bad rank is reported first
         raw = data["fibres"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"bad bundle spec: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("bad bundle spec: fibres must be an object keyed by fixed-point label")

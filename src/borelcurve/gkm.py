@@ -28,7 +28,7 @@ from bisect import bisect_right
 
 from .curve import CurveRing, restrict
 from .errors import InputError, Record, labels, to_int
-from .rational import MAX_DEGREE, HomTuple, _as_list, degree_bound
+from .rational import MAX_DEGREE, HomTuple, _as_list, _as_object, degree_bound
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"
@@ -80,9 +80,10 @@ class GKMGraph(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "GKMGraph":
+        data = _as_object(data, "graph")
         try:
             return cls(_as_list(data["vertices"]), _as_list(data.get("edges", [])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise InputError(f"bad graph spec: {exc}") from exc
 
     def to_json(self) -> dict:

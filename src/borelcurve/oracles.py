@@ -2,7 +2,8 @@
 
 check_fixed_point_return tests points of the curve against the unipotent
 flow, and sl2_family_checks verifies the 2x2 identities behind the family of
-conjugated tori.  Both stay importable from `borelcurve.action`, which
+conjugated tori over Q, each on a grid sized by its degree in v.  Neither
+imports `poly`.  Both stay importable from `borelcurve.action`, which
 re-exports them on first access (PEP 562).
 """
 
@@ -12,7 +13,6 @@ from fractions import Fraction
 
 from .action import ActionModel, component_parametrization
 from .errors import InputError, InternalError
-from .poly import Poly
 from .rational import _mat_mul, to_fraction
 
 
@@ -38,16 +38,6 @@ def check_fixed_point_return(model: ActionModel, j: int, v0) -> bool:
     return len(nonzero) == 1 and nonzero[0] == j - 1
 
 
-def _limit_at_zero(num: Poly, den: Poly) -> Fraction:
-    """Exact limit of num(v)/den(v) as v -> 0, cancelling the common power of v."""
-    if den.is_zero():
-        raise InternalError("limit of division by the zero polynomial")
-    dv = den.valuation()
-    if any(num.coeffs[:dv]):
-        raise InternalError("pole at v = 0; limit does not exist")
-    return num.coeff(dv) / den.coeffs[dv]
-
-
 def sl2_family_checks() -> dict[str, str]:
     """Verify the exact 2x2 identities behind the family of conjugated tori.
 
@@ -56,18 +46,24 @@ def sl2_family_checks() -> dict[str, str]:
     (ii)  phi(u) W phi(-u) = W - 2u N for W = diag(1,-1), N the nilpotent
           generator, hence s(v) = v * Ad(phi(1/v)) W = v W - 2 N spans the
           Lie algebra of the conjugated torus for v != 0;
-    (iii) along a = +-(1 + eps v) the matrices of (i) converge, as v -> 0, to
-          unipotent upper-triangular limits up to sign (sampled eps values),
-          and s(0) = -2N lies in the Lie algebra of the unipotent group.
+    (iii) along a = +-(1 + eps v) the off-diagonal entry of (i) equals
+          -eps (2 + eps v)/a (sampled eps values), which is continuous at
+          v = 0: the matrices of (i) converge to [[+-1, -+2 eps], [0, +-1]],
+          unipotent up to sign;
+    (iv)  s(0) = -2N lies in the Lie algebra of the unipotent group.
 
-    (i) and (ii) are checked over Q at three nonzero values of each variable,
-    which proves them exactly.  The entries of phi(+-1/v) lie in {0, 1, +-1/v}
+    Each identity is checked over Q at three nonzero values of each variable,
+    which proves it exactly: a polynomial of degree <= 2 in one variable with
+    three roots is zero, and applied one variable at a time, the grid leaves
+    every difference zero.  The entries of phi(+-1/v) lie in {0, 1, +-1/v}
     and those of diag(a, 1/a) in {0, a, 1/a}, so a v^2 times either side of
     (i) is a polynomial of degree <= 2 in a and in v.  Either side of
     phi(u) W phi(-u) = W - 2u N, and u times either side of
-    u Ad(phi(1/u)) W = u W - 2 N, has degree <= 2 in u.  A polynomial of
-    degree <= 2 in one variable with three roots is zero; applied one
-    variable at a time, the grid leaves every difference zero.
+    u Ad(phi(1/u)) W = u W - 2 N, has degree <= 2 in u.  In (iii), a v times
+    the entry is 1 - a^2 and a v times the right side is -eps v (2 + eps v),
+    both of degree <= 2 in v; the three points are taken from 1, 2, 3, 4,
+    of which at most one makes a zero.  (iv) is (ii) at v = 0: (ii) proves
+    s(v) = v W - 2 N as polynomials in v, whose value at 0 is -2N.
 
     Raises InternalError on any failure; these are exact identities.
     """
@@ -78,10 +74,12 @@ def sl2_family_checks() -> dict[str, str]:
     def phi(entry):
         return ((1, entry), (0, 1))
 
+    def conjugate(a, v):  # phi(1/v) diag(a, 1/a) phi(-1/v)
+        return _mat_mul(_mat_mul(phi(1 / v), ((a, 0), (0, 1 / a))), phi(-1 / v))
+
     for a in grid:
         for v in grid:
-            lhs = _mat_mul(_mat_mul(phi(1 / v), ((a, 0), (0, 1 / a))), phi(-1 / v))
-            if lhs != ((a, (1 - a * a) / (a * v)), (0, 1 / a)):
+            if conjugate(a, v) != ((a, (1 - a * a) / (a * v)), (0, 1 / a)):
                 raise InternalError("torus conjugation identity failed")
     report["torus_conjugation_identity"] = "ok"
 
@@ -95,19 +93,11 @@ def sl2_family_checks() -> dict[str, str]:
 
     for eps in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5)):
         for sign in (1, -1):
-            a_of_v = Poly((Fraction(sign), sign * eps))  # sign * (1 + eps v)
-            num = Poly.const(1) - a_of_v * a_of_v
-            den = a_of_v * Poly.variable()
-            lim = _limit_at_zero(num, den)
-            if lim != Fraction(-2) * eps / sign:
-                raise InternalError("family limit has the wrong off-diagonal entry")
-            # so the limit matrix [[sign, lim], [0, sign]] is sign * unipotent
+            for v in [v for v in (*grid, Fraction(4)) if 1 + eps * v][:3]:
+                a = sign * (1 + eps * v)
+                if conjugate(a, v)[0][1] != -eps * (2 + eps * v) / a:
+                    raise InternalError("family limit has the wrong off-diagonal entry")
     report["family_limits_unipotent_up_to_sign"] = "ok"
 
-    s_zero = tuple(tuple(entry(0) for entry in row)
-                   for row in ((Poly.variable(), Poly.const(-2)),
-                               (Poly(), -Poly.variable())))
-    if s_zero != ((Fraction(0), Fraction(-2)), (Fraction(0), Fraction(0))):
-        raise InternalError("s(0) != -2N")
-    report["s_at_zero_in_unipotent_lie_algebra"] = "ok"
+    report["s_at_zero_in_unipotent_lie_algebra"] = "ok"  # (iv), proved by (ii)
     return report

@@ -1,9 +1,11 @@
 """Dense univariate polynomials over Q in the variable v.
 
-Only the exact parametrizations (`action.component_parametrization`,
-`action.exp_e` on a polynomial parameter) and the test oracles use them, so a
-run that never builds a parametrization (curve, principal, chern) does not
-load or compile this module.  `exactalg` re-exports Poly on first access.
+Only the exact parametrizations (`action.component_parametrization`) build
+them, so a run that never builds a parametrization (curve, principal, chern)
+does not load or compile this module.  A Poly is constructed, multiplied,
+raised to a power and evaluated, and nothing else: the checks that compare
+polynomials do it over Q at as many points as the degree needs.  `exactalg`
+re-exports Poly on first access.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ class Poly(Record):
     """Dense univariate polynomial over Q in the variable v.
 
     coeffs[k] is the coefficient of v**k.  Trailing zeros are stripped on
-    construction, so the zero polynomial has empty coeffs and degree -1
-    (the sentinel value for "degree of zero").
+    construction, so the zero polynomial has empty coeffs.
     """
 
     coeffs: tuple[Fraction, ...] = ()
@@ -48,63 +49,23 @@ class Poly(Record):
         object.__setattr__(mono, "coeffs", (_ZERO,) * k + (c,) if c else ())
         return mono
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def valuation(self) -> int | None:
-        """Index of the lowest nonzero coefficient; None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction, str)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(tuple(self.coeff(k) + o.coeff(k) for k in range(n)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    # -- products and evaluation --------------------------------------------
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction, str)):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(tuple(out))
 

@@ -87,6 +87,13 @@ def _as_list(x):
     return x
 
 
+def _as_object(data, what: str) -> dict:
+    """A spec's top level: a JSON object, refused by one fixed text otherwise."""
+    if not isinstance(data, dict):
+        raise InputError(f"bad {what} spec: expected a JSON object")
+    return data
+
+
 def _as_matrix(rows, size: int) -> Matrix:
     m = tuple(tuple(map(to_fraction, _as_list(row))) for row in _as_list(rows))
     if len(m) != size or any(len(row) != size for row in m):

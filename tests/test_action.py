@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelcurve import oracles
-from borelcurve.action import (ActionModel, CurveComponent, big_cell_degrees,
+from borelcurve.action import (ActionModel, big_cell_degrees,
                                check_fixed_point_return,
                                component_parametrization, exp_e, fixed_points,
                                model_from_json, principal_model,
@@ -162,13 +162,11 @@ def test_validate_reads_exact_and_raw_entries_alike(plane_model):
 
 
 def test_exp_e_plane_matches_known_matrix(plane_model):
-    v = Poly.variable()
-    got = exp_e(plane_model, v)
-    half = Fraction(1, 2)
-    expected = ((Poly.const(1), v, half * v**2),
-                (Poly(), Poly.const(1), v),
-                (Poly(), Poly(), Poly.const(1)))
-    assert got == expected
+    for s in (1, Fraction(-2, 3), "5/2"):
+        got = exp_e(plane_model, s)
+        s = Fraction(s)
+        assert got == ((1, s, s * s / 2), (0, 1, s), (0, 0, 1))
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_exp_e_at_zero_is_identity(plane_model):
@@ -178,8 +176,9 @@ def test_exp_e_at_zero_is_identity(plane_model):
 
 
 def test_exp_e_line(line_model):
-    v = Poly.variable()
-    assert exp_e(line_model, v) == ((Poly.const(1), v), (Poly(), Poly.const(1)))
+    assert exp_e(line_model, Fraction(7, 3)) == ((1, Fraction(7, 3)), (0, 1))
+    with pytest.raises(InputError, match="^cannot interpret Poly"):
+        exp_e(line_model, Poly.variable())  # a rational parameter only
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def test_parametrization_homogeneity():
             comp = component_parametrization(model, j)
             for i, p in enumerate(comp.chart_coords):
                 if not p.is_zero():
-                    assert p.valuation() == p.degree == degrees[i]  # one term
+                    assert p == Poly.monomial(p.coeffs[-1], degrees[i])  # one term
 
 
 def test_parametrization_index_out_of_range(plane_model):
@@ -258,31 +257,23 @@ def regular_models(draw, max_n=4):
     return validate(ActionModel(n, tuple(h), tuple(tuple(row) for row in e)))
 
 
-def component_from_flow(model, j):
-    """The component as the flow computes it: the j-th column of exp(v e),
-    reversed in v to clear the powers of 1/v, over its o-coordinate."""
-    column = [row[j - 1] for row in exp_e(model, Poly.variable())]
-    top = max(p.degree for p in column)
-    homog = tuple(Poly(tuple(p.coeff(top - m) for m in range(top + 1))) for p in column)
-    assert homog[0].degree == 0
-    charts = tuple(p * (1 / homog[0].coeff(0)) for p in homog[1:])
-    return CurveComponent(j, charts, tuple(big_cell_degrees(model)), homog)
-
-
 @given(regular_models(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_parametrization_against_direct_flow(model, data):
-    """Oracle: the closed form equals the component built from exp(v e), and
-    its charts at a rational parameter equal phi(1/v0) applied to the fixed
-    point, dehomogenized directly."""
+    """Oracle: at n + 1 distinct nonzero rationals v0, the closed form's
+    homogeneous coordinates equal v0^(j-1) times phi(1/v0) applied to the
+    fixed point, and its charts equal that point over its o-coordinate.
+    exp(e/v) is upper triangular in the normal form, so every coordinate on
+    either side is a polynomial of degree <= j - 1 <= n in v, and the n + 1
+    values prove the two equal."""
     j = data.draw(st.integers(1, model.n + 1))
-    v0 = data.draw(nonzero_rationals)
+    points = data.draw(st.lists(nonzero_rationals, min_size=model.n + 1,
+                                max_size=model.n + 1, unique=True))
     comp = component_parametrization(model, j)
-    assert comp == component_from_flow(model, j)
-    column = [row[j - 1] for row in exp_e(model, 1 / v0)]
-    assert column[0] != 0
-    direct = [c / column[0] for c in column[1:]]
-    assert [p(v0) for p in comp.chart_coords] == direct
+    for v0 in points:
+        column = [row[j - 1] for row in exp_e(model, 1 / v0)]
+        assert [p(v0) for p in comp.homog_coords] == [v0 ** (j - 1) * x for x in column]
+        assert [p(v0) for p in comp.chart_coords] == [x / column[0] for x in column[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +321,6 @@ def test_sl2_family_checks_catch_a_wrong_product(monkeypatch, wrong):
 
 
 _W = ((1, 0), (0, -1))
-_LIMIT = oracles._limit_at_zero
-_CALL = Poly.__call__
 
 
 def _w_after_a_fraction(a, b):
@@ -341,39 +330,23 @@ def _w_after_a_fraction(a, b):
     return _PRODUCT(a, b)
 
 
-@pytest.mark.parametrize("owner, name, wrong, message", [
-    (oracles, "_mat_mul", lambda a, b: _PRODUCT(b, a) if b == _W else _PRODUCT(a, b),
-     "phi(u) W phi(-u) != W - 2u N"),
-    (oracles, "_mat_mul", _w_after_a_fraction, "v * Ad(phi(1/v)) W != v W - 2 N"),
-    (oracles, "_limit_at_zero", lambda num, den: _LIMIT(num, den) + 1,
-     "family limit has the wrong off-diagonal entry"),
-    (Poly, "__call__", lambda p, x: _CALL(p, x) + 1, "s(0) != -2N"),
-], ids=["W-on-the-right", "W-after-a-fraction", "limit-off-by-one", "value-off-by-one"])
-def test_sl2_family_checks_catch_each_broken_step(monkeypatch, owner, name, wrong, message):
+def _off_by_one_after_a_negative(a, b):
+    """a b, its top right entry plus one when b's top left entry is negative:
+    only the (iii) products phi(1/v) diag(a, 1/a) with a < 0 have one."""
+    ab = _PRODUCT(a, b)
+    return ((ab[0][0], ab[0][1] + 1), ab[1]) if b[0][0] < 0 else ab
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda a, b: _PRODUCT(b, a) if b == _W else _PRODUCT(a, b), "phi(u) W phi(-u) != W - 2u N"),
+    (_w_after_a_fraction, "v * Ad(phi(1/v)) W != v W - 2 N"),
+    (_off_by_one_after_a_negative, "family limit has the wrong off-diagonal entry"),
+], ids=["W-on-the-right", "W-after-a-fraction", "limit-off-by-one"])
+def test_sl2_family_checks_catch_each_broken_step(monkeypatch, wrong, message):
     """A product wrong only for W on the right, or only for W after a
-    non-integer matrix, breaks the first or the second identity of (ii); a
-    limit off by one breaks (iii), a polynomial value off by one s(0)."""
-    monkeypatch.setattr(owner, name, wrong)
+    non-integer matrix, breaks the first or the second identity of (ii); one
+    whose (iii) entry, and so the limit at v = 0, is off by one for negative a
+    breaks (iii).  (iv) is (ii) at v = 0 and raises nothing of its own."""
+    monkeypatch.setattr(oracles, "_mat_mul", wrong)
     with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
         oracles.sl2_family_checks()
-
-
-@pytest.mark.parametrize("num, den, limit", [
-    ((), (0, 1), 0),               # zero numerator
-    ((0, 0, 2), (0, 0, 1, 1), 2),  # 2v^2 / (v^2 + v^3): the common v^2 cancels
-    ((3, 1), (2, 5), Fraction(3, 2)),
-    ((0, -1, 4), (0, 3), Fraction(-1, 3)),
-])
-def test_limit_at_zero_cancels_the_common_power(num, den, limit):
-    got = oracles._limit_at_zero(Poly(num), Poly(den))
-    assert got == limit and type(got) is Fraction
-
-
-@pytest.mark.parametrize("num, den, message", [
-    ((1,), (), "limit of division by the zero polynomial"),
-    ((0, 1), (0, 0, 1), "pole at v = 0; limit does not exist"),
-    ((0, 0, 1), (0, 0, 0, 1), "pole at v = 0; limit does not exist"),
-])
-def test_limit_at_zero_rejects_a_zero_denominator_and_a_pole(num, den, message):
-    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
-        oracles._limit_at_zero(Poly(num), Poly(den))

@@ -1055,6 +1055,23 @@ def test_unreadable_input_file_exits_2_with_its_error(capsys, tmp_path, case):
     assert err == json.dumps({"error": message.format(path=path)}) + "\n"
 
 
+@pytest.mark.parametrize("top", ['"abc"', "5", "[1, 2]", "null", "true"])
+@pytest.mark.parametrize("argv, what", [
+    (["curve", "betti", "--spec", "{top}"], "action"),
+    (["principal", "--spec", "{plane}", "--gkm", "{top}"], "graph"),
+    (["chern", "--spec", "{plane}", "--bundle", "{top}"], "bundle"),
+], ids=["spec", "gkm", "bundle"])
+def test_spec_that_is_no_json_object_exits_2_with_fixed_text(capsys, specs, tmp_path, top,
+                                                             argv, what):
+    """A spec whose top level is a string, number, array, null or boolean is
+    refused by one text, the same under every Python version."""
+    (tmp_path / "top.json").write_text(top)
+    paths = dict(specs, top=str(tmp_path / "top.json"))
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"bad {what} spec: expected a JSON object"}) + "\n"
+
+
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
                                          for n in names])
 def test_exported_names_resolve_lazily(module, name):

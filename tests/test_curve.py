@@ -219,7 +219,8 @@ def test_generators_match_every_parametrization(model):
     r = model.n + 1
     comps = [component_parametrization(model, j) for j in range(1, r + 1)]
     expected = [HomTuple.ones(r, 1)] + [
-        HomTuple(i, [comp.chart_coords[i - 1].coeff(i) for comp in comps]) for i in range(1, r)]
+        HomTuple(i, [comp.chart_coords[i - 1](1) for comp in comps])  # c v^i at v = 1
+        for i in range(1, r)]
     got = build_curve_ring(model).algebra.generators
     assert [g.to_json() for g in got] == [g.to_json() for g in expected]
 

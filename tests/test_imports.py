@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, no top-level
-private helper is left that no module of the package names, and every
-function that no CLI run enters is pinned, with what keeps it.
+private helper is left that no module of the package names, every function
+that no CLI run enters is pinned, with what keeps it, and every function of
+the oracle modules is entered by the acceptance suite, the benchmark's output
+checks or the scripts.
 
 A statement marked `# noqa: F401` re-exports on purpose and is exempt, and so
 is `from __future__ import ...`.
@@ -143,7 +145,7 @@ PINNED = {
     **dict.fromkeys(["errors.Record.__hash__", "errors.Record.__setattr__",
                      "errors.Record.__repr__"], "the value-class protocol"),
 }
-ORACLES = {"oracles.py", "poly.py", "rootsystems.py"}
+ORACLES = {"oracles.py", "poly.py", "rootsystems.py"}  # no CLI run enters all of them
 
 # Runs each argv of argv.json through cli.main under a profiler installed before
 # the package is imported; prints the (file name, first line) of every code object
@@ -206,3 +208,52 @@ def test_uncalled_functions_are_the_pinned_ones(tmp_path):
         if path.name not in ORACLES:
             defined.update(defined_functions(path))
     assert {name for key, name in defined.items() if key not in entered} == set(PINNED)
+
+
+# Runs tests/test_acceptance.py, every benchmark job at seed 3 through its output
+# check in bench/checks.py, and the two scripts, under a profiler installed before
+# the package is imported; writes the (file name, first line) of every code object
+# of the package that was entered to the file named by its third argument.
+PROFILED_CALLERS = """
+import contextlib, io, json, os, runpy, sys
+root, package, out = sys.argv[1:]
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+import pytest
+acceptance = os.path.join(root, "tests", "test_acceptance.py")
+assert pytest.main(["-q", "-p", "no:cacheprovider", acceptance]) == 0
+sys.path.insert(0, os.path.join(root, "bench"))
+import checks, jobs
+from borelcurve import cli
+for workload in jobs.WORKLOADS:
+    for job in jobs.build(workload, 3, os.path.join(os.path.dirname(out), workload)):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(job.argv))
+        assert checks.check(job, code, stdout.getvalue(), stderr.getvalue()) is None, job.key
+for script in ("plane_demo.py", "poincare_tables.py"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(os.path.join(root, "scripts", script), run_name="__main__")
+sys.setprofile(None)
+with open(out, "w") as f:
+    json.dump(sorted({(os.path.basename(c.co_filename), c.co_firstlineno) for c in entered
+                      if c.co_filename.startswith(package)}), f)
+"""
+
+
+def test_every_oracle_function_has_a_caller(tmp_path):
+    """The oracle modules, which no CLI run loads whole, are entered by what
+    keeps them: the acceptance suite, the benchmark's output checks on every
+    job at seed 3, and the two scripts.  A function none of them enters and no
+    pin names is dead code."""
+    subprocess.run(
+        [sys.executable, "-c", PROFILED_CALLERS, str(PACKAGE.parents[1]), str(PACKAGE),
+         str(tmp_path / "entered.json")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), cwd=tmp_path)
+    entered = {tuple(pair) for pair in json.loads((tmp_path / "entered.json").read_text())}
+    defined = {}
+    for name in sorted(ORACLES):
+        defined.update(defined_functions(PACKAGE / name))
+    pinned = {name for name in PINNED if f"{name.split('.')[0]}.py" in ORACLES}
+    assert {name for key, name in defined.items() if key not in entered} == pinned

@@ -94,7 +94,7 @@ def test_unequal_when_a_field_differs():
 
 
 def test_defaults_and_normalization():
-    assert Poly().coeffs == () and Poly().is_zero() and Poly().valuation() is None
+    assert Poly().coeffs == () and Poly().is_zero()
     assert Poly((1, 0, 0)) == Poly((Fraction(1),))
     assert isinstance(Poly(("1/2",)).coeffs[0], Fraction)
     graph = GKMGraph(vertices=(3, 1, 2, 1))
