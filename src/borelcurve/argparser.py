@@ -3,15 +3,16 @@ quick parser leaves alone.  A plain run never loads it (nor `argparse`)."""
 
 import argparse
 
-from .errors import InputError
+from .errors import InputError, clip
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line like any other bad input: one JSON
-    error line on stderr and exit code 2 (help still prints and exits 0)."""
+    error line on stderr and exit code 2 (help still prints and exits 0); a
+    message that echoes a long value is cut like any echoed value."""
 
     def error(self, message):
-        raise InputError(message)
+        raise InputError(clip(message))
 
 
 def build_parser(grammar: dict, common: tuple) -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .curve import CurveRing, restrict
-from .errors import InputError, InternalError, Record, ascii_int, labels, to_int
+from .errors import InputError, InternalError, Record, ascii_int, clip, labels, to_int
 from .rational import (HomTuple, Matrix, _as_list, _as_matrix, _as_object, _cleared, _mat_mul,
                        to_fraction)
 
@@ -106,12 +106,14 @@ def bundle_from_json(data: dict) -> BundleData:
         try:
             label = ascii_int(key)
         except ValueError:
-            raise InputError(f"fibre key {key!r} is not an integer fixed-point label") from None
+            raise InputError(f"fibre key {clip(repr(key))} is not an integer fixed-point "
+                             "label") from None
         if label in fibres:
             first = next(k for k in raw if ascii_int(k) == label)
-            raise InputError(f"fibre keys {first!r} and {key!r} both name fixed point {label}")
+            raise InputError(f"fibre keys {clip(repr(first))} and {clip(repr(key))} both name "
+                             f"fixed point {label}")
         if not isinstance(val, dict):
-            raise InputError(f"fibre {key} must be an object with weights or rho_W/rho_V")
+            raise InputError(f"fibre {clip(key)} must be an object with weights or rho_W/rho_V")
         if "weights" in val:
             fibres[label] = SplitFibre(tuple(to_int(w) for w in _as_list(val["weights"])))
         elif "rho_W" in val and "rho_V" in val:

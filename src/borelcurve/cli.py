@@ -9,14 +9,13 @@ files and builds the report.  A subcommand's body is `run(args, load)` in
 `cmd_<subcommand>` (a run compiles only its own), which returns (options,
 result, truncation degree) and reads each file through the `load(name, path)`
 it is given: no `cmd_*` module imports `borelcurve.cli`, which `python -m`
-runs as `__main__`, so an import would run it a second time.
+runs as `__main__`, so an import would run it a second time.  `json` is
+imported by the first file read; a run that reads no file writes its report
+and error line with `jsonwrite`, the same bytes without loading `json`.
 """
-
-from __future__ import annotations
 
 import atexit
 import io
-import json
 import os
 import sys
 from importlib import import_module
@@ -44,10 +43,25 @@ def _load_json(inputs: dict, name: str, path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     inputs[name] = {"path": path, "sha256": _sha256(data)}
+    import json  # once inputs is not empty, the report is written by json
     try:
         return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # syntax, UTF-8, int digits, nesting depth
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        # only int() raises a plain ValueError here, past its digit limit, in
+        # words that differ between Python versions; the words here do not
+        detail = (f"an integer has more than {sys.get_int_max_str_digits()} digits"
+                  if type(exc) is ValueError else exc)
+        raise InputError(f"{path} is not valid JSON: {detail}") from exc
+
+
+def _dumps(obj: dict, inputs: dict, indent: int | None = None) -> str:
+    """json.dumps(obj, indent=indent, sort_keys=True), by `json` when a file was
+    read (which loaded it) and by `jsonwrite` otherwise."""
+    if inputs:
+        import json
+        return json.dumps(obj, indent=indent, sort_keys=True)
+    from .jsonwrite import dumps
+    return dumps(obj, indent)
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -69,7 +83,7 @@ def _render(report: dict, table: bool) -> str:
         lines: list[str] = []
         _flatten("", report, lines)
         return "\n".join(lines)
-    return json.dumps(report, indent=2, sort_keys=True)
+    return _dumps(report, report["inputs"], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +214,10 @@ def main(argv=None) -> int:
         options, result, bound = import_module(f".cmd_{args.subcommand}", __package__).run(
             args, lambda name, path: _load_json(inputs, name, path))
     except InputError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        print(_dumps({"error": str(exc)}, inputs), file=sys.stderr)
         return 2
     except InternalError as exc:
-        print(json.dumps({"internal_error": str(exc)}, sort_keys=True), file=sys.stderr)
+        print(_dumps({"internal_error": str(exc)}, inputs), file=sys.stderr)
         return 3
     print(_render({"command": args.subcommand, "options": options, "inputs": inputs,
                    "result": result, "max_degree": bound, "exact_arithmetic": True}, args.table))

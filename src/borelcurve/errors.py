@@ -1,5 +1,6 @@
 """The building blocks every other module shares: the exception hierarchy,
-the integer and label rules, and Record, the base of the value classes.
+the integer and label rules, the cut of echoed values, and Record, the base
+of the value classes.
 
 The CLI maps InputError to exit code 2 and InternalError to exit code 3.
 This module imports nothing, so a module needing only these (exponents, on
@@ -15,11 +16,22 @@ class InternalError(RuntimeError):
     """An exact identity that must hold has failed; indicates a bug, not bad input."""
 
 
+ECHO_MAX = 160  # characters of an echoed value an error message shows
+
+
+def clip(text: str) -> str:
+    """An echoed value's text (a repr, or argparse's message) for an error
+    line: past ECHO_MAX characters, its first ECHO_MAX and its full length."""
+    if len(text) <= ECHO_MAX:
+        return text
+    return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
+
+
 def to_int(x, low=None, high=None, name="") -> int:
     """Accept a genuine int only (bools, floats and strings are rejected), in
     low..high when low is given; without high, low is 0 or 1."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"expected an integer, got {x!r}")
+        raise InputError(f"expected an integer, got {clip(repr(x))}")
     if low is not None and (x < low or high is not None and x > high):
         raise InputError(f"{name} must lie in {low}..{high}" if high is not None
                          else f"{name} must be {'positive' if low else 'non-negative'}")
@@ -47,7 +59,8 @@ def int_list(text: str, what: str) -> list[int]:
     try:
         return [ascii_int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"bad {what} list {text!r}: expected comma-separated integers") from exc
+        raise InputError(f"bad {what} list {clip(repr(text))}: "
+                         "expected comma-separated integers") from exc
 
 
 class Record:
@@ -63,7 +76,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += tuple(cls.__annotations__)  # its own, from Python 3.10
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -12,11 +12,9 @@ order; `rootsystems` keeps the root tables and the height pairing as the
 independent oracle for this table.  Everything here is integer arithmetic.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 
-from .errors import InputError, InternalError, Record, to_int
+from .errors import InputError, InternalError, Record, clip, to_int
 
 MAX_RANK = 8
 
@@ -120,8 +118,9 @@ def poincare_from_degrees(degrees) -> PoincarePoly:
     try:
         coeffs = _product_formula(ds)
     except ArithmeticError as exc:
-        raise InputError(f"degrees {ds} do not come from a regular action: {exc}") from exc
+        raise InputError(f"degrees {clip(str(ds))} do not come from a regular action: "
+                         f"{exc}") from exc
     if any(c < 0 for c in coeffs):
-        raise InputError(f"degrees {ds} do not come from a regular action: "
+        raise InputError(f"degrees {clip(str(ds))} do not come from a regular action: "
                          "negative coefficient in the expanded product")
     return PoincarePoly(tuple(coeffs))

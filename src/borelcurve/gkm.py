@@ -27,7 +27,7 @@ import warnings
 from bisect import bisect_right
 
 from .curve import CurveRing, restrict
-from .errors import InputError, Record, labels, to_int
+from .errors import InputError, Record, clip, labels, to_int
 from .rational import MAX_DEGREE, HomTuple, _as_list, _as_object, degree_bound
 
 PRINCIPAL = "Principal"
@@ -56,7 +56,7 @@ class GKMGraph(Record):
         edges = []
         for edge in self.edges:
             if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
-                raise InputError(f"edge {edge!r} is not [i, j] or [i, j, multiplicity]")
+                raise InputError(f"edge {clip(repr(edge))} is not [i, j] or [i, j, multiplicity]")
             i, j, m = (to_int(x) for x in (*edge, 1)[:3])
             if i == j:
                 raise InputError("self-loops are not allowed")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import InputError, Record, to_int
+from .errors import InputError, Record, clip, to_int
 
 Vec = tuple[Fraction, ...]
 Matrix = tuple[Vec, ...]
@@ -58,8 +58,8 @@ def to_fraction(x) -> Fraction:
                 return Fraction(int(p), int(q or 1))
             except (ValueError, ZeroDivisionError):  # past the int digit limit, or p/0
                 pass
-        raise InputError(f"cannot parse rational {x!r}")
-    raise InputError(f"cannot interpret {x!r} as a rational number")
+        raise InputError(f"cannot parse rational {clip(repr(x))}")
+    raise InputError(f"cannot interpret {clip(repr(x))} as a rational number")
 
 
 def degree_bound(max_degree, default: int | None) -> int | None:
@@ -83,7 +83,7 @@ def _cleared(m: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def _as_list(x):
     if not isinstance(x, (list, tuple)):
-        raise InputError(f"expected a list, got {x!r}")
+        raise InputError(f"expected a list, got {clip(repr(x))}")
     return x
 
 

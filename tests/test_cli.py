@@ -407,6 +407,42 @@ def test_undecodable_json_exits_2(capsys, tmp_path, text):
     assert "is not valid JSON" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("literal", ["1" * 4300, "-" + "9" * 4300])
+def test_json_integers_up_to_4300_digits_are_read(capsys, tmp_path, literal):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 2, "h_weights": [2, 0, -2], "e_matrix": "principal", '
+                    f'"x": {literal}}}')
+    assert run(capsys, ["curve", "betti", "--spec", str(spec)])[0] == 0
+
+
+@pytest.mark.parametrize("literal", ["1" * 4301, "-" + "9" * 5000])
+def test_json_integer_past_4300_digits_has_fixed_text(capsys, tmp_path, literal):
+    """int()'s own text for it differs between Python 3.10 and 3.11."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"n": {literal}}}')
+    code, out, err = run(capsys, ["curve", "betti", "--spec", str(spec)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"{spec} is not valid JSON: an integer has more than "
+                                       "4300 digits"}) + "\n"
+
+
+def test_long_echoed_values_are_cut(capsys, tmp_path):
+    """An echoed value shows its first 160 characters and its full length."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "h_weights": "w" * 300, "e_matrix": "principal"}))
+    code, _, err = run(capsys, ["curve", "betti", "--spec", str(spec)])
+    assert code == 2
+    assert json.loads(err)["error"] == (
+        "expected a list, got '" + "w" * 159 + "... (302 characters)")
+    for argv in (["poincare", "--family", "A", "--rank", "9" * 5000],
+                 ["poincare", "--degrees", "x," * 100000],
+                 ["poincare", "--degrees", ",".join(["2"] * 500)],
+                 ["curve", "betti", "--spec", str(spec), "--max-degree", "x" * 5000]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and len(err) < 300, argv
+        assert " characters)" in json.loads(err)["error"], argv
+
+
 def test_principal_shorthand_with_huge_n_exits_2(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 10**18, "h_weights": [2, 0, -2],
@@ -761,13 +797,14 @@ EXPORTS = {
 
 def loaded_by(code: str) -> list[str]:
     """Modules a fresh interpreter loads while running `code`, beyond its start-up.
-    They are read in an atexit handler, so `code` may end the process itself."""
-    probe = ("import atexit, json, sys; _before = set(sys.modules)\n"
-             "atexit.register(lambda: print(json.dumps(sorted(set(sys.modules) - _before)), "
+    They are read in an atexit handler, so `code` may end the process itself;
+    the probe loads no `json`, so a run that loads it shows it."""
+    probe = ("import atexit, sys; _before = set(sys.modules)\n"
+             "atexit.register(lambda: print(sorted(set(sys.modules) - _before), "
              "file=sys.__stdout__, flush=True))\n" + code)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
-    return json.loads(out.splitlines()[-1])
+    return ast.literal_eval(out.splitlines()[-1])
 
 
 def loaded_by_run(argv) -> set[str]:
@@ -858,12 +895,31 @@ def test_console_entry_reads_sys_argv_on_the_quick_path(capsys, monkeypatch):
 
 
 def test_poincare_run_loads_only_root_systems():
-    loaded = loaded_by("from borelcurve.cli import main\n"
-                       "main(['poincare', '--family', 'A', '--rank', '2'])")
-    assert [m for m in loaded if m.startswith("borelcurve")] == [
-        "borelcurve", "borelcurve.cli", "borelcurve.cmd_poincare", "borelcurve.errors",
-        "borelcurve.exponents"]
-    assert not {"fractions", "decimal", "hashlib"} & set(loaded)
+    """A run that reads no file writes its report, or its error line, with
+    `jsonwrite` and loads no `json`."""
+    for argv in (["poincare", "--family", "A", "--rank", "2"], ["poincare", "--degrees", "1,x"]):
+        loaded = loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
+                           "with contextlib.redirect_stderr(io.StringIO()):\n"
+                           f"    main({argv!r})")
+        assert [m for m in loaded if m.startswith("borelcurve")] == [
+            "borelcurve", "borelcurve.cli", "borelcurve.cmd_poincare", "borelcurve.errors",
+            "borelcurve.exponents", "borelcurve.jsonwrite"], argv
+        assert not {"fractions", "decimal", "hashlib", "json", "__future__"} & set(loaded), argv
+
+
+def test_runs_that_read_a_file_never_load_the_writer(tmp_path):
+    """`json` is loaded by the file read and writes the report and the error
+    line; `jsonwrite` stays unloaded."""
+    paths = write_plane_inputs(tmp_path)
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    for argv, code in ((["curve", "ring", "--spec", spec], 0),
+                       (["principal", "--spec", spec, "--gkm", graph], 0),
+                       (["curve", "ring", "--spec", spec, "--max-degree", "1001"], 2)):
+        loaded = loaded_by("import contextlib, io\nfrom borelcurve.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()), "
+                           "contextlib.redirect_stderr(io.StringIO()):\n"
+                           f"    assert main({argv!r}) == {code}")
+        assert "json" in loaded and "borelcurve.jsonwrite" not in loaded, argv
 
 
 def test_module_runs_never_import_the_cli_by_name(tmp_path):

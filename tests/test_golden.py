@@ -3,7 +3,8 @@
 tests/golden.json maps each case key to the exit code and the sha256 of the
 stdout and of the stderr of one `borelcurve` command line, run in-process
 through `cli.main`.  The cases are every job of bench/jobs.py at seeds 3 and
-47, and a few larger runs (`_larger`).  Every input is written under a
+47, a few larger runs (`_larger`) and refused inputs whose error line is the
+same on every supported Python (`_refused`).  Every input is written under a
 relative directory of the working directory, and reports record input paths
 as given, so the digests do not depend on where the checkout lives.
 
@@ -82,6 +83,26 @@ def _larger(out: Path) -> dict[str, list[str]]:
     return cases
 
 
+def _refused(out: Path) -> dict[str, list[str]]:
+    """A JSON integer past int()'s digit limit, and values too long to echo whole."""
+    out.mkdir(parents=True)
+    spec = _principal_spec(2)
+    digits = out / "digits.json"
+    digits.write_text('{"n": ' + "9" * 5000 + "}", encoding="utf-8")
+    return {
+        "refused/json_int_5000_digits": ["curve", "betti", "--spec", str(digits)],
+        "refused/long_h_weights": ["curve", "betti", "--spec", _write(
+            out / "long_h.json", {**spec, "h_weights": "w" * 300})],
+        "refused/long_matrix_entry": ["action", "validate", "--spec", _write(
+            out / "long_entry.json", {**spec, "e_matrix": [["1/" + "x" * 300] * 3] * 3})],
+        "refused/long_edge": ["principal", "--spec", _write(out / "p2.json", spec), "--gkm",
+                              _write(out / "long_edge.json", {"vertices": [1, 2, 3],
+                                                              "edges": [list(range(500))]})],
+        "refused/long_rank": ["poincare", "--family", "A", "--rank", "9" * 5000],
+        "refused/long_degree_list": ["poincare", "--degrees", "x," * 1000],
+    }
+
+
 def cases(root: Path) -> dict[str, list[str]]:
     """Write every input under `root` and return each case's command line."""
     out: dict[str, list[str]] = {}
@@ -91,7 +112,7 @@ def cases(root: Path) -> dict[str, list[str]]:
                 key = f"{workload}/{seed}/{job.key}"
                 assert key not in out, f"duplicate case key {key}"
                 out[key] = list(job.argv)
-    return {**out, **_larger(root / "larger")}
+    return {**out, **_larger(root / "larger"), **_refused(root / "refused")}
 
 
 def digest(argv: list[str]) -> dict:
