@@ -54,6 +54,10 @@ class ActionModel(Record):
     h_weights: tuple[int, ...]
     e_matrix: Matrix
 
+    @property
+    def r(self) -> int:  # the number of torus-fixed points
+        return self.n + 1
+
 
 class CurveComponent(Record):
     """Exact parametrization of one component of the fixed-point curve.

@@ -23,12 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .curve import CurveRing, restrict
 from .errors import InputError, InternalError, Record, ascii_int, clip, labels, to_int
 from .rational import (HomTuple, Matrix, _as_list, _as_matrix, _as_object, _cleared, _mat_mul,
                        to_fraction)
 
-if TYPE_CHECKING:  # the verdict imports gkm and exactalg itself, when it runs
+if TYPE_CHECKING:  # membership imports curve, the verdict gkm and exactalg, when they run
+    from .action import ActionModel
+    from .curve import CurveRing
     from .gkm import GKMGraph, PrincipalityVerdict
 
 
@@ -178,9 +179,9 @@ def exterior_trace(matrix, k: int) -> Fraction:
     return _exterior_traces(m)[to_int(k, 0, len(m), "k")]
 
 
-def chern_tuples(bundle: BundleData, cr: CurveRing) -> list[HomTuple]:
+def chern_tuples(bundle: BundleData, cr: ActionModel | CurveRing) -> list[HomTuple]:
     """The tuples of c_0, ..., c_rank over the bundle's fixed points (sorted
-    by label), from one trace run per fibre.
+    by label), from one trace run per fibre; of cr only the count r is read.
 
     Split fibres use the elementary symmetric functions of the weights.  A
     matrix fibre contributes the exterior traces of rho_w: those of
@@ -201,13 +202,14 @@ def chern_class(tuples: list[HomTuple], k: int) -> HomTuple:
     return tuples[to_int(k, 0, len(tuples) - 1, "k")]
 
 
-def chern_tuple(bundle: BundleData, k: int, cr: CurveRing) -> HomTuple:
+def chern_tuple(bundle: BundleData, k: int, cr: ActionModel | CurveRing) -> HomTuple:
     """The degree-k tuple of the k-th equivariant Chern class (chern_tuples)."""
     return chern_class(chern_tuples(bundle, cr), k)
 
 
 def regular_on_curve(bundle: BundleData, t: HomTuple, cr: CurveRing) -> bool:
     """Whether t is regular on the sub-curve over the bundle's fixed points."""
+    from .curve import restrict
     return restrict(cr, sorted(bundle.fibres)).member(t)
 
 
@@ -238,4 +240,4 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
             raise InputError(f"generator {t.to_json()} violates the graph congruences")
     notes = ("comparison of the subalgebra generated by the given classes against "
              "the congruence ring",)
-    return decide(GradedSubalgebra(ring.r, gens), ring, max_degree, notes)
+    return decide(GradedSubalgebra(ring.r, gens).hilbert_function, ring, max_degree, notes)

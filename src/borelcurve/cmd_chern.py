@@ -1,13 +1,15 @@
 """`borelcurve chern`: Chern class tuples, membership, generation verdicts."""
 
-from . import action, chern, curve
+from . import action, chern
 from .errors import InputError
 from .rational import degree_bound
 
 
 def run(args, load) -> tuple:
     model = action.model_from_json(load("spec", args.spec))
-    ring = curve.build_curve_ring(model)
+    if args.test_membership:  # only membership reads the curve ring
+        from . import curve
+        ring = curve.build_curve_ring(model)
     bundles = []
     for idx, spec in enumerate(args.bundle or []):
         if spec == "tangent":
@@ -20,7 +22,7 @@ def run(args, load) -> tuple:
     degree_bound(args.max_degree, None)  # checked without --gkm too
     per_bundle, tuples = [], []  # tuples: c_0..c_rank of each bundle, computed once
     for name, bundle in bundles:
-        tuples.append(chern.chern_tuples(bundle, ring))
+        tuples.append(chern.chern_tuples(bundle, model))
         t = chern.chern_class(tuples[-1], args.k)
         entry = {"bundle": name, "k": args.k, "tuple": t.to_json()}
         if args.test_membership:

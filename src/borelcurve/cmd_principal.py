@@ -4,14 +4,13 @@ import json
 import sys
 import warnings
 
-from . import action, curve, gkm
+from . import action, gkm
 
 
 def run(args, load) -> tuple:
     model = action.model_from_json(load("spec", args.spec))
-    ring = curve.build_curve_ring(model)
     graph = gkm.GKMGraph.from_json(load("gkm", args.gkm))
-    verdict = gkm.principal_verdict(ring, graph, args.max_degree)
+    verdict = gkm.principal_verdict(model, graph, args.max_degree)
     with warnings.catch_warnings(record=True) as caught:  # reported as JSON lines
         warnings.simplefilter("always")
         betti = gkm.gkm_ordinary_betti(graph)

@@ -113,7 +113,7 @@ class CurveRing(Record):
 
     @property
     def r(self) -> int:
-        return self.model.n + 1
+        return self.model.r
 
 
 def default_degree_bound(cr: CurveRing) -> int:
@@ -132,7 +132,7 @@ def build_curve_ring(model: ActionModel) -> CurveRing:
     J (NodeAlgebra), so the ring needs only the superdiagonal a_t = e[t][t+1]
     and no parametrization.  Checks in O(r) that the chart degrees are 1..n.
     """
-    r = model.n + 1
+    r = model.r
     degrees = big_cell_degrees(model)
     if degrees != list(range(1, r)):
         raise InternalError(f"chart degrees {degrees} are not 1..{r - 1}")

@@ -17,18 +17,22 @@ graph, so dim(d) is r minus the forest edges with m > d.
 
 The congruence ring is the user's model of the equivariant cohomology of the
 subvariety (valid when odd cohomology vanishes); the restriction image of the
-ambient ring is computed exactly from the curve.  Comparing the two Hilbert
-functions decides whether restriction is surjective ("principal").
+ambient ring is the ring of the sub-curve over the vertices, in closed form.
+Comparing the two Hilbert functions decides whether restriction is onto ("principal").
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from typing import TYPE_CHECKING
 
-from .curve import CurveRing, restrict
 from .errors import InputError, Record, clip, labels, to_int
 from .rational import MAX_DEGREE, HomTuple, _as_list, _as_object, degree_bound
+
+if TYPE_CHECKING:  # principal_verdict reads only the fixed-point count r of either
+    from .action import ActionModel
+    from .curve import CurveRing
 
 PRINCIPAL = "Principal"
 NOT_PRINCIPAL = "NotPrincipal"
@@ -189,26 +193,28 @@ def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,
     return PrincipalityVerdict(status, witness, bound, tuple(image), tuple(gkm), notes)
 
 
-def decide(image, ring: GKMRing, max_degree: int | None,
+def decide(image_hilbert, ring: GKMRing, max_degree: int | None,
            notes: tuple[str, ...]) -> PrincipalityVerdict:
-    """Compare the Hilbert function of `image`, an algebra over the ring's
-    vertices containing v, with the congruence ring's, by default up to the
-    stabilization degree, which certifies the verdict (PrincipalityVerdict)."""
+    """Compare `image_hilbert(bound)`, the Hilbert function of an algebra over
+    the ring's vertices containing v, with the congruence ring's, by default up
+    to the stabilization degree, which certifies the verdict (PrincipalityVerdict)."""
     bound = degree_bound(max_degree, ring.stabilization_degree)
-    return compare_hilberts(image.hilbert_function(bound), ring.hilbert(bound), ring.r,
-                            bound, notes)
+    return compare_hilberts(image_hilbert(bound), ring.hilbert(bound), ring.r, bound, notes)
 
 
-def principal_verdict(cr: CurveRing, graph: GKMGraph,
+def principal_verdict(cr: ActionModel | CurveRing, graph: GKMGraph,
                       max_degree: int | None = None) -> PrincipalityVerdict:
     """Decide whether the subvariety modeled by the graph is principal.
 
     The restriction image of the ambient ring equals the Chern-class
     subalgebra of the subvariety, so restriction is surjective exactly when
-    that image already fills the modeled congruence ring.
+    that image already fills the modeled congruence ring.  It is the ring of
+    the sub-curve over the vertices S, whose degree-d slice has dimension
+    min(d + 1, |S|) (curve.NodeAlgebra), so only the fixed-point count r is read.
     """
-    image = restrict(cr, labels(graph.vertices, cr.r, "graph vertices"))
+    size = len(labels(graph.vertices, cr.r, "graph vertices"))
     notes = () if 1 in graph.vertices else (
         "label 1 (the unipotent fixed point o) is not among the vertices; a nonempty "
         "invariant subvariety always contains o, so this subset is geometrically dubious",)
-    return decide(image, GKMRing(graph), max_degree, notes)
+    return decide(lambda bound: [min(d + 1, size) for d in range(bound + 1)], GKMRing(graph),
+                  max_degree, notes)

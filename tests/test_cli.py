@@ -980,27 +980,39 @@ def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
 def test_ambient_runs_load_no_linear_algebra(tmp_path):
     """action and curve runs read the curve ring in closed form: no exactalg,
     gkm or chern.  principal needs gkm, whose congruence ring is a component
-    count, so it loads no exactalg either; only chern --gkm does."""
+    count, so it loads no exactalg either; only chern --gkm does.  The image
+    of restriction has a closed-form Hilbert function that reads only the
+    fixed-point count, so principal and chern --gkm load no curve; every
+    curve run does."""
     paths = write_plane_inputs(tmp_path)
-    runs = {"action": ["action", "curve", "--spec", paths["spec"]],
-            "curve": ["curve", "ideal", "--spec", paths["spec"], "--components", "2"],
-            "principal": ["principal", "--spec", paths["spec"], "--gkm", paths["graph"]]}
-    for subcommand, argv in runs.items():
+    spec, graph = str(paths["spec"]), str(paths["graph"])
+    ambient = {"borelcurve.chern", "borelcurve.exactalg", "borelcurve.gkm"}
+    runs = {("action", "curve", "--spec", spec): ambient,
+            ("curve", "ideal", "--spec", spec, "--components", "2"): ambient,
+            ("principal", "--spec", spec, "--gkm", graph):
+                {"borelcurve.chern", "borelcurve.curve", "borelcurve.exactalg"},
+            ("chern", "--spec", spec, "--bundle", "tangent", "--gkm", graph):
+                {"borelcurve.curve"}}
+    for argv, forbidden in runs.items():
         loaded = loaded_by_run(argv)
-        forbidden = {"borelcurve.chern", "borelcurve.exactalg"}
-        if subcommand != "principal":
-            forbidden.add("borelcurve.gkm")
-        assert not forbidden & loaded, (subcommand, forbidden & loaded)
+        assert not forbidden & loaded, (argv[0], forbidden & loaded)
+    for what in (["ring"], ["betti"], ["restrict", "--components", "1,3"],
+                 ["ideal", "--components", "2"]):
+        assert "borelcurve.curve" in loaded_by_run(["curve", *what, "--spec", spec]), what
 
 
 def test_chern_without_gkm_loads_no_congruence_ring(tmp_path):
     """Membership reads the closed-form curve ring; only --gkm needs the
-    congruence ring and the generated subalgebra."""
+    congruence ring and the generated subalgebra.  The tuples read only the
+    fixed-point count, so a chern run loads curve only for membership."""
     paths = write_plane_inputs(tmp_path)
-    loaded = loaded_by_run(["chern", "--spec", paths["spec"], "--bundle", "tangent",
-                            "--test-membership"])
-    assert "borelcurve.chern" in loaded
+    argv = ["chern", "--spec", paths["spec"], "--bundle", "tangent"]
+    loaded = loaded_by_run(argv + ["--test-membership"])
+    assert {"borelcurve.chern", "borelcurve.curve"} <= loaded
     assert not {"borelcurve.exactalg", "borelcurve.gkm"} & loaded
+    loaded = loaded_by_run(argv)
+    assert "borelcurve.chern" in loaded
+    assert not {"borelcurve.curve", "borelcurve.exactalg", "borelcurve.gkm"} & loaded
 
 
 def test_only_parametrizations_load_the_polynomials(tmp_path):

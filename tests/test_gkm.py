@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from borelcurve.curve import build_curve_ring, restrict
 from borelcurve.errors import InputError
-from borelcurve.exactalg import HomTuple, nullspace
+from borelcurve.exactalg import GradedSubalgebra, HomTuple, nullspace
 from borelcurve.gkm import (GKMGraph, GKMRing, compare_hilberts, gkm_ordinary_betti,
                             principal_verdict)
 
@@ -176,6 +176,36 @@ def test_stabilization_degree_is_first_full_degree(case):
     ring = GKMRing(graph)
     first_full = next(d for d in itertools.count() if ring.dim(d) == ring.r)
     assert ring.stabilization_degree == first_full
+
+
+@st.composite
+def models_and_multigraphs(draw):
+    """A regular model with n <= 7 and a congruence multigraph on a random
+    subset of its fixed points, multiplicities 1..6 (parallel edges occur)."""
+    model = draw(regular_models(max_n=7))
+    vertices = draw(st.lists(st.integers(1, model.r), min_size=1, unique=True))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 6)),
+                          max_size=12)) if pairs else []
+    return model, GKMGraph(tuple(vertices), tuple((i, j, m) for (i, j), m in edges))
+
+
+@given(models_and_multigraphs(), st.none() | st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_principal_verdict_reads_only_the_fixed_point_count(case, max_degree):
+    """Oracle: the closed-form image Hilbert function min(d + 1, |S|) is that
+    of the restricted curve ring and of the subalgebra its projected
+    generators span, so the model and its curve ring give one verdict."""
+    model, graph = case
+    cr = build_curve_ring(model)
+    verdict = principal_verdict(model, graph, max_degree)
+    assert verdict == principal_verdict(cr, graph, max_degree)
+    image = list(verdict.image_hilbert)
+    assert image == restrict(cr, graph.vertices).hilbert_function(verdict.bound)
+    projected = [HomTuple(g.degree, [g.coeffs[v - 1] for v in graph.vertices])
+                 for g in cr.algebra.generators]
+    assert image == GradedSubalgebra(len(graph.vertices), projected).hilbert_function(
+        verdict.bound)
 
 
 @st.composite

@@ -6,7 +6,8 @@ through `cli.main`.  The cases are every job of bench/jobs.py at seeds 3 and
 47, a few larger runs (`_larger`) and refused inputs whose error line is the
 same on every supported Python (`_refused`).  Every input is written under a
 relative directory of the working directory, and reports record input paths
-as given, so the digests do not depend on where the checkout lives.
+as given, so the digests do not depend on where the checkout lives.  The same
+pass checks that no stderr line is longer than STDERR_LINE_MAX characters.
 
 A change that is meant to alter an output regenerates the file with
 
@@ -26,9 +27,17 @@ from pathlib import Path
 
 from conftest import load_bench_jobs, run_cli
 
+from borelcurve.errors import ECHO_MAX
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
 SEEDS = (3, 47)
+# An error line echoes at most ECHO_MAX characters of a refused value.  The
+# longest fixed text around an echo in the corpus is 93 characters (the
+# `refused/long_edge` line without its echo: the {"error": ...} wrapper, the
+# message and the clip's "... (2390 characters)"), so every stderr line stays
+# within ECHO_MAX + 100; the longest, that line, has 253, a margin of 7.
+STDERR_LINE_MAX = ECHO_MAX + 100
 
 
 jobs = load_bench_jobs()
@@ -115,9 +124,7 @@ def cases(root: Path) -> dict[str, list[str]]:
     return {**out, **_larger(root / "larger"), **_refused(root / "refused")}
 
 
-def digest(argv: list[str]) -> dict:
-    code, out, err = run_cli(argv)
-
+def digest(code: int, out: str, err: str) -> dict:
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -129,14 +136,20 @@ def test_outputs_match_the_corpus(tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs = cases(Path("inputs"))
     assert sorted(runs) == sorted(golden)
-    wrong = [f"{key}: borelcurve {' '.join(argv)}"
-             for key, argv in runs.items() if digest(argv) != golden[key]]
+    wrong, long = [], []
+    for key, argv in runs.items():
+        code, out, err = run_cli(argv)
+        if digest(code, out, err) != golden[key]:
+            wrong.append(f"{key}: borelcurve {' '.join(argv)}")
+        long += [f"{key}: {len(line)} characters" for line in err.splitlines()
+                 if len(line) > STDERR_LINE_MAX]
     assert not wrong, "output differs from tests/golden.json:\n" + "\n".join(wrong)
+    assert not long, f"stderr lines past {STDERR_LINE_MAX} characters:\n" + "\n".join(long)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        corpus = {key: digest(argv) for key, argv in cases(Path("inputs")).items()}
+        corpus = {key: digest(*run_cli(argv)) for key, argv in cases(Path("inputs")).items()}
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} cases to {GOLDEN}")
