@@ -137,14 +137,6 @@ def model_from_json(data: dict) -> ActionModel:
     return validate(model)
 
 
-def model_to_json(model: ActionModel) -> dict:
-    return {
-        "n": model.n,
-        "h_weights": list(model.h_weights),
-        "e_matrix": [[format_fraction(x) for x in row] for row in model.e_matrix],
-    }
-
-
 def exp_e(model: ActionModel, s) -> Matrix:
     """exp(s * e) at a rational s, as an exact matrix; a finite sum since e is nilpotent."""
     s = to_fraction(s)

@@ -82,13 +82,14 @@ def make_bundle(rank: int, fibres: dict[int, SplitFibre | MatrixFibre]) -> Bundl
     for label, fibre in fibres.items():
         to_int(label, 1, name="fixed-point labels")
         if fibre.rank != rank:
-            raise InputError(f"fibre at {label} has rank {fibre.rank}, expected {rank}")
+            raise InputError(f"fibre at {clip(str(label))} has rank {fibre.rank}, "
+                             f"expected {clip(str(rank))}")
         if isinstance(fibre, MatrixFibre):
             (dw, W), (_, V) = _cleared(fibre.rho_w), _cleared(fibre.rho_v)
             WV, VW = _mat_mul(W, V), _mat_mul(V, W)
             if any(WV[i][j] - VW[i][j] != 2 * dw * V[i][j]
                    for i in range(rank) for j in range(rank)):
-                raise InputError(f"fibre at {label} violates [rho_w, rho_v] = 2 rho_v")
+                raise InputError(f"fibre at {clip(str(label))} violates [rho_w, rho_v] = 2 rho_v")
     return BundleData(rank, dict(fibres))
 
 
@@ -120,7 +121,7 @@ def bundle_from_json(data: dict) -> BundleData:
         elif "rho_W" in val and "rho_V" in val:
             fibres[label] = MatrixFibre(val["rho_W"], val["rho_V"])
         else:
-            raise InputError(f"fibre {key} needs either weights or rho_W/rho_V")
+            raise InputError(f"fibre {clip(key)} needs either weights or rho_W/rho_V")
     return make_bundle(rank, fibres)
 
 
@@ -237,7 +238,7 @@ def chern_subalgebra_verdict(generators: Iterable[HomTuple], graph: GKMGraph,
     gens = list(generators)
     for t in gens:
         if not ring.contains(t):  # raises on a component-count mismatch
-            raise InputError(f"generator {t.to_json()} violates the graph congruences")
+            raise InputError(f"generator {clip(str(t.to_json()))} violates the graph congruences")
     notes = ("comparison of the subalgebra generated by the given classes against "
              "the congruence ring",)
     return decide(GradedSubalgebra(ring.r, gens).hilbert_function, ring, max_degree, notes)

@@ -21,7 +21,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .errors import InputError, InternalError, ascii_int
+from .errors import InputError, InternalError, ascii_int, clip
 
 
 def _sha256(data: bytes) -> str:
@@ -41,7 +41,7 @@ def _load_json(inputs: dict, name: str, path: str) -> dict:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {clip(path)}: {exc.strerror}") from exc
     inputs[name] = {"path": path, "sha256": _sha256(data)}
     import json  # once inputs is not empty, the report is written by json
     try:
@@ -51,7 +51,7 @@ def _load_json(inputs: dict, name: str, path: str) -> dict:
         # words that differ between Python versions; the words here do not
         detail = (f"an integer has more than {sys.get_int_max_str_digits()} digits"
                   if type(exc) is ValueError else exc)
-        raise InputError(f"{path} is not valid JSON: {detail}") from exc
+        raise InputError(f"{clip(path)} is not valid JSON: {detail}") from exc
 
 
 def _dumps(obj: dict, inputs: dict, indent: int | None = None) -> str:

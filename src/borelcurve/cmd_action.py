@@ -8,7 +8,7 @@ def run(args, load) -> tuple:
     options = {"what": args.what}
     if args.what == "validate":
         result = {"valid": True,
-                  "model": action.model_to_json(model),
+                  "model": model.to_json(),
                   "big_cell_degrees": action.big_cell_degrees(model)}
     elif args.what == "fixed-points":
         result = {"fixed_points": [list(p) for p in action.fixed_points(model)]}

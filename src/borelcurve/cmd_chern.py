@@ -1,7 +1,7 @@
 """`borelcurve chern`: Chern class tuples, membership, generation verdicts."""
 
 from . import action, chern
-from .errors import InputError
+from .errors import InputError, clip
 from .rational import degree_bound
 
 
@@ -35,9 +35,10 @@ def run(args, load) -> tuple:
         graph = gkm.GKMGraph.from_json(load("gkm", args.gkm))
         generators = []
         for (name, bundle), classes in zip(bundles, tuples):
-            if set(bundle.fibres) != set(graph.vertices):
-                raise InputError(f"bundle {name} fixed points {sorted(bundle.fibres)} "
-                                 f"do not match graph vertices {list(graph.vertices)}")
+            label = min(set(bundle.fibres) ^ set(graph.vertices), default=None)
+            if label is not None:  # the first label in one set and not the other
+                raise InputError(f"bundle {clip(name)} fixed points do not match graph "
+                                 f"vertices at label {clip(str(label))}")
             generators.extend(classes[1:])
         verdict = chern.chern_subalgebra_verdict(generators, graph, args.max_degree)
         result["subalgebra_verdict"] = verdict.to_json()

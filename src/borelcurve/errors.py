@@ -63,6 +63,12 @@ def int_list(text: str, what: str) -> list[int]:
                          "expected comma-separated integers") from exc
 
 
+def _json_value(x):
+    if isinstance(x, tuple):
+        return [_json_value(y) for y in x]
+    return x if x is None or isinstance(x, (int, str)) else str(x)
+
+
 class Record:
     """Base of the package's value classes, in place of frozen dataclasses.
 
@@ -112,3 +118,6 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(map(repr, self._values()))})"
+
+    def to_json(self) -> dict:
+        return {f: _json_value(getattr(self, f)) for f in self._fields}

@@ -23,7 +23,6 @@ Comparing the two Hilbert functions decides whether restriction is onto ("princi
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
@@ -65,7 +64,7 @@ class GKMGraph(Record):
             if i == j:
                 raise InputError("self-loops are not allowed")
             if i not in vset or j not in vset:
-                raise InputError(f"edge ({i},{j}) mentions an unknown vertex")
+                raise InputError(f"edge {clip(f'({i},{j})')} mentions an unknown vertex")
             edges.append((min(i, j), max(i, j), to_int(m, 1, MAX_DEGREE, "edge multiplicity")))
         object.__setattr__(self, "vertices", tuple(sorted(vset)))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
@@ -89,9 +88,6 @@ class GKMGraph(Record):
             return cls(_as_list(data["vertices"]), _as_list(data.get("edges", [])))
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad graph spec: {exc}") from exc
-
-    def to_json(self) -> dict:
-        return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 
 
 class GKMRing:
@@ -139,16 +135,13 @@ class GKMRing:
 def gkm_ordinary_betti(graph: GKMGraph) -> list[int]:
     """Ordinary Betti numbers of the modeled subvariety (successive differences).
 
-    Assumes vanishing odd cohomology; for a disconnected graph the bookkeeping
-    applies per component and a warning is emitted.  dim(d) - dim(d - 1)
-    counts the forest edges of multiplicity d (module docstring): the list is
-    the component count, then that histogram over 1..s + 1 (s > 0 the
-    stabilization degree).
+    Assumes vanishing odd cohomology.  dim(d) - dim(d - 1) counts the forest
+    edges of multiplicity d (module docstring): the list is the component
+    count, then that histogram over 1..s + 1 (s > 0 the stabilization degree).
+    Entry 0 above 1 means a disconnected graph, whose bookkeeping applies per
+    component; the caller reads that off the list (the CLI reports it).
     """
     ring = GKMRing(graph)
-    if ring.dim(0) != 1:
-        warnings.warn("graph is disconnected; Betti bookkeeping applies per connected "
-                      "component", stacklevel=2)
     s = ring.stabilization_degree
     h = ring.hilbert(s + 1 if s else 0)
     return [h[0]] + [h[d] - h[d - 1] for d in range(1, len(h))]
@@ -171,10 +164,6 @@ class PrincipalityVerdict(Record):
     image_hilbert: tuple[int, ...]
     gkm_hilbert: tuple[int, ...]
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {field: list(value) if isinstance(value, tuple) else value
-                for field, value in zip(self._fields, self._values())}
 
 
 def compare_hilberts(image: list[int], gkm: list[int], target_rank: int,

@@ -143,6 +143,3 @@ class HomTuple(Record):
     @property
     def r(self) -> int:
         return len(self.coeffs)
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "coeffs": [format_fraction(c) for c in self.coeffs]}

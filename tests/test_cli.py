@@ -149,7 +149,7 @@ def _broken_ring(model):
     (["poincare", "--rank", "2"], 2,
      {"error": "poincare needs --family and --rank, or --degrees"}),
     (["chern", "--bundle", "tangent", "--gkm", "{pair}"], 2,
-     {"error": "bundle tangent fixed points [1, 2, 3] do not match graph vertices [1, 2]"}),
+     {"error": "bundle tangent fixed points do not match graph vertices at label 3"}),
     (["poincare", "--degrees", "2,5,6,7,8,9"], 2,
      {"error": "degrees [2, 5, 6, 7, 8, 9] do not come from a regular action: "
                "negative coefficient in the expanded product"}),
@@ -355,14 +355,13 @@ def test_chern_gkm_verdict_is_the_subalgebra_of_every_class(case):
     """The chern --gkm verdict compares the congruence ring with the
     subalgebra that c_1..c_rank of every bundle and v generate, its slices
     spanned by brute force."""
-    from borelcurve.action import model_to_json
     from borelcurve.exactalg import HomTuple
     from borelcurve.gkm import GKMRing, compare_hilberts
     model, bundles, graph_json, max_degree = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, blob in [("spec", model_to_json(model)), ("graph", graph_json),
+        for name, blob in [("spec", model.to_json()), ("graph", graph_json),
                            *((f"bundle{i}", b) for i, (b, _) in enumerate(bundles))]:
             paths[name] = os.path.join(tmp, f"{name}.json")
             with open(paths[name], "w", encoding="utf-8") as handle:
@@ -664,8 +663,8 @@ def test_disconnected_graph_warns_with_one_json_line(tmp_path):
     spec.write_text(json.dumps(PLANE_SPEC))
     graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2, 1]]}))
     from borelcurve.gkm import GKMGraph, gkm_ordinary_betti
-    with pytest.warns(UserWarning):
-        betti = gkm_ordinary_betti(GKMGraph.from_json(json.loads(graph.read_text())))
+    betti = gkm_ordinary_betti(GKMGraph.from_json(json.loads(graph.read_text())))
+    assert betti[0] == 2
     outs = []
     for flags in ([], ["-W", "error"]):
         proc = subprocess.run([sys.executable, *flags, "-m", "borelcurve.cli", "principal",
@@ -1099,8 +1098,8 @@ def test_each_input_file_is_opened_once(capsys, specs, monkeypatch):
 
 # the cases where decoding the bytes read could differ from a text-mode read
 MALFORMED_FILES = {
-    "missing": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
-    "directory": ("dir", "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    "missing": (None, "cannot read {path}: No such file or directory"),
+    "directory": ("dir", "cannot read {path}: Is a directory"),
     "invalid UTF-8": (b'\xff{"n": 1}', "{path} is not valid JSON: 'utf-8' codec can't "
                       "decode byte 0xff in position 0: invalid start byte"),
     "UTF-8 BOM": (b'\xef\xbb\xbf{"n": 1}', "{path} is not valid JSON: Unexpected UTF-8 BOM "

@@ -83,10 +83,12 @@ def test_gkm_ordinary_betti(curves_union_graph):
     assert gkm_ordinary_betti(path4) == [1, 3, 0]
 
 
-def test_gkm_ordinary_betti_warns_on_disconnected():
+def test_gkm_ordinary_betti_counts_components_on_disconnected():
+    """Entry 0 is the component count; the library warns of nothing."""
     g = GKMGraph((1, 2, 3), ((1, 2, 1),))
-    with pytest.warns(UserWarning, match="disconnected"):
-        gkm_ordinary_betti(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gkm_ordinary_betti(g)[0] == 2
 
 
 def test_principal_verdict_not_principal(plane_ring, curves_union_graph):
@@ -267,9 +269,8 @@ def test_forest_counts_match_component_counts(graph, bound):
     s = ring.stabilization_degree
     full = [len(graph.connected_components(d)) for d in range(s + 2)]
     betti = [full[0]] + [full[d] - full[d - 1] for d in range(1, s + 2)] if s else full[:1]
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        assert gkm_ordinary_betti(graph) == betti
+    assert gkm_ordinary_betti(graph) == betti
+    assert betti[0] == len(graph.connected_components())
 
 
 def test_verdicts_count_no_components(monkeypatch, plane_ring, curves_union_graph):
@@ -285,8 +286,7 @@ def test_verdicts_count_no_components(monkeypatch, plane_ring, curves_union_grap
     assert principal_verdict(plane_ring, curves_union_graph).status == "NotPrincipal"
     assert principal_verdict(plane_ring, split, 5).gkm_hilbert == (2, 2, 2, 3, 3, 3)
     assert gkm_ordinary_betti(curves_union_graph) == [1, 2, 0]
-    with pytest.warns(UserWarning, match="disconnected"):
-        assert gkm_ordinary_betti(split) == [2, 0, 0, 1, 0]
+    assert gkm_ordinary_betti(split) == [2, 0, 0, 1, 0]
     gens = [HomTuple(1, (1, -1, -1)), HomTuple(1, (1, 1, 1))]
     assert chern_subalgebra_verdict(gens, curves_union_graph).witness == 1
 

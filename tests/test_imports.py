@@ -140,7 +140,6 @@ PINNED = {
                      "curve.NodeAlgebra.coordinates"], "used by tests/test_acceptance.py"),
     "chern.elementary_symmetric": "in the package's export list",
     "gkm.GKMGraph.connected_components": "called by GKMRing.basis",
-    "gkm.GKMGraph.to_json": "used by scripts/plane_demo.py",
     "cli.run": "the process entry",
     **dict.fromkeys(["errors.Record.__hash__", "errors.Record.__setattr__",
                      "errors.Record.__repr__"], "the value-class protocol"),

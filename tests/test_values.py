@@ -15,7 +15,7 @@ from borelcurve.curve import CurveRing, betti_numbers, build_curve_ring, ideal_h
 from borelcurve.errors import InputError
 from borelcurve.exactalg import GradedSubalgebra, HomTuple, Poly
 from borelcurve.gkm import GKMGraph, GKMRing, PrincipalityVerdict, principal_verdict
-from borelcurve.rational import degree_bound
+from borelcurve.rational import degree_bound, format_fraction
 from borelcurve.rootsystems import (PoincarePoly, RootSystem, poincare_from_degrees,
                                     positive_roots, weyl_order)
 
@@ -104,6 +104,24 @@ def test_defaults_and_normalization():
     assert verdict.notes == ()
     assert HomTuple(0, (1, 2)).coeffs == (Fraction(1), Fraction(2))
     assert PoincarePoly((Fraction(1), 1)).coeffs == (1, 1)
+
+
+def test_to_json_writes_the_fields_by_name():
+    """One rule: the fields by name, tuples as lists and a Fraction as its
+    text, which str gives exactly as format_fraction does.  CurveComponent
+    alone writes its own, renaming homog_coords and listing Poly coefficients."""
+    for q in (Fraction(0), Fraction(-7), Fraction(1, 3), Fraction(-10**30, 7)):
+        assert str(q) == format_fraction(q)
+    assert GKMGraph((2, 1), ((2, 1, 3),)).to_json() == {"vertices": [1, 2],
+                                                         "edges": [[1, 2, 3]]}
+    assert PrincipalityVerdict("Principal", None, 1, (1, 2), (1, 2), ("a note",)).to_json() == {
+        "status": "Principal", "witness": None, "bound": 1, "image_hilbert": [1, 2],
+        "gkm_hilbert": [1, 2], "notes": ["a note"]}
+    assert validate(ActionModel(1, (-1, 1), ((0, 0), ("1/2", 0)))).to_json() == {
+        "n": 1, "h_weights": [1, -1], "e_matrix": [["0", "1/2"], ["0", "0"]]}
+    assert _COMPONENT.to_json() == {"index": 2, "degrees": [1], "chart_coords": [["0", "1"]],
+                                    "homogeneous_coords": [["1"], ["0", "1"]]}
+    assert [cls for cls, _ in CASES if "to_json" in vars(cls)] == [CurveComponent]
 
 
 def test_construction_rejects_bad_arguments():
